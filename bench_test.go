@@ -248,16 +248,19 @@ func BenchmarkFig10_RequestRewrite(b *testing.B) {
 	b.Run("optimized", func(b *testing.B) { run(b, core.EnforceRewrite) })
 }
 
-// BenchmarkHotWrite_SignsVsRewrite measures the same delete workload
-// under each enforcement mode. The signs run pays Trigger plus partial
-// re-annotation after every write; the rewrite run applies the delete
-// and stops — the reannotated_nodes/op metric records the re-annotation
-// work and must be exactly zero in rewrite mode (EXPERIMENTS.md keeps
-// the before/after table).
+// BenchmarkHotWrite_SignsVsRewrite measures the same read-after-write
+// cycle under each enforcement mode: one delete plus the next request, on
+// a system whose read path is warm. The signs run pays Trigger plus
+// partial re-annotation in the write; the rewrite run pays whatever the
+// write leaves its scope sets to — a patch at write time, or a rebuild in
+// the read. The reannotated_nodes/op metric records the re-annotation work
+// and must be exactly zero in rewrite mode (EXPERIMENTS.md keeps the
+// before/after table).
 func BenchmarkHotWrite_SignsVsRewrite(b *testing.B) {
 	run := func(b *testing.B, mode core.EnforceMode) {
 		doc := benchDoc(b)
 		updates := bench.Updates()
+		queries := bench.Queries()
 		var reannotated int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -281,12 +284,15 @@ func BenchmarkHotWrite_SignsVsRewrite(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			q := queries[i%len(queries)]
+			_, _ = sys.Request(q) // warm the read path; denials are expected outcomes
 			u := updates[i%len(updates)]
 			b.StartTimer()
 			rep, err := sys.DeleteAndReannotate(u)
 			if err != nil {
 				b.Fatal(err)
 			}
+			_, _ = sys.Request(q)
 			reannotated += rep.Stats.Updated + rep.Stats.Reset
 		}
 		if mode == core.EnforceRewrite && reannotated != 0 {

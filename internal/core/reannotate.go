@@ -192,18 +192,25 @@ func (p *Reannotation) complete(doc *xmltree.Document, eng store.Engine, parent 
 // them grouped by table) and the total number of deleted nodes including
 // text nodes.
 func ApplyDeleteTree(doc *xmltree.Document, u *xpath.Path) (map[string][]int64, int, error) {
+	d, total, err := deleteTree(doc, u)
+	return d.deleted, total, err
+}
+
+// deleteTree is ApplyDeleteTree reporting the change as a writeDelta,
+// whose parents are those of the removed subtree roots.
+func deleteTree(doc *xmltree.Document, u *xpath.Path) (writeDelta, int, error) {
 	matches, err := xpath.Eval(u, doc)
 	if err != nil {
-		return nil, 0, err
+		return writeDelta{}, 0, err
 	}
-	byLabel := map[string][]int64{}
+	d := writeDelta{deleted: map[string][]int64{}}
 	total := 0
 	for _, n := range matches {
 		if !doc.Contains(n) {
 			continue // already removed inside an earlier match's subtree
 		}
 		if n == doc.Root() {
-			return nil, 0, fmt.Errorf("core: update %q would delete the document root", u)
+			return writeDelta{}, 0, fmt.Errorf("core: update %q would delete the document root", u)
 		}
 		// Record the subtree's element ids before removal.
 		var stack []*xmltree.Node
@@ -212,14 +219,15 @@ func ApplyDeleteTree(doc *xmltree.Document, u *xpath.Path) (map[string][]int64, 
 			m := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if m.IsElement() {
-				byLabel[m.Label] = append(byLabel[m.Label], m.ID)
+				d.deleted[m.Label] = append(d.deleted[m.Label], m.ID)
 			}
 			total++
 			stack = append(stack, m.Children()...)
 		}
+		d.parents = append(d.parents, n.Parent())
 		if err := doc.DeleteSubtree(n); err != nil {
-			return nil, 0, err
+			return writeDelta{}, 0, err
 		}
 	}
-	return byLabel, total, nil
+	return d, total, nil
 }

@@ -4,35 +4,63 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"xmlac/internal/obs"
 	"xmlac/internal/policy"
 	"xmlac/internal/store"
+	"xmlac/internal/xmltree"
 	"xmlac/internal/xpath"
 )
 
 // rewriteEnforcer enforces by query rewriting: the user query is
 // evaluated raw (store.RawQuerier — no sign consultation) and each match
 // is decided by the Table 2 membership algebra over the policy's allow
-// and deny scope unions, themselves evaluated over the unannotated store
-// through the engine's EvalScope. Signs are never written and writes
-// never re-annotate; the scope sets are cached per store version exactly
-// like the CAM query cache, so a read-mostly workload pays the two scope
-// evaluations once per write.
+// and deny scope unions. Signs are never written and writes never
+// re-annotate. The scope sets are evaluated through the engine's
+// EvalScope on the first read, then kept current across inserts and
+// deletes by patching the write's region (see patch); only a write the
+// patch cannot bound leaves them stale, and the next read rebuilds them.
 type rewriteEnforcer struct {
 	s  *System
 	rw *xpath.Rewriter
 
-	mu    sync.Mutex
-	built uint64 // System version the scope sets reflect; 0 = never
-	allow map[int64]bool
-	deny  map[int64]bool
+	// predLabels are the node tests of the predicated steps of the rule
+	// paths; predAny is set when such a step has a * test or is a self
+	// step, i.e. matches every label.
+	predLabels map[string]bool
+	predAny    bool
+
+	// cur is the published scope sets; readers load it without locking.
+	// mu single-flights rebuilds.
+	cur atomic.Pointer[scopeSets]
+	mu  sync.Mutex
 
 	rebuilds *obs.Counter // nil when metrics are off
 }
 
+// scopeSets is one generation of the allow/deny scope sets and the System
+// version it reflects.
+type scopeSets struct {
+	built       uint64
+	allow, deny map[int64]bool
+}
+
 func newRewriteEnforcer(s *System) *rewriteEnforcer {
-	e := &rewriteEnforcer{s: s, rw: NewRewriter(s.policy)}
+	e := &rewriteEnforcer{s: s, rw: NewRewriter(s.policy), predLabels: map[string]bool{}}
+	for _, paths := range [][]*xpath.Path{e.rw.Allow, e.rw.Deny} {
+		for _, p := range paths {
+			for _, st := range p.Steps {
+				switch {
+				case len(st.Preds) == 0:
+				case st.Axis == xpath.Self || st.Test == xpath.Wildcard:
+					e.predAny = true
+				default:
+					e.predLabels[st.Test] = true
+				}
+			}
+		}
+	}
 	if s.cfg.Metrics != nil {
 		e.rebuilds = s.cfg.Metrics.Counter("core_rewrite_scope_rebuilds_total")
 	}
@@ -68,17 +96,19 @@ func scopeUnion(paths []*xpath.Path) *store.SetExpr {
 
 // scopes returns the allow/deny scope sets for the current store version,
 // re-evaluating them through the engine when stale. Callers hold at least
-// s.mu.RLock (version and store are stable); concurrent readers serialize
-// on e.mu and all but the first rebuilder see a hit.
+// s.mu.RLock (version and store are stable). A hit is one atomic load;
+// concurrent readers that find the sets stale serialize on e.mu, and all
+// but the first rebuilder then see a hit.
 func (e *rewriteEnforcer) scopes() (allow, deny map[int64]bool, hit bool, err error) {
+	if c := e.cur.Load(); c != nil && c.built == e.s.version {
+		return c.allow, c.deny, true, nil
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.built == e.s.version && e.allow != nil {
-		return e.allow, e.deny, true, nil
+	if c := e.cur.Load(); c != nil && c.built == e.s.version {
+		return c.allow, c.deny, true, nil
 	}
-	if e.rebuilds != nil {
-		e.rebuilds.Inc()
-	}
+	e.rebuilds.Inc()
 	allow, err = e.s.engine.EvalScope(scopeUnion(e.rw.Allow))
 	if err != nil {
 		return nil, nil, false, err
@@ -87,8 +117,102 @@ func (e *rewriteEnforcer) scopes() (allow, deny map[int64]bool, hit bool, err er
 	if err != nil {
 		return nil, nil, false, err
 	}
-	e.allow, e.deny, e.built = allow, deny, e.s.version
+	e.cur.Store(&scopeSets{built: e.s.version, allow: allow, deny: deny})
 	return allow, deny, false, nil
+}
+
+// writeDelta is what one applied write changed in the tree: the element
+// ids it removed, the parents of the removed subtrees, and the roots of
+// the inserted ones.
+type writeDelta struct {
+	deleted  map[string][]int64
+	parents  []*xmltree.Node
+	inserted []*xmltree.Node
+}
+
+// patch brings scope sets that were current at version before up to the
+// current version after a successful write, instead of leaving them for
+// the next read to rebuild. Callers hold s.mu exclusively. Deleted ids
+// leave both sets, and every element of the write's region is re-decided
+// against each rule with xpath.Selects.
+//
+// The region is sound for XP(/,//,*,[]): qualifiers only look downward,
+// so a write can change a qualifier's truth only at an ancestor-or-self
+// of the node it changed below, and a qualifier is only evaluated at
+// nodes passing its step's test. Membership can therefore only change
+// inside the subtree of the highest such ancestor — or, when there is
+// none, only for the inserted nodes themselves. When that subtree is the
+// whole document the sets are left stale.
+func (e *rewriteEnforcer) patch(before uint64, d writeDelta) {
+	c := e.cur.Load()
+	if c == nil || c.built != before {
+		return
+	}
+	// Region roots are the same or disjoint: a root is the highest
+	// qualifying ancestor of its anchor, so it cannot lie below another.
+	roots := map[*xmltree.Node]bool{}
+	add := func(anchor, fallback *xmltree.Node) bool {
+		r := e.regionRoot(anchor)
+		if r == e.s.doc.Root() {
+			return false
+		}
+		if r == nil {
+			r = fallback
+		}
+		if r != nil {
+			roots[r] = true
+		}
+		return true
+	}
+	for _, p := range d.parents {
+		if !add(p, nil) {
+			return
+		}
+	}
+	for _, n := range d.inserted {
+		if !add(n.Parent(), n) {
+			return
+		}
+	}
+	for _, ids := range d.deleted {
+		for _, id := range ids {
+			delete(c.allow, id)
+			delete(c.deny, id)
+		}
+	}
+	for r := range roots {
+		r.Walk(func(n *xmltree.Node) bool {
+			if n.IsElement() {
+				setMember(c.allow, n, e.rw.Allow)
+				setMember(c.deny, n, e.rw.Deny)
+			}
+			return true
+		})
+	}
+	e.cur.Store(&scopeSets{built: e.s.version, allow: c.allow, deny: c.deny})
+}
+
+// regionRoot returns the highest ancestor-or-self of anchor whose label
+// is the test of a predicated rule step, or nil when there is none.
+func (e *rewriteEnforcer) regionRoot(anchor *xmltree.Node) *xmltree.Node {
+	var root *xmltree.Node
+	for m := anchor; m != nil; m = m.Parent() {
+		if e.predAny || e.predLabels[m.Label] {
+			root = m
+		}
+	}
+	return root
+}
+
+// setMember records whether n lies in the union of the given scopes.
+func setMember(set map[int64]bool, n *xmltree.Node, paths []*xpath.Path) {
+	for _, p := range paths {
+		if xpath.Selects(p, n) {
+			set[n.ID] = true
+			return
+		}
+	}
+	delete(set, n.ID)
 }
 
 // Request evaluates q raw and applies the all-or-nothing check against

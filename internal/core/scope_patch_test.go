@@ -1,0 +1,306 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"xmlac/internal/dtd"
+	"xmlac/internal/hospital"
+	"xmlac/internal/obs"
+	"xmlac/internal/policy"
+	"xmlac/internal/xmark"
+	"xmlac/internal/xmltree"
+	"xmlac/internal/xpath"
+)
+
+// The write-sequence differential for the rewrite enforcer's scope
+// patching: after every insert or delete, the allow/deny sets the write
+// patched must equal a fresh EvalScope rebuild over the engine, without
+// the rebuild counter moving, and the accessible set must equal the
+// brute-force Table 2 semantics of the updated document. Policies with a
+// predicate on the root (or on a * step) put every write's region at the
+// whole document; there the sets must be left stale and rebuilt by the
+// next read instead.
+
+// locator builds an absolute path selecting n: its label chain from the
+// root, or just //label, narrowed most of the time by a value predicate
+// on n's own text or on a leaf child's.
+func locator(r *rand.Rand, n *xmltree.Node) *xpath.Path {
+	var steps []*xpath.Step
+	for m := n; m != nil; m = m.Parent() {
+		steps = append([]*xpath.Step{{Axis: xpath.Child, Test: m.Label}}, steps...)
+	}
+	if len(steps) > 1 && r.Intn(3) == 0 {
+		steps = []*xpath.Step{{Axis: xpath.Descendant, Test: n.Label}}
+	}
+	if p := valuePred(n); p != nil && r.Intn(4) != 0 {
+		steps[len(steps)-1].Preds = []*xpath.Pred{p}
+	}
+	return &xpath.Path{Absolute: true, Steps: steps}
+}
+
+// valuePred is [. = "v"] for a text leaf and [c = "v"] for an element
+// with a text-leaf child c; nil otherwise.
+func valuePred(n *xmltree.Node) *xpath.Pred {
+	leafText := func(m *xmltree.Node) (string, bool) {
+		if len(m.ChildElements()) > 0 || len(m.Children()) == 0 {
+			return "", false
+		}
+		return m.TextContent(), true
+	}
+	if v, ok := leafText(n); ok {
+		return &xpath.Pred{Kind: xpath.Cmp, Path: &xpath.Path{}, Op: xpath.Eq, Value: xpath.Literal{Str: v}}
+	}
+	for _, c := range n.ChildElements() {
+		if v, ok := leafText(c); ok {
+			rel := &xpath.Path{Steps: []*xpath.Step{{Axis: xpath.Child, Test: c.Label}}}
+			return &xpath.Pred{Kind: xpath.Cmp, Path: rel, Op: xpath.Eq, Value: xpath.Literal{Str: v}}
+		}
+	}
+	return nil
+}
+
+// template copies n's subtree into a detached insert template.
+func template(n *xmltree.Node) *xmltree.Node {
+	out := xmltree.NewSubtree(n.Label)
+	var copyKids func(src, dst *xmltree.Node)
+	copyKids = func(src, dst *xmltree.Node) {
+		for _, c := range src.Children() {
+			if c.IsText() {
+				xmltree.AddTemplateText(dst, c.Value)
+				continue
+			}
+			copyKids(c, xmltree.AddTemplateChild(dst, c.Label))
+		}
+	}
+	copyKids(n, out)
+	return out
+}
+
+// subtreeSize counts the elements of n's subtree.
+func subtreeSize(n *xmltree.Node) int {
+	size := 0
+	n.Walk(func(m *xmltree.Node) bool {
+		if m.IsElement() {
+			size++
+		}
+		return true
+	})
+	return size
+}
+
+// applyRandomWrite applies one seeded write: a delete of the subtrees a
+// locator of a random element selects, or an insert of a copy of a small
+// random subtree under the elements a locator of its parent selects —
+// the copy keeps the schema's parent/child labels, so every engine can
+// store it. It returns the write's description.
+func applyRandomWrite(t *testing.T, r *rand.Rand, sys *System) string {
+	t.Helper()
+	elems := sys.Document().Elements()[1:]
+	if len(elems) == 0 {
+		t.Fatal("the writes emptied the document")
+	}
+	n := elems[r.Intn(len(elems))]
+	if len(elems) > 8 && r.Intn(3) == 0 {
+		// Deletes are kept small, so the inserts keep up with them.
+		u := locator(r, n)
+		matches, err := xpath.Eval(u, sys.Document())
+		if err != nil {
+			t.Fatal(err)
+		}
+		removed := 0
+		for _, m := range matches {
+			removed += subtreeSize(m)
+		}
+		if removed <= len(elems)/4 && matches[0] != sys.Document().Root() {
+			if _, err := sys.DeleteAndReannotate(u); err != nil {
+				t.Fatalf("delete %s: %v", u, err)
+			}
+			return "delete " + u.String()
+		}
+	}
+	for subtreeSize(n) > 30 {
+		n = n.ChildElements()[r.Intn(len(n.ChildElements()))]
+	}
+	parent := locator(r, n.Parent())
+	if _, err := sys.InsertAndReannotate(parent, template(n)); err != nil {
+		t.Fatalf("insert %s under %s: %v", n.Label, parent, err)
+	}
+	return "insert " + n.Label + " under " + parent.String()
+}
+
+// sameSet reports whether two id sets hold the same ids.
+func sameSet(a, b map[int64]bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for id := range a {
+		if !b[id] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestRewriteScopePatchDifferential(t *testing.T) {
+	fixtures := []struct {
+		name     string
+		schema   *dtd.Schema
+		doc      func() *xmltree.Document
+		pol      string
+		backends []Backend
+	}{
+		{"hospital", hospital.Schema(), func() *xmltree.Document {
+			return hospital.Generate(hospital.GenOptions{Seed: 5, Departments: 2, PatientsPerDept: 8, StaffPerDept: 3})
+		}, table1Policy, allBackends},
+		{"xmark", xmark.Schema(), func() *xmltree.Document {
+			return xmark.Generate(xmark.Options{Factor: 0.002, Seed: 9})
+		}, xmarkTestPolicy, allBackends},
+		{"parts", dtd.MustParse(partsDTD), func() *xmltree.Document {
+			d, err := xmltree.ParseString(partsDoc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}, partsPolicy, []Backend{BackendNative}},
+	}
+	// The fallback variants add one rule whose predicated step matches
+	// the root element: by its label, or by a * test.
+	variants := []struct {
+		name     string
+		rule     func(root string) string
+		fallback bool
+	}{
+		{"patched", func(string) string { return "" }, false},
+		{"root-predicate", func(root string) string { return "rule F1 deny /" + root + "[*]//name\n" }, true},
+		{"wildcard-predicate", func(string) string { return "rule F2 allow //*[name]\n" }, true},
+	}
+	writes := 30
+	if testing.Short() {
+		writes = 10
+	}
+	for fi, fx := range fixtures {
+		for vi, v := range variants {
+			for _, b := range fx.backends {
+				t.Run(fmt.Sprintf("%s/%s/%v", fx.name, v.name, b), func(t *testing.T) {
+					doc := fx.doc()
+					reg := obs.NewRegistry()
+					sys, err := NewSystem(Config{
+						Schema: fx.schema, Policy: policy.MustParse(fx.pol + v.rule(doc.Root().Label)),
+						Backend: b, Optimize: true, Enforce: EnforceRewrite, Metrics: reg,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sys.Load(doc); err != nil {
+						t.Fatal(err)
+					}
+					e := sys.rewriteEnf
+					if fallback := e.predAny || e.predLabels[doc.Root().Label]; fallback != v.fallback {
+						t.Fatalf("policy falls back = %v, want %v", fallback, v.fallback)
+					}
+					rebuilds := reg.Counter("core_rewrite_scope_rebuilds_total")
+					if _, err := sys.AccessibleIDs(); err != nil {
+						t.Fatal(err)
+					}
+					r := rand.New(rand.NewSource(int64(100*fi + 10*vi + int(b))))
+					for i := 0; i < writes; i++ {
+						before := rebuilds.Value()
+						w := applyRandomWrite(t, r, sys)
+						c := e.cur.Load()
+						if patched := c.built == sys.version; patched == v.fallback {
+							t.Fatalf("write %d (%s): sets patched = %v, want %v", i, w, patched, !v.fallback)
+						}
+						if !v.fallback {
+							allow, err := sys.engine.EvalScope(scopeUnion(e.rw.Allow))
+							if err != nil {
+								t.Fatal(err)
+							}
+							deny, err := sys.engine.EvalScope(scopeUnion(e.rw.Deny))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !sameSet(c.allow, allow) || !sameSet(c.deny, deny) {
+								t.Fatalf("write %d (%s): patched sets allow=%d deny=%d, rebuild allow=%d deny=%d",
+									i, w, len(c.allow), len(c.deny), len(allow), len(deny))
+							}
+						}
+						got, err := sys.AccessibleIDs()
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := before
+						if v.fallback {
+							want++
+						}
+						if n := rebuilds.Value(); n != want {
+							t.Fatalf("write %d (%s): %d scope rebuilds, want %d", i, w, n-before, want-before)
+						}
+						sem, err := sys.Policy().Semantics(sys.Document())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameSet(got, sem) {
+							t.Fatalf("write %d (%s): %d accessible, the Table 2 semantics give %d", i, w, len(got), len(sem))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRewriteScopesConcurrentReads runs readers on the rewrite enforcer's
+// lock-free hit path while a writer patches the scope sets: under -race
+// this is the synchronization proof for publishing them through an atomic
+// pointer. Every read must be a grant or an access denial.
+func TestRewriteScopesConcurrentReads(t *testing.T) {
+	sys, err := NewSystem(Config{
+		Schema: hospital.Schema(), Policy: policy.MustParse(table1Policy),
+		Backend: BackendColumn, Optimize: true, Enforce: EnforceRewrite,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Load(hospital.Generate(hospital.GenOptions{Seed: 3, Departments: 2, PatientsPerDept: 10, StaffPerDept: 2})); err != nil {
+		t.Fatal(err)
+	}
+	queries := []*xpath.Path{
+		xpath.MustParse("//patient/name"), xpath.MustParse("//regular"), xpath.MustParse("//patient"),
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := sys.Request(queries[i%len(queries)]); err != nil && !errors.Is(err, ErrAccessDenied) {
+					t.Errorf("reader %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	parent := xpath.MustParse(`//patient[psn = "004"]`)
+	tmpl := xmltree.NewSubtree("treatment")
+	xmltree.AddTemplateChild(tmpl, "experimental")
+	for i := 0; i < 20; i++ {
+		if _, err := sys.InsertAndReannotate(parent, tmpl); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.DeleteAndReannotate(xpath.MustParse(`//patient[psn = "004"]/treatment`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

@@ -524,10 +524,11 @@ func (s *System) deleteAndReannotate(u *xpath.Path) (*UpdateReport, error) {
 	}
 	if !s.enf.MaintainsSigns() {
 		// Rewriting enforcement: no signs exist, so there is nothing to
-		// re-annotate — the delete applies and the version bump
-		// invalidates the rewriter's scope cache.
+		// re-annotate — the delete applies and the rewriter patches its
+		// scope sets.
 		return s.deleteNoSignsLocked(u)
 	}
+	before := s.version
 	rep := &UpdateReport{}
 	root := s.tracer.Start("delete-reannotate").SetAttr("update", u.String())
 	defer root.Finish()
@@ -550,7 +551,7 @@ func (s *System) deleteAndReannotate(u *xpath.Path) (*UpdateReport, error) {
 	}
 	start = time.Now()
 	sp := obs.Start(root, "apply-delete")
-	_, total, err := s.applyDelete(u)
+	delta, total, err := s.applyDelete(u)
 	sp.Finish()
 	if err != nil {
 		return nil, s.abortEngine(err)
@@ -567,6 +568,7 @@ func (s *System) deleteAndReannotate(u *xpath.Path) (*UpdateReport, error) {
 	if err := s.engine.Commit(); err != nil {
 		return nil, err
 	}
+	s.patchScopes(before, delta)
 	rep.finishPhases()
 	return rep, nil
 }
@@ -583,9 +585,10 @@ func (s *System) deleteNoSignsLocked(u *xpath.Path) (*UpdateReport, error) {
 	if err := s.engine.Begin(); err != nil {
 		return nil, err
 	}
+	before := s.version
 	start := time.Now()
 	sp := obs.Start(root, "apply-delete")
-	_, total, err := s.applyDelete(u)
+	delta, total, err := s.applyDelete(u)
 	sp.Finish()
 	if err != nil {
 		return nil, s.abortEngine(err)
@@ -595,6 +598,7 @@ func (s *System) deleteNoSignsLocked(u *xpath.Path) (*UpdateReport, error) {
 	if err := s.engine.Commit(); err != nil {
 		return nil, err
 	}
+	s.patchScopes(before, delta)
 	rep.finishPhases()
 	return rep, nil
 }
@@ -632,9 +636,10 @@ func (s *System) deleteAndFullAnnotate(u *xpath.Path) (*UpdateReport, error) {
 	root := s.tracer.Start("delete-fannot").SetAttr("update", u.String())
 	defer root.Finish()
 	rep.TraceID = root.TraceID().String()
+	before := s.version
 	start := time.Now()
 	sp := obs.Start(root, "apply-delete")
-	_, total, err := s.applyDelete(u)
+	delta, total, err := s.applyDelete(u)
 	sp.Finish()
 	if err != nil {
 		return nil, s.abortEngine(err)
@@ -653,6 +658,7 @@ func (s *System) deleteAndFullAnnotate(u *xpath.Path) (*UpdateReport, error) {
 	if err := s.engine.Commit(); err != nil {
 		return nil, err
 	}
+	s.patchScopes(before, delta)
 	rep.finishPhases()
 	return rep, nil
 }
@@ -675,16 +681,24 @@ func (s *System) checkWriteDelete(u *xpath.Path) error {
 // applyDelete removes the matched subtrees from the tree and hands the
 // deleted element ids to the engine (relational backends drop the
 // corresponding tuples; the native engine has nothing further to do).
-func (s *System) applyDelete(u *xpath.Path) (map[string][]int64, int, error) {
+func (s *System) applyDelete(u *xpath.Path) (writeDelta, int, error) {
 	s.version++ // the accessible set is about to change
-	byLabel, total, err := ApplyDeleteTree(s.Document(), u)
+	delta, total, err := deleteTree(s.Document(), u)
 	if err != nil {
-		return nil, 0, err
+		return writeDelta{}, 0, err
 	}
-	if _, err := s.engine.DeleteRows(byLabel); err != nil {
-		return nil, 0, err
+	if _, err := s.engine.DeleteRows(delta.deleted); err != nil {
+		return writeDelta{}, 0, err
 	}
-	return byLabel, total, nil
+	return delta, total, nil
+}
+
+// patchScopes hands a committed write to the rewrite enforcer, whose scope
+// sets follow it when they were current at version before.
+func (s *System) patchScopes(before uint64, d writeDelta) {
+	if s.rewriteEnf != nil {
+		s.rewriteEnf.patch(before, d)
+	}
 }
 
 // insertAndReannotate is InsertAndReannotate without the audit wrapper
@@ -706,9 +720,10 @@ func (s *System) insertAndReannotate(parentPath *xpath.Path, tmpl *xmltree.Node)
 	rep.TraceID = root.TraceID().String()
 
 	// Under rewriting enforcement no signs exist: the trigger-selection
-	// and scope-observation phases are skipped entirely and the version
-	// bump below invalidates the rewriter's scope cache instead.
+	// and scope-observation phases are skipped entirely, and the rewriter
+	// patches its scope sets once the insert commits.
 	maintain := s.enf.MaintainsSigns()
+	before := s.version
 	var prep *Reannotation
 	var err error
 	start := time.Now()
@@ -739,6 +754,7 @@ func (s *System) insertAndReannotate(parentPath *xpath.Path, tmpl *xmltree.Node)
 		sp.Finish()
 		return nil, err
 	}
+	var delta writeDelta
 	for _, p := range parents {
 		n, err := doc.InsertSubtree(p, tmpl)
 		if err != nil {
@@ -749,6 +765,7 @@ func (s *System) insertAndReannotate(parentPath *xpath.Path, tmpl *xmltree.Node)
 			sp.Finish()
 			return nil, s.abortEngine(err)
 		}
+		delta.inserted = append(delta.inserted, n)
 	}
 	sp.Finish()
 	rep.UpdateTime = time.Since(start)
@@ -764,6 +781,7 @@ func (s *System) insertAndReannotate(parentPath *xpath.Path, tmpl *xmltree.Node)
 	if err := s.engine.Commit(); err != nil {
 		return nil, err
 	}
+	s.patchScopes(before, delta)
 	rep.finishPhases()
 	return rep, nil
 }

@@ -254,10 +254,11 @@ func (s *System) decideNode(byID map[int64][]int32, n *xmltree.Node) WhyDecision
 	return WhyDecision{ID: n.ID, Label: n.Label, Accessible: accessible, Deciding: deciding, Also: also, Losing: losing}
 }
 
-// decideOnFly attributes one node against an arbitrary policy by direct
-// scope evaluation (no cached map) — the write-rule path, where no signs
-// are materialized and denials are rare enough that per-node evaluation
-// is cheaper than maintaining a second attribution map.
+// decideOnFly attributes one node against an arbitrary policy by matching
+// it against each rule directly (no cached map; xpath.Matches walks up
+// from the node, O(depth) per rule) — the write-rule path, where no signs
+// are materialized and denials are rare enough that per-node matching is
+// cheaper than maintaining a second attribution map.
 func decideOnFly(pol *policy.Policy, doc *xmltree.Document, n *xmltree.Node) (WhyDecision, error) {
 	var matched []int32
 	for i, r := range pol.Rules {

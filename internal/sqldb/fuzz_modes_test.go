@@ -20,6 +20,7 @@ import (
 	"xmlac/internal/core"
 	"xmlac/internal/hospital"
 	"xmlac/internal/policy"
+	"xmlac/internal/xmltree"
 	"xmlac/internal/xpath"
 )
 
@@ -86,11 +87,53 @@ func renderModeDecision(res *core.RequestResult, err error) string {
 	return b.String()
 }
 
+// randWrite draws one write against the hospital document: delete a
+// patient, its treatment or every node of a treatment kind, or insert a
+// regular, experimental or empty treatment under a patient. It returns
+// the write's description and the call that applies it to a system.
+func randWrite(r *rand.Rand, doc *xmltree.Document) (string, func(*core.System) error) {
+	patients := doc.ElementsByLabel("patient")
+	if len(patients) == 0 {
+		return "noop", func(*core.System) error { return nil }
+	}
+	psn := patients[r.Intn(len(patients))].ChildElements()[0].TextContent()
+	patient := `//patient[psn = "` + psn + `"]`
+	del := func(u string) (string, func(*core.System) error) {
+		return "delete " + u, func(sys *core.System) error {
+			_, err := sys.DeleteAndReannotate(xpath.MustParse(u))
+			return err
+		}
+	}
+	switch r.Intn(6) {
+	case 0:
+		return del(patient)
+	case 1:
+		return del(patient + "/treatment")
+	case 2:
+		return del([]string{"//experimental", `//regular[med = "celecoxib"]`, "//regular[bill > 1000]"}[r.Intn(3)])
+	}
+	tr := xmltree.NewSubtree("treatment")
+	switch r.Intn(3) {
+	case 0:
+		reg := xmltree.AddTemplateChild(tr, "regular")
+		xmltree.AddTemplateText(xmltree.AddTemplateChild(reg, "med"), []string{"celecoxib", "ibuprofen"}[r.Intn(2)])
+		xmltree.AddTemplateText(xmltree.AddTemplateChild(reg, "bill"), fmt.Sprint(100+r.Intn(2000)))
+	case 1:
+		exp := xmltree.AddTemplateChild(tr, "experimental")
+		xmltree.AddTemplateText(xmltree.AddTemplateChild(exp, "test"), "gene therapy")
+		xmltree.AddTemplateText(xmltree.AddTemplateChild(exp, "bill"), fmt.Sprint(100+r.Intn(2000)))
+	}
+	return "insert treatment under " + patient, func(sys *core.System) error {
+		_, err := sys.InsertAndReannotate(xpath.MustParse(patient), tr)
+		return err
+	}
+}
+
 // TestModeDifferentialFuzz replays randomized query workloads over
-// randomized documents and semantics, and requires every backend's
-// rewrite-mode answer to be byte-identical to its signs-mode answer —
-// and the three relational engines to agree with each other within each
-// mode.
+// randomized documents and semantics, with random inserts and deletes
+// between its query batches, and requires every backend's rewrite-mode
+// answer to be byte-identical to its signs-mode answer — and the three
+// relational engines to agree with each other within each mode.
 func TestModeDifferentialFuzz(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
@@ -134,7 +177,19 @@ func TestModeDifferentialFuzz(t *testing.T) {
 			systems[b] = p
 		}
 
+		write := "none"
 		for i := 0; i < 50; i++ {
+			if i > 0 && i%10 == 0 {
+				var apply func(*core.System) error
+				write, apply = randWrite(r, systems[core.BackendNative].rewrite.Document())
+				for _, b := range modeFuzzBackends {
+					for _, sys := range []*core.System{systems[b].signs, systems[b].rewrite} {
+						if err := apply(sys); err != nil {
+							t.Fatalf("seed %d backend %v %s: %v", seed, b, write, err)
+						}
+					}
+				}
+			}
 			qs := randXPath(r)
 			q, err := xpath.Parse(qs)
 			if err != nil {
@@ -148,8 +203,8 @@ func TestModeDifferentialFuzz(t *testing.T) {
 				rres, rerr := p.rewrite.Request(q)
 				signs, rewrite := renderModeDecision(sres, serr), renderModeDecision(rres, rerr)
 				if signs != rewrite {
-					t.Fatalf("seed %d ds=%v cr=%v backend %v query %s:\n  signs   %s\n  rewrite %s",
-						seed, ds, cr, b, qs, signs, rewrite)
+					t.Fatalf("seed %d ds=%v cr=%v backend %v query %s after %s:\n  signs   %s\n  rewrite %s",
+						seed, ds, cr, b, qs, write, signs, rewrite)
 				}
 				if b == core.BackendNative {
 					continue
@@ -159,8 +214,8 @@ func TestModeDifferentialFuzz(t *testing.T) {
 					continue
 				}
 				if signs != relSigns || rewrite != relRewrite {
-					t.Fatalf("seed %d query %s: relational engines diverge on %v:\n  %s\n  %s",
-						seed, qs, b, relSigns, signs)
+					t.Fatalf("seed %d query %s after %s: relational engines diverge on %v:\n  %s\n  %s",
+						seed, qs, write, b, relSigns, signs)
 				}
 			}
 		}

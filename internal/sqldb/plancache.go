@@ -53,15 +53,17 @@ func (c *planCache) get(src string) (Statement, bool) {
 	}
 	c.mu.Lock()
 	el, ok := c.entries[src]
+	var st Statement
 	if ok {
 		c.lru.MoveToFront(el)
+		st = el.Value.(*planEntry).st // put may replace it once unlocked
 	}
 	c.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*planEntry).st, true
+	return st, true
 }
 
 // put caches a parsed statement (a cacheable miss), evicting the least

@@ -33,26 +33,20 @@ func (st *EvalStats) visit() {
 
 // EvalWithStats is Eval with an optional work counter.
 func EvalWithStats(p *Path, doc *xmltree.Document, st *EvalStats) ([]*xmltree.Node, error) {
-	if !p.Absolute {
-		return nil, fmt.Errorf("xpath: Eval requires an absolute path, got %q", p.String())
-	}
-	if len(p.Steps) == 0 {
-		return nil, fmt.Errorf("xpath: cannot evaluate the empty absolute path")
+	if err := checkAbsolute(p); err != nil {
+		return nil, err
 	}
 	cur := map[*xmltree.Node]bool{}
 	first := p.Steps[0]
 	// The virtual document node's only child is the root element; its
 	// descendants are the root element and everything below it.
-	switch first.Axis {
-	case Child:
+	if first.Axis == Child {
 		st.visit()
 		if matchTest(doc.Root(), first.Test) && holdPreds(doc.Root(), first.Preds) {
 			cur[doc.Root()] = true
 		}
-	case Descendant:
+	} else {
 		collectSelfOrDescendants(doc.Root(), first.Test, first.Preds, cur, st)
-	default:
-		return nil, fmt.Errorf("xpath: unexpected axis in absolute path")
 	}
 	out, err := evalSteps(p.Steps[1:], cur, st)
 	if err != nil {
@@ -79,19 +73,86 @@ func EvalFrom(p *Path, ctx *xmltree.Node) ([]*xmltree.Node, error) {
 	return docOrder(out), nil
 }
 
+// checkAbsolute rejects the paths Eval cannot evaluate: relative ones, the
+// empty absolute path, and one whose first step is not a child or
+// descendant step.
+func checkAbsolute(p *Path) error {
+	switch {
+	case !p.Absolute:
+		return fmt.Errorf("xpath: Eval requires an absolute path, got %q", p.String())
+	case len(p.Steps) == 0:
+		return fmt.Errorf("xpath: cannot evaluate the empty absolute path")
+	case p.Steps[0].Axis == Self:
+		return fmt.Errorf("xpath: unexpected axis in absolute path")
+	}
+	return nil
+}
+
 // Matches reports whether node n is in the result of evaluating absolute
-// path p on doc.
+// path p on doc: Selects, with Eval's validation of p and a check that n
+// belongs to doc.
 func Matches(p *Path, doc *xmltree.Document, n *xmltree.Node) (bool, error) {
-	res, err := Eval(p, doc)
-	if err != nil {
+	if err := checkAbsolute(p); err != nil {
 		return false, err
 	}
-	for _, m := range res {
-		if m == n {
-			return true, nil
-		}
+	return doc.Contains(n) && Selects(p, n), nil
+}
+
+// Selects reports whether n is in [[p]](T) for the tree T that n belongs
+// to, n's topmost ancestor playing the root element. It is Eval run
+// backwards: the last step is tested on n, and the earlier steps on n's
+// ancestors, so it costs O(depth × steps) node tests plus the predicates
+// of the ancestors that pass their step's test — not a full-document
+// evaluation. A path Eval rejects selects nothing.
+func Selects(p *Path, n *xmltree.Node) bool {
+	if checkAbsolute(p) != nil || n == nil {
+		return false
 	}
-	return false, nil
+	last := len(p.Steps) - 1
+	if !stepTest(n, p.Steps[last]) {
+		return false
+	}
+	// chain holds n's ancestors-or-self, n first and the root element at
+	// top; index top+1 stands for the virtual document node above it.
+	var chain []*xmltree.Node
+	for m := n; m != nil; m = m.Parent() {
+		chain = append(chain, m)
+	}
+	top := len(chain) - 1
+	// sel[j] reports whether the steps taken so far select chain[j]; before
+	// the first step only the document node is selected.
+	sel := make([]bool, top+2)
+	next := make([]bool, top+2)
+	sel[top+1] = true
+	for i, s := range p.Steps {
+		above := false // some entry above j is selected
+		for j := top; j >= 0; j-- {
+			above = above || sel[j+1]
+			var reach bool
+			switch s.Axis {
+			case Child:
+				reach = sel[j+1]
+			case Descendant:
+				reach = above
+			default:
+				reach = sel[j]
+			}
+			// Only n itself matters to the last step.
+			next[j] = reach && (i < last || j == 0) && stepTest(chain[j], s) && holdPreds(chain[j], s.Preds)
+		}
+		next[top+1] = false
+		sel, next = next, sel
+	}
+	return sel[0]
+}
+
+// stepTest applies a step's node test; a self step keeps its context node
+// whatever the label.
+func stepTest(n *xmltree.Node, s *Step) bool {
+	if s.Axis == Self {
+		return n.Kind == xmltree.Element
+	}
+	return matchTest(n, s.Test)
 }
 
 func evalSteps(steps []*Step, cur map[*xmltree.Node]bool, st *EvalStats) (map[*xmltree.Node]bool, error) {

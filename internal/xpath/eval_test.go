@@ -240,39 +240,159 @@ func TestMatches(t *testing.T) {
 	}
 }
 
-// randomTree builds a random labeled tree for property tests.
+// treeLabels and treeValues are the vocabularies of randomTree; the path
+// generators draw from the same ones so tests and comparisons hit.
+var (
+	treeLabels = []string{"a", "b", "c"}
+	treeValues = []string{"1", "5", "x"}
+)
+
+// randomTree builds a random labeled tree for property tests; about a
+// third of its elements carry a text value.
 func randomTree(r *rand.Rand) *xmltree.Document {
-	labels := []string{"a", "b", "c"}
-	d := xmltree.NewDocument(labels[r.Intn(len(labels))])
+	d := xmltree.NewDocument(treeLabels[r.Intn(len(treeLabels))])
 	nodes := []*xmltree.Node{d.Root()}
 	n := r.Intn(30)
 	for i := 0; i < n; i++ {
 		p := nodes[r.Intn(len(nodes))]
-		c := d.AddElement(p, labels[r.Intn(len(labels))])
+		c := d.AddElement(p, treeLabels[r.Intn(len(treeLabels))])
+		if r.Intn(3) == 0 {
+			d.AddText(c, treeValues[r.Intn(len(treeValues))])
+		}
 		nodes = append(nodes, c)
 	}
 	return d
 }
 
-// randomPath builds a random absolute path over labels {a,b,c,*}.
+// randomTest draws a node test over {a,b,c,*}.
+func randomTest(r *rand.Rand) string {
+	if r.Intn(4) == 0 {
+		return Wildcard
+	}
+	return treeLabels[r.Intn(len(treeLabels))]
+}
+
+// randomPath builds a random absolute path over {a,b,c,*}: child,
+// descendant and (after the first step) self steps, with occasional
+// qualifiers.
 func randomPath(r *rand.Rand) *Path {
-	labels := []string{"a", "b", "c", "*"}
 	p := &Path{Absolute: true}
 	n := 1 + r.Intn(3)
 	for i := 0; i < n; i++ {
-		axis := Child
-		if r.Intn(2) == 0 {
-			axis = Descendant
+		s := &Step{Axis: Child, Test: randomTest(r)}
+		switch r.Intn(6) {
+		case 0, 1, 2:
+			s.Axis = Descendant
+		case 3:
+			if i > 0 {
+				s.Axis, s.Test = Self, Wildcard
+			}
 		}
-		s := &Step{Axis: axis, Test: labels[r.Intn(len(labels))]}
 		if r.Intn(4) == 0 {
-			s.Preds = []*Pred{{Kind: Exists, Path: &Path{Steps: []*Step{{
-				Axis: Child, Test: labels[r.Intn(3)],
-			}}}}}
+			s.Preds = []*Pred{randomPred(r, 0)}
 		}
 		p.Steps = append(p.Steps, s)
 	}
 	return p
+}
+
+// randomPred builds a random qualifier: existence and value tests over
+// relative paths (".", child and ".//" steps, nested qualifiers), joined
+// by and/or up to two levels deep.
+func randomPred(r *rand.Rand, depth int) *Pred {
+	k := r.Intn(6)
+	if depth >= 2 {
+		k = 2 + r.Intn(4)
+	}
+	switch k {
+	case 0:
+		return &Pred{Kind: Or, Left: randomPred(r, depth+1), Right: randomPred(r, depth+1)}
+	case 1:
+		return &Pred{Kind: And, Left: randomPred(r, depth+1), Right: randomPred(r, depth+1)}
+	case 2, 3:
+		lit := Literal{Str: treeValues[r.Intn(len(treeValues))]}
+		if r.Intn(2) == 0 {
+			lit = Literal{IsNum: true, Num: float64(r.Intn(7))}
+		}
+		return &Pred{Kind: Cmp, Path: randomRelPath(r, depth), Op: CmpOp(r.Intn(6)), Value: lit}
+	default:
+		return &Pred{Kind: Exists, Path: randomRelPath(r, depth)}
+	}
+}
+
+// randomRelPath builds a qualifier path of zero (the bare ".") to two
+// steps.
+func randomRelPath(r *rand.Rand, depth int) *Path {
+	p := &Path{}
+	for i, n := 0, r.Intn(3); i < n; i++ {
+		s := &Step{Axis: Child, Test: randomTest(r)}
+		if r.Intn(3) == 0 {
+			s.Axis = Descendant
+		}
+		if depth < 2 && r.Intn(6) == 0 {
+			s.Preds = []*Pred{randomPred(r, depth+1)}
+		}
+		p.Steps = append(p.Steps, s)
+	}
+	return p
+}
+
+// TestQuickSelectsAgreesWithEval: the backward matcher selects exactly the
+// nodes the forward evaluator returns — Selects(p, n) ⇔ n ∈ Eval(p, doc)
+// for every node of the tree, text nodes included.
+func TestQuickSelectsAgreesWithEval(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		doc := randomTree(r)
+		p := randomPath(r)
+		res, err := Eval(p, doc)
+		if err != nil {
+			t.Logf("Eval(%s): %v", p, err)
+			return false
+		}
+		in := map[*xmltree.Node]bool{}
+		for _, n := range res {
+			in[n] = true
+		}
+		ok := true
+		doc.Walk(func(n *xmltree.Node) bool {
+			if Selects(p, n) != in[n] {
+				t.Logf("seed %d: %s on node %d (%s): Selects=%v, Eval=%v", seed, p, n.ID, n.Path(), !in[n], in[n])
+				ok = false
+			}
+			if m, err := Matches(p, doc, n); err != nil || m != in[n] {
+				t.Logf("seed %d: Matches(%s, node %d) = %v, %v", seed, p, n.ID, m, err)
+				ok = false
+			}
+			return ok
+		})
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSelectsRejectsEvalErrors(t *testing.T) {
+	doc := mustDoc(t, `<a><b/></a>`)
+	b := doc.Root().ChildElements()[0]
+	for _, p := range []*Path{
+		MustParse("b"),
+		{Absolute: true},
+		{Absolute: true, Steps: []*Step{{Axis: Self, Test: Wildcard}}},
+	} {
+		if Selects(p, b) || Selects(p, doc.Root()) {
+			t.Errorf("Selects(%#v) selected a node", p)
+		}
+		if _, err := Matches(p, doc, b); err == nil {
+			t.Errorf("Matches(%#v) accepted a path Eval rejects", p)
+		}
+	}
+	// A node outside the document matches nothing.
+	detached := xmltree.NewDocument("b").Root()
+	if ok, err := Matches(MustParse("//b"), doc, detached); err != nil || ok {
+		t.Fatalf("Matches on a foreign node = %v, %v", ok, err)
+	}
 }
 
 // TestQuickDescendantSubsumesChild: [[p with child axis]] ⊆ [[p with the
@@ -283,9 +403,12 @@ func TestQuickDescendantSubsumesChild(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		doc := randomTree(r)
 		p := randomPath(r)
-		// Pick a random step and loosen it to descendant.
+		// Pick a random step and loosen it to descendant (a self step stays:
+		// its descendant form drops the context node itself).
 		loose := p.Clone()
-		loose.Steps[r.Intn(len(loose.Steps))].Axis = Descendant
+		if s := loose.Steps[r.Intn(len(loose.Steps))]; s.Axis == Child {
+			s.Axis = Descendant
+		}
 		resP, err1 := Eval(p, doc)
 		resL, err2 := Eval(loose, doc)
 		if err1 != nil || err2 != nil {

@@ -35,12 +35,18 @@ go build ./...
 go test ./...
 go test -race ./...
 
+# The repository benchmark is its own module (cmd/xmlacbench/go.mod), so
+# the root ./... above never vets or tests it: run its smoke test and its
+# BENCHMARK.json sync test here.
+(cd cmd/xmlacbench && go vet ./... && go test ./...)
+
 # Cross-mode golden equivalence: the rewriting enforcer must answer
 # byte-identically to the materialized signs pipeline on every backend,
-# every Table 2 semantics and both fixtures — the refactor's safety net.
+# every Table 2 semantics and both fixtures — the refactor's safety net —
+# and its scope sets, patched by every write, must equal a fresh rebuild.
 # `go test ./...` above runs it; this standalone form is what CI's
 # blocking cross-mode job calls.
-go test -run 'TestCrossModeEquivalence|TestRecursiveSchemaOnlyRewrite|TestStaticDenyFastPath' ./internal/core
+go test -run 'TestCrossModeEquivalence|TestRecursiveSchemaOnlyRewrite|TestStaticDenyFastPath|TestRewriteScopePatchDifferential' ./internal/core
 
 # Differential fuzzing: replay generated statement scripts against the row,
 # column and vectorized engines and require identical results and errors;
