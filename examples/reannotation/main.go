@@ -1,7 +1,7 @@
 // Command reannotation demonstrates the paper's central contribution
-// (Section 5.3): after a document update, the Trigger algorithm selects the
+// (Section 5.3): after a document update, the Trigger algorithm names the
 // rules whose scope may have changed — via schema-aware rule expansion and
-// the rule dependency graph — and only the affected region is re-annotated,
+// the rule dependency graph — and only the write's region is re-annotated,
 // instead of the whole document.
 //
 //	go run ./examples/reannotation

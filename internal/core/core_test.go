@@ -237,23 +237,3 @@ func TestTriggerPaperExamples(t *testing.T) {
 		t.Fatalf("trigger(//staff) = %v", got)
 	}
 }
-
-func TestTriggeredPolicyKeepsSemanticsParams(t *testing.T) {
-	p := policy.MustParse(`
-default allow
-conflict allow
-rule A allow //x
-rule B deny //x
-`)
-	r, err := NewReannotator(p, hospital.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := r.TriggeredPolicy([]int{1})
-	if sub.Default != policy.Allow || sub.Conflict != policy.Allow {
-		t.Fatal("sub-policy lost ds/cr")
-	}
-	if len(sub.Rules) != 1 || sub.Rules[0].Name != "B" {
-		t.Fatalf("sub rules = %v", ruleNames(sub.Rules))
-	}
-}

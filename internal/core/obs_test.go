@@ -127,7 +127,7 @@ func TestReannotatePhasesAndRequestSpans(t *testing.T) {
 			if got := phaseNames(rep.Phases); strings.Join(got, ",") != "prepare,apply-update,reannotate" {
 				t.Errorf("report phases = %v", got)
 			}
-			for _, name := range []string{"trigger-selection", "scope-pre", "scope-post", "compute-update-set", "apply-signs"} {
+			for _, name := range []string{"trigger-selection", "write-region", "decide-region", "apply-signs"} {
 				if _, ok := rep.Stats.Phases.Get(name); !ok {
 					t.Errorf("stats phases missing %q (got %v)", name, phaseNames(rep.Stats.Phases))
 				}

@@ -1,33 +1,31 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"xmlac/internal/audit"
 	"xmlac/internal/obs"
-	"xmlac/internal/store"
 	"xmlac/internal/xmltree"
 	"xmlac/internal/xpath"
 )
 
-// Re-annotation (Section 5.3) runs in two phases around the document
-// update, because the affected region must be observed both before the
-// update (nodes that may *lose* their non-default sign) and after it
-// (nodes that may *gain* one):
-//
-//  1. Prepare: run Trigger on the update expression, build the triggered
-//     sub-policy, and record the pre-update scope of the triggered rules.
-//  2. Apply the update (outside this package's control).
-//  3. Complete: record the post-update scope, form the affected set N as
-//     the union of both scopes (restricted to surviving nodes), evaluate
-//     the sub-policy's annotation query, and rewrite signs only within N.
-//
-// Both phases speak only the store.Engine seam (EvalScope and
-// ApplySignsWithin), so one Reannotation type serves every backend.
-// The paper's full-annotation baseline instead clears everything and runs
-// the whole policy; Figure 12 compares the two.
+// Re-annotation (Section 5.3) runs after the document update. Trigger
+// (Figure 8) still names the rules the update may affect, for the report
+// and the audit trail, but it no longer decides which signs are
+// rewritten: the write's region does (see writeRegion). Every element of
+// the region is re-decided against the whole read policy on the tree, and
+// only the region's signs go to the engine (ApplySignsWithin), so one
+// path serves every backend and no rule scope is evaluated over the
+// document. This deviates from the paper, whose re-annotation runs the
+// triggered sub-policy's annotation query over the triggered rules'
+// scopes; deciding the region against every rule also covers the rule
+// interactions the Trigger dependency graph misses. A write whose region
+// is the whole document is annotated in full. The paper's
+// full-annotation baseline clears everything and runs the whole policy;
+// Figure 12 compares the two.
 
 // DeleteAndReannotate applies a delete update (an XPath expression locating
 // the subtrees to remove) and re-annotates only the affected region, per
@@ -91,99 +89,63 @@ func (s *System) auditUpdate(query string, rep *UpdateReport, d time.Duration, e
 	s.auditRecord(e)
 }
 
-// Reannotation is a prepared re-annotation: one type for every backend,
-// built on the engine's EvalScope/ApplySignsWithin primitives.
-type Reannotation struct {
-	reann *Reannotator
-	// Triggered indexes the rules the Trigger algorithm selected.
-	Triggered []int
-	query     AnnotationQuery
-	scopeExpr *store.SetExpr
-	preIDs    map[int64]bool
-	phases    obs.Phases // prepare-stage breakdown, folded into Complete's stats
-}
-
-// PrepareReannotation runs phase 1 against an engine: Trigger selection,
-// the triggered sub-policy's annotation query, and the pre-update scope.
-// Call it before applying the update.
-func PrepareReannotation(eng store.Engine, r *Reannotator, us ...*xpath.Path) (*Reannotation, error) {
-	return prepareReannotation(eng, r, nil, us...)
-}
-
-func prepareReannotation(eng store.Engine, r *Reannotator, parent *obs.Span, us ...*xpath.Path) (*Reannotation, error) {
-	prep := &Reannotation{reann: r, preIDs: map[int64]bool{}}
-	_ = stage(parent, &prep.phases, "trigger-selection", func() error {
-		prep.Triggered = r.TriggerAll(us)
-		sub := r.TriggeredPolicy(prep.Triggered)
-		var scopeLeaves []*store.SetExpr
-		for _, rule := range sub.Rules {
-			scopeLeaves = append(scopeLeaves, store.PathLeaf(rule.Resource))
-		}
-		prep.query = BuildAnnotationQuery(sub)
-		prep.scopeExpr = store.Combine(store.OpUnion, scopeLeaves...)
+// trigger records, as the trigger-selection phase, the names of the rules
+// the Trigger algorithm selects for the update expressions. Callers hold
+// s.mu exclusively under signs enforcement.
+func (s *System) trigger(root *obs.Span, rep *UpdateReport, us ...*xpath.Path) {
+	_ = stage(root, &rep.Stats.Phases, "trigger-selection", func() error {
+		rep.Triggered = s.reann.RuleNames(s.reann.TriggerAll(us))
 		return nil
 	})
-	if err := stage(parent, &prep.phases, "scope-pre", func() error {
-		ids, err := eng.EvalScope(prep.scopeExpr)
-		if err != nil {
-			return err
-		}
-		prep.preIDs = ids
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return prep, nil
 }
 
-// Complete runs phase 3 on the updated store: it recomputes the scope,
-// forms the affected set (pre-update scope restricted to surviving
-// nodes, unioned with the post-update scope), evaluates the sub-policy's
-// annotation query, and rewrites signs only within the affected set.
-func (p *Reannotation) Complete(doc *xmltree.Document, eng store.Engine) (AnnotateStats, error) {
-	return p.complete(doc, eng, nil)
-}
-
-func (p *Reannotation) complete(doc *xmltree.Document, eng store.Engine, parent *obs.Span) (AnnotateStats, error) {
-	stats := AnnotateStats{Phases: p.phases}
-	if len(p.Triggered) == 0 {
-		return stats, nil
+// reannotateRegion brings the signs up to date after the write d, which
+// the tree and the engine already hold: every element of the write's
+// region is re-decided against the whole read policy, and the engine
+// rewrites the signs of the region's elements only. A write whose region
+// is the whole document is annotated in full instead. Callers hold s.mu
+// exclusively, inside the engine transaction of the write.
+func (s *System) reannotateRegion(root *obs.Span, d writeDelta, stats *AnnotateStats) error {
+	var roots []*xmltree.Node
+	var whole bool
+	_ = stage(root, &stats.Phases, "write-region", func() error {
+		roots, whole = s.region.roots(s.doc, d)
+		return nil
+	})
+	if whole {
+		full, err := s.annotateLocked(obs.ContextWithSpan(context.Background(), root))
+		stats.Updated, stats.Reset = full.Updated, full.Reset
+		stats.Phases = append(stats.Phases, full.Phases...)
+		return err
 	}
-	affected := make(map[int64]bool, len(p.preIDs))
-	if err := stage(parent, &stats.Phases, "scope-post", func() error {
-		// The tree mirrors every backend's surviving nodes, so it filters
-		// the pre-update scope down to the nodes the update left alive.
-		for id := range p.preIDs {
-			if doc.NodeByID(id) != nil {
-				affected[id] = true
-			}
-		}
-		post, err := eng.EvalScope(p.scopeExpr)
-		if err != nil {
-			return err
-		}
-		for id := range post {
-			affected[id] = true
+	// Signs are written the way full annotation writes them: the nodes
+	// whose decision differs from the policy default carry the opposite
+	// sign, every other element of the region the default.
+	defAllow := s.region.rw.DefaultAllow
+	def, sign := xmltree.SignMinus, xmltree.SignPlus
+	if defAllow {
+		def, sign = sign, def
+	}
+	affected, flipped := map[int64]bool{}, map[int64]bool{}
+	_ = stage(root, &stats.Phases, "decide-region", func() error {
+		for _, r := range roots {
+			r.Walk(func(n *xmltree.Node) bool {
+				if n.IsElement() {
+					affected[n.ID] = true
+					if s.region.accessible(n) != defAllow {
+						flipped[n.ID] = true
+					}
+				}
+				return true
+			})
 		}
 		return nil
-	}); err != nil {
-		return stats, err
-	}
-	updateSet := map[int64]bool{}
-	if err := stage(parent, &stats.Phases, "compute-update-set", func() error {
+	})
+	return stage(root, &stats.Phases, "apply-signs", func() error {
 		var err error
-		updateSet, err = eng.EvalScope(p.query.Expr)
-		return err
-	}); err != nil {
-		return stats, err
-	}
-	err := stage(parent, &stats.Phases, "apply-signs", func() error {
-		updated, reset, err := eng.ApplySignsWithin(affected, updateSet, p.query.Sign, p.query.Default)
-		stats.Updated += updated
-		stats.Reset += reset
+		stats.Updated, stats.Reset, err = s.engine.ApplySignsWithin(affected, flipped, sign, def)
 		return err
 	})
-	return stats, err
 }
 
 // ApplyDeleteTree applies a delete update to the document: every node

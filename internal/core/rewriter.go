@@ -25,12 +25,6 @@ type rewriteEnforcer struct {
 	s  *System
 	rw *xpath.Rewriter
 
-	// predLabels are the node tests of the predicated steps of the rule
-	// paths; predAny is set when such a step has a * test or is a self
-	// step, i.e. matches every label.
-	predLabels map[string]bool
-	predAny    bool
-
 	// cur is the published scope sets; readers load it without locking.
 	// mu single-flights rebuilds.
 	cur atomic.Pointer[scopeSets]
@@ -47,20 +41,7 @@ type scopeSets struct {
 }
 
 func newRewriteEnforcer(s *System) *rewriteEnforcer {
-	e := &rewriteEnforcer{s: s, rw: NewRewriter(s.policy), predLabels: map[string]bool{}}
-	for _, paths := range [][]*xpath.Path{e.rw.Allow, e.rw.Deny} {
-		for _, p := range paths {
-			for _, st := range p.Steps {
-				switch {
-				case len(st.Preds) == 0:
-				case st.Axis == xpath.Self || st.Test == xpath.Wildcard:
-					e.predAny = true
-				default:
-					e.predLabels[st.Test] = true
-				}
-			}
-		}
-	}
+	e := &rewriteEnforcer{s: s, rw: s.region.rw}
 	if s.cfg.Metrics != nil {
 		e.rebuilds = s.cfg.Metrics.Counter("core_rewrite_scope_rebuilds_total")
 	}
@@ -121,58 +102,20 @@ func (e *rewriteEnforcer) scopes() (allow, deny map[int64]bool, hit bool, err er
 	return allow, deny, false, nil
 }
 
-// writeDelta is what one applied write changed in the tree: the element
-// ids it removed, the parents of the removed subtrees, and the roots of
-// the inserted ones.
-type writeDelta struct {
-	deleted  map[string][]int64
-	parents  []*xmltree.Node
-	inserted []*xmltree.Node
-}
-
 // patch brings scope sets that were current at version before up to the
 // current version after a successful write, instead of leaving them for
 // the next read to rebuild. Callers hold s.mu exclusively. Deleted ids
-// leave both sets, and every element of the write's region is re-decided
-// against each rule with xpath.Selects.
-//
-// The region is sound for XP(/,//,*,[]): qualifiers only look downward,
-// so a write can change a qualifier's truth only at an ancestor-or-self
-// of the node it changed below, and a qualifier is only evaluated at
-// nodes passing its step's test. Membership can therefore only change
-// inside the subtree of the highest such ancestor — or, when there is
-// none, only for the inserted nodes themselves. When that subtree is the
-// whole document the sets are left stale.
+// leave both sets, and every element of the write's region (see
+// writeRegion) is re-decided against each rule with xpath.Selects. When
+// that region is the whole document the sets are left stale.
 func (e *rewriteEnforcer) patch(before uint64, d writeDelta) {
 	c := e.cur.Load()
 	if c == nil || c.built != before {
 		return
 	}
-	// Region roots are the same or disjoint: a root is the highest
-	// qualifying ancestor of its anchor, so it cannot lie below another.
-	roots := map[*xmltree.Node]bool{}
-	add := func(anchor, fallback *xmltree.Node) bool {
-		r := e.regionRoot(anchor)
-		if r == e.s.doc.Root() {
-			return false
-		}
-		if r == nil {
-			r = fallback
-		}
-		if r != nil {
-			roots[r] = true
-		}
-		return true
-	}
-	for _, p := range d.parents {
-		if !add(p, nil) {
-			return
-		}
-	}
-	for _, n := range d.inserted {
-		if !add(n.Parent(), n) {
-			return
-		}
+	roots, whole := e.s.region.roots(e.s.doc, d)
+	if whole {
+		return
 	}
 	for _, ids := range d.deleted {
 		for _, id := range ids {
@@ -180,7 +123,7 @@ func (e *rewriteEnforcer) patch(before uint64, d writeDelta) {
 			delete(c.deny, id)
 		}
 	}
-	for r := range roots {
+	for _, r := range roots {
 		r.Walk(func(n *xmltree.Node) bool {
 			if n.IsElement() {
 				setMember(c.allow, n, e.rw.Allow)
@@ -192,27 +135,13 @@ func (e *rewriteEnforcer) patch(before uint64, d writeDelta) {
 	e.cur.Store(&scopeSets{built: e.s.version, allow: c.allow, deny: c.deny})
 }
 
-// regionRoot returns the highest ancestor-or-self of anchor whose label
-// is the test of a predicated rule step, or nil when there is none.
-func (e *rewriteEnforcer) regionRoot(anchor *xmltree.Node) *xmltree.Node {
-	var root *xmltree.Node
-	for m := anchor; m != nil; m = m.Parent() {
-		if e.predAny || e.predLabels[m.Label] {
-			root = m
-		}
-	}
-	return root
-}
-
 // setMember records whether n lies in the union of the given scopes.
 func setMember(set map[int64]bool, n *xmltree.Node, paths []*xpath.Path) {
-	for _, p := range paths {
-		if xpath.Selects(p, n) {
-			set[n.ID] = true
-			return
-		}
+	if selectsAny(paths, n) {
+		set[n.ID] = true
+	} else {
+		delete(set, n.ID)
 	}
-	delete(set, n.ID)
 }
 
 // Request evaluates q raw and applies the all-or-nothing check against

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"xmlac/internal/hospital"
 	"xmlac/internal/obs"
 	"xmlac/internal/policy"
+	"xmlac/internal/store"
 	"xmlac/internal/xmark"
 	"xmlac/internal/xmltree"
 	"xmlac/internal/xpath"
@@ -199,7 +201,7 @@ func TestRewriteScopePatchDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					e := sys.rewriteEnf
-					if fallback := e.predAny || e.predLabels[doc.Root().Label]; fallback != v.fallback {
+					if fallback := sys.region.predAny || sys.region.predLabels[doc.Root().Label]; fallback != v.fallback {
 						t.Fatalf("policy falls back = %v, want %v", fallback, v.fallback)
 					}
 					rebuilds := reg.Counter("core_rewrite_scope_rebuilds_total")
@@ -249,6 +251,194 @@ func TestRewriteScopePatchDifferential(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// xmarkC3Policy is the coverage dataset's mid policy c3 (internal/bench),
+// the policy of the Fig. 12 workload and of the repository benchmark.
+const xmarkC3Policy = `
+default deny
+conflict deny
+rule g1a allow //closed_auction
+rule g1b allow //closed_auction//*
+rule g1c allow //category
+rule g1d allow //category//*
+rule g1e allow //edge
+rule d1 deny //closed_auction[price > 400]
+rule g2a allow //open_auction
+rule g2b allow //open_auction/*
+rule g2c allow //open_auction/annotation//*
+rule g2d allow //interval/*
+rule d2 deny //open_auction[privacy = "Yes"]
+rule g3a allow //bidder//*
+rule d3 deny //bidder[increase > 20]
+`
+
+// engineCounter counts the scope evaluations and full annotations an
+// engine serves.
+type engineCounter struct {
+	store.Engine
+	scopes, annotations int
+}
+
+func (c *engineCounter) EvalScope(x *store.SetExpr) (map[int64]bool, error) {
+	c.scopes++
+	return c.Engine.EvalScope(x)
+}
+
+func (c *engineCounter) Annotate(ctx context.Context, q store.AnnotationQuery) (store.AnnotateStats, error) {
+	c.annotations++
+	return c.Engine.Annotate(ctx, q)
+}
+
+// checkSigns fails unless the system's accessible set equals the Table 2
+// semantics of its document, and its complete sign state equals what a
+// fresh full annotation of the same store writes. (A fresh system over a
+// clone would not do: random writes leave documents that Load rejects as
+// schema-invalid.)
+func checkSigns(t *testing.T, sys *System, what string) {
+	t.Helper()
+	got, err := sys.AccessibleIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sem, err := sys.Policy().Semantics(sys.Document())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSet(got, sem) {
+		t.Fatalf("%s: %d accessible, the Table 2 semantics give %d", what, len(got), len(sem))
+	}
+	maintained := signDump(t, sys)
+	if _, err := sys.Annotate(); err != nil {
+		t.Fatal(err)
+	}
+	if fresh := signDump(t, sys); fresh != maintained {
+		t.Fatalf("%s: the maintained signs differ from a fresh annotation", what)
+	}
+}
+
+// TestSignPatchDifferential is the signs-mode counterpart of
+// TestRewriteScopePatchDifferential: after every seeded insert or delete,
+// the maintained signs must equal the Table 2 semantics and a fresh
+// annotation, and a write whose region is bounded must neither evaluate a
+// rule scope nor annotate in full. Under the root-predicate and
+// //*[…] variants every write's region is the whole document, and every
+// write must annotate in full instead.
+func TestSignPatchDifferential(t *testing.T) {
+	fixtures := []struct {
+		name   string
+		schema *dtd.Schema
+		doc    func() *xmltree.Document
+		pol    string
+	}{
+		{"hospital", hospital.Schema(), func() *xmltree.Document {
+			return hospital.Generate(hospital.GenOptions{Seed: 5, Departments: 2, PatientsPerDept: 8, StaffPerDept: 3})
+		}, table1Policy},
+		{"xmark", xmark.Schema(), func() *xmltree.Document {
+			return xmark.Generate(xmark.Options{Factor: 0.002, Seed: 9})
+		}, xmarkC3Policy},
+	}
+	variants := []struct {
+		name     string
+		rule     func(root string) string
+		fallback bool
+	}{
+		{"patched", func(string) string { return "" }, false},
+		{"root-predicate", func(root string) string { return "rule F1 deny /" + root + "[*]//name\n" }, true},
+		{"wildcard-predicate", func(string) string { return "rule F2 allow //*[name]\n" }, true},
+	}
+	writes := 20
+	if testing.Short() {
+		writes = 8
+	}
+	for fi, fx := range fixtures {
+		for vi, v := range variants {
+			for _, b := range allBackends {
+				t.Run(fmt.Sprintf("%s/%s/%v", fx.name, v.name, b), func(t *testing.T) {
+					doc := fx.doc()
+					sys, err := NewSystem(Config{
+						Schema: fx.schema, Policy: policy.MustParse(fx.pol + v.rule(doc.Root().Label)),
+						Backend: b, Optimize: true, Enforce: EnforceSigns,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sys.Load(doc); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := sys.Annotate(); err != nil {
+						t.Fatal(err)
+					}
+					if fallback := sys.region.predAny || sys.region.predLabels[doc.Root().Label]; fallback != v.fallback {
+						t.Fatalf("policy falls back = %v, want %v", fallback, v.fallback)
+					}
+					r := rand.New(rand.NewSource(int64(100*fi + 10*vi + int(b))))
+					for i := 0; i < writes; i++ {
+						// The counter hides the engine's optional interfaces,
+						// so it wraps the engine for the write only.
+						eng := &engineCounter{Engine: sys.engine}
+						sys.engine = eng
+						w := applyRandomWrite(t, r, sys)
+						sys.engine = eng.Engine
+						want := 0
+						if v.fallback {
+							want = 1
+						}
+						if eng.scopes != 0 || eng.annotations != want {
+							t.Fatalf("write %d (%s): %d scope evaluations and %d full annotations, want 0 and %d",
+								i, w, eng.scopes, eng.annotations, want)
+						}
+						checkSigns(t, sys, fmt.Sprintf("write %d (%s)", i, w))
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestAuctionPairGolden pins the write pair the repository benchmark
+// could not use under the Trigger-driven re-annotation: insert a whole
+// open_auction, then delete it by its type, under c3 on XMark. Plain
+// Trigger selects g2a g2b g2c d2 but not d3 for the delete, and
+// re-annotating //open_auction/* without d3 flipped every denied bidder
+// to '+'. After each write the signs must equal a fresh annotation and
+// the Table 2 semantics, on every backend, with plain and schema-aware
+// containment.
+func TestAuctionPairGolden(t *testing.T) {
+	const lot = `<open_auction id="open_auction_golden"><initial>12.00</initial>` +
+		`<bidder><date>01/02/2000</date><time>10:00:00</time><personref person="person0"/><increase>25.00</increase></bidder>` +
+		`<current>37.00</current><privacy>No</privacy><itemref item="item0"/><seller person="person0"/>` +
+		`<annotation><author person="person0"/><description><text>golden lot</text></description><happiness>5</happiness></annotation>` +
+		`<quantity>1</quantity><type>GoldenLot</type><interval><start>01/01/2000</start><end>02/01/2000</end></interval></open_auction>`
+	tmpl, err := xmltree.ParseString(lot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range allBackends {
+		for _, aware := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/schema-aware=%v", b, aware), func(t *testing.T) {
+				sys, err := NewSystem(Config{Schema: xmark.Schema(), Policy: policy.MustParse(xmarkC3Policy),
+					Backend: b, Optimize: true, SchemaAware: aware})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sys.Load(xmark.Generate(xmark.Options{Factor: 0.005, Seed: 1})); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sys.Annotate(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sys.InsertAndReannotate(xpath.MustParse("/site/open_auctions"), tmpl.Root()); err != nil {
+					t.Fatal(err)
+				}
+				checkSigns(t, sys, "insert")
+				if _, err := sys.DeleteAndReannotate(xpath.MustParse(`//open_auction[type = "GoldenLot"]`)); err != nil {
+					t.Fatal(err)
+				}
+				checkSigns(t, sys, "delete")
+			})
 		}
 	}
 }

@@ -171,6 +171,9 @@ type System struct {
 	rewriteEnf *rewriteEnforcer
 	static     *staticChecker
 	contains   ContainFunc
+	// region bounds each write's effect on the read policy's decisions;
+	// both enforcers maintain their state over it at write time.
+	region *writeRegion
 	// enfCounts mirror core_enforcer_requests_total{mode,outcome} for the
 	// planner-decision coverage report (live even without metrics).
 	enfCounts   [encModes][3]atomic.Uint64
@@ -250,6 +253,7 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 		s.reann = reann
 	}
+	s.region = newWriteRegion(NewRewriter(s.policy))
 	s.signsEnf = &materializedEnforcer{s: s}
 	if s.plan.RawCapable {
 		s.rewriteEnf = newRewriteEnforcer(s)
@@ -487,14 +491,17 @@ func (s *System) auditAnnotate(stats AnnotateStats, sp *obs.Span, err error) {
 
 // UpdateReport describes one delete-update round trip.
 type UpdateReport struct {
-	// Triggered names the rules the Trigger algorithm selected.
+	// Triggered names the rules the Trigger algorithm selected. It is
+	// reported and audited; the write's region decides what is
+	// re-annotated.
 	Triggered []string
 	// DeletedNodes counts removed tree nodes (elements and text).
 	DeletedNodes int
 	// Stats are the re-annotation statistics (Stats.Phases holds the
 	// fine-grained stage breakdown of the re-annotation itself).
 	Stats AnnotateStats
-	// PrepareTime, UpdateTime and ReannotateTime split the round trip.
+	// PrepareTime (trigger selection), UpdateTime and ReannotateTime
+	// split the round trip.
 	PrepareTime, UpdateTime, ReannotateTime time.Duration
 	// Phases is the coarse round-trip breakdown (prepare, apply-update,
 	// reannotate) in obs form.
@@ -535,11 +542,7 @@ func (s *System) deleteAndReannotate(u *xpath.Path) (*UpdateReport, error) {
 	rep.TraceID = root.TraceID().String()
 
 	start := time.Now()
-	prep, err := prepareReannotation(s.engine, s.reann, root, u)
-	if err != nil {
-		return nil, err
-	}
-	rep.Triggered = s.reann.RuleNames(prep.Triggered)
+	s.trigger(root, rep, u)
 	rep.PrepareTime = time.Since(start)
 
 	// The tuple deletions and per-tuple sign updates form one atomic unit:
@@ -560,7 +563,7 @@ func (s *System) deleteAndReannotate(u *xpath.Path) (*UpdateReport, error) {
 	rep.UpdateTime = time.Since(start)
 
 	start = time.Now()
-	rep.Stats, err = prep.complete(s.doc, s.engine, root)
+	err = s.reannotateRegion(root, delta, &rep.Stats)
 	rep.ReannotateTime = time.Since(start)
 	if err != nil {
 		return nil, s.abortEngine(err)
@@ -713,26 +716,19 @@ func (s *System) insertAndReannotate(parentPath *xpath.Path, tmpl *xmltree.Node)
 		return nil, fmt.Errorf("core: insert template must be an element")
 	}
 	doc := s.Document()
-	us := insertLocators(parentPath, tmpl)
 	rep := &UpdateReport{}
 	root := s.tracer.Start("insert-reannotate").SetAttr("parent", parentPath.String())
 	defer root.Finish()
 	rep.TraceID = root.TraceID().String()
 
-	// Under rewriting enforcement no signs exist: the trigger-selection
-	// and scope-observation phases are skipped entirely, and the rewriter
-	// patches its scope sets once the insert commits.
+	// Under rewriting enforcement no signs exist: trigger selection and
+	// sign maintenance are skipped entirely, and the rewriter patches its
+	// scope sets once the insert commits.
 	maintain := s.enf.MaintainsSigns()
 	before := s.version
-	var prep *Reannotation
-	var err error
 	start := time.Now()
 	if maintain {
-		prep, err = prepareReannotation(s.engine, s.reann, root, us...)
-		if err != nil {
-			return nil, err
-		}
-		rep.Triggered = s.reann.RuleNames(prep.Triggered)
+		s.trigger(root, rep, insertLocators(parentPath, tmpl)...)
 	} else {
 		root.SetAttr("enforce", "rewrite")
 	}
@@ -772,7 +768,7 @@ func (s *System) insertAndReannotate(parentPath *xpath.Path, tmpl *xmltree.Node)
 
 	if maintain {
 		start = time.Now()
-		rep.Stats, err = prep.complete(doc, s.engine, root)
+		err = s.reannotateRegion(root, delta, &rep.Stats)
 		rep.ReannotateTime = time.Since(start)
 		if err != nil {
 			return nil, s.abortEngine(err)

@@ -105,17 +105,6 @@ func (r *Reannotator) TriggerAll(us []*xpath.Path) []int {
 	return out
 }
 
-// TriggeredPolicy builds the sub-policy containing exactly the triggered
-// rules (same default semantics and conflict resolution); its annotation
-// query drives the partial re-annotation.
-func (r *Reannotator) TriggeredPolicy(triggered []int) *policy.Policy {
-	sub := &policy.Policy{Default: r.Policy.Default, Conflict: r.Policy.Conflict}
-	for _, i := range triggered {
-		sub.Rules = append(sub.Rules, r.Policy.Rules[i])
-	}
-	return sub
-}
-
 // RuleNames maps triggered indices to rule names for reporting.
 func (r *Reannotator) RuleNames(triggered []int) []string {
 	out := make([]string, len(triggered))

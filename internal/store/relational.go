@@ -315,34 +315,49 @@ func (e *relationalEngine) EvalScope(x *SetExpr) (map[int64]bool, error) {
 }
 
 // ApplySignsWithin rewrites signs inside the affected set only,
-// following the two-phase discipline of Figure 6: per table, split the
-// affected ids by target sign and write them as bulk batches.
+// following the two-phase discipline of Figure 6: per owning table, split
+// the affected ids by target sign and write them as bulk batches. The
+// owner index routes each id to its table; ids it does not know
+// (databases populated outside the shredder) are found by scanning every
+// table's ids.
 func (e *relationalEngine) ApplySignsWithin(affected, update map[int64]bool, sign, def xmltree.Sign) (updated, reset int, err error) {
+	ids := make([]int64, 0, len(affected))
+	for id := range affected {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	owned, unknown := e.m.GroupByOwner(ids)
+	if len(unknown) > 0 {
+		if owned == nil {
+			owned = map[string][]int64{}
+		}
+		if err := e.scanOwners(unknown, owned); err != nil {
+			return 0, 0, err
+		}
+	}
+	// Deterministic table order keeps the statement sequence stable.
+	tables := make([]string, 0, len(owned))
+	for t := range owned {
+		tables = append(tables, t)
+	}
+	slices.Sort(tables)
 	signLit := "'" + sign.String() + "'"
 	defLit := "'" + def.String() + "'"
-	for _, ti := range e.m.Tables() {
-		res, err := e.db.Exec("SELECT id FROM " + ti.Table)
-		if err != nil {
-			return updated, reset, err
-		}
+	for _, t := range tables {
 		var toSign, toDefault []int64
-		for _, row := range res.Rows {
-			id := row[0].I
-			if !affected[id] {
-				continue
-			}
+		for _, id := range owned[t] {
 			if update[id] {
 				toSign = append(toSign, id)
 			} else {
 				toDefault = append(toDefault, id)
 			}
 		}
-		n, err := e.bulkUpdateSigns(ti.Table, signLit, toSign)
+		n, err := e.bulkUpdateSigns(t, signLit, toSign)
 		updated += n
 		if err != nil {
 			return updated, reset, err
 		}
-		n, err = e.bulkUpdateSigns(ti.Table, defLit, toDefault)
+		n, err = e.bulkUpdateSigns(t, defLit, toDefault)
 		reset += n
 		if err != nil {
 			return updated, reset, err
@@ -350,6 +365,28 @@ func (e *relationalEngine) ApplySignsWithin(affected, update map[int64]bool, sig
 	}
 	e.signs.Add(int64(updated + reset))
 	return updated, reset, nil
+}
+
+// scanOwners adds each of ids to its owning table's list in owned by
+// scanning every table's ids — the reference routing, for ids the owner
+// index does not know.
+func (e *relationalEngine) scanOwners(ids []int64, owned map[string][]int64) error {
+	want := make(map[int64]bool, len(ids))
+	for _, id := range ids {
+		want[id] = true
+	}
+	for _, ti := range e.m.Tables() {
+		res, err := e.db.Exec("SELECT id FROM " + ti.Table)
+		if err != nil {
+			return err
+		}
+		for _, row := range res.Rows {
+			if want[row[0].I] {
+				owned[ti.Table] = append(owned[ti.Table], row[0].I)
+			}
+		}
+	}
+	return nil
 }
 
 // Request evaluates a query against the annotated store: the query is

@@ -2,11 +2,82 @@ package store
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
+	"xmlac/internal/hospital"
 	"xmlac/internal/pool"
+	"xmlac/internal/xmltree"
 )
+
+// TestApplySignsWithinWithoutOwnerIndex: a database whose owner index
+// knows none of its ids — as if loaded without one — takes the per-table
+// id scan on every sign write, and must end with exactly the signs and
+// counts of the owner-routed path.
+func TestApplySignsWithinWithoutOwnerIndex(t *testing.T) {
+	doc := hospital.Generate(hospital.GenOptions{Seed: 4, Departments: 2, PatientsPerDept: 6, StaffPerDept: 2})
+	affected, update := map[int64]bool{}, map[int64]bool{}
+	var all []int64
+	for i, n := range doc.Elements() {
+		all = append(all, n.ID)
+		if i%3 != 0 {
+			affected[n.ID] = true
+		}
+		if i%2 == 0 {
+			update[n.ID] = true
+		}
+	}
+	for _, name := range []string{"postgres", "monetsql", "monetcol"} {
+		t.Run(name, func(t *testing.T) {
+			var dumps [2]string
+			var counts [2][2]int
+			for k := range dumps {
+				eng, err := Open(name, Options{Schema: hospital.Schema(), Default: xmltree.SignMinus})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.Load(doc.Clone()); err != nil {
+					t.Fatal(err)
+				}
+				rel := eng.(Relational)
+				if k == 1 {
+					rel.Mapping().ForgetOwner(all...)
+					if owned, _ := rel.Mapping().GroupByOwner(all); len(owned) != 0 {
+						t.Fatalf("owner index still routes %d tables", len(owned))
+					}
+				}
+				counts[k][0], counts[k][1], err = eng.ApplySignsWithin(affected, update, xmltree.SignPlus, xmltree.SignMinus)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var b strings.Builder
+				for _, ti := range rel.Mapping().Tables() {
+					res, err := rel.DB().Exec("SELECT id, s FROM " + ti.Table + " ORDER BY id")
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, row := range res.Rows {
+						fmt.Fprintf(&b, "%s %d %s\n", ti.Table, row[0].I, row[1].S)
+					}
+				}
+				dumps[k] = b.String()
+			}
+			if counts[0] != counts[1] {
+				t.Fatalf("routed wrote (updated, reset) = %v, scanned %v", counts[0], counts[1])
+			}
+			if counts[0][0]+counts[0][1] != len(affected) {
+				t.Fatalf("wrote %d signs, want %d", counts[0][0]+counts[0][1], len(affected))
+			}
+			if !strings.Contains(dumps[0], " +\n") || !strings.Contains(dumps[0], " -\n") {
+				t.Fatalf("sign dump lacks a written sign:\n%s", dumps[0])
+			}
+			if dumps[0] != dumps[1] {
+				t.Fatalf("sign columns differ:\nrouted:\n%s\nscanned:\n%s", dumps[0], dumps[1])
+			}
+		})
+	}
+}
 
 // Registry tests: the seam's name resolution must cover every backend
 // name the evaluation figures use, including the aliases.

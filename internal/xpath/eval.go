@@ -98,6 +98,9 @@ func Matches(p *Path, doc *xmltree.Document, n *xmltree.Node) (bool, error) {
 	return doc.Contains(n) && Selects(p, n), nil
 }
 
+// selectsDepth is the ancestor-chain depth Selects keeps on the stack.
+const selectsDepth = 32
+
 // Selects reports whether n is in [[p]](T) for the tree T that n belongs
 // to, n's topmost ancestor playing the root element. It is Eval run
 // backwards: the last step is tested on n, and the earlier steps on n's
@@ -114,15 +117,22 @@ func Selects(p *Path, n *xmltree.Node) bool {
 	}
 	// chain holds n's ancestors-or-self, n first and the root element at
 	// top; index top+1 stands for the virtual document node above it.
-	var chain []*xmltree.Node
+	// Selects runs once per node and rule when a write's region is
+	// re-decided, so documents up to selectsDepth deep allocate nothing.
+	var chainBuf [selectsDepth]*xmltree.Node
+	chain := chainBuf[:0]
 	for m := n; m != nil; m = m.Parent() {
 		chain = append(chain, m)
 	}
 	top := len(chain) - 1
 	// sel[j] reports whether the steps taken so far select chain[j]; before
 	// the first step only the document node is selected.
-	sel := make([]bool, top+2)
-	next := make([]bool, top+2)
+	var selBuf, nextBuf [selectsDepth + 1]bool
+	sel, next := selBuf[:], nextBuf[:]
+	if top+2 > len(sel) {
+		sel, next = make([]bool, top+2), make([]bool, top+2)
+	}
+	sel, next = sel[:top+2], next[:top+2]
 	sel[top+1] = true
 	for i, s := range p.Steps {
 		above := false // some entry above j is selected

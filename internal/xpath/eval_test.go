@@ -3,6 +3,7 @@ package xpath
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -370,6 +371,30 @@ func TestQuickSelectsAgreesWithEval(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSelectsDeepChain: ancestor chains deeper than Selects' stack
+// buffers take the allocating path and still agree with Eval.
+func TestSelectsDeepChain(t *testing.T) {
+	text := strings.Repeat("<a>", 2*selectsDepth) + "<b><c/></b>" + strings.Repeat("</a>", 2*selectsDepth)
+	doc := mustDoc(t, text)
+	for _, q := range []string{"//a//b", "/a/a//b[c]", "//a[b]", "//a/b/c", "/a/b"} {
+		p := MustParse(q)
+		res, err := Eval(p, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := map[*xmltree.Node]bool{}
+		for _, n := range res {
+			in[n] = true
+		}
+		doc.Walk(func(n *xmltree.Node) bool {
+			if Selects(p, n) != in[n] {
+				t.Errorf("%s on %s: Selects = %v, Eval = %v", q, n.Label, !in[n], in[n])
+			}
+			return true
+		})
 	}
 }
 

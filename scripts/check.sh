@@ -21,11 +21,12 @@ if grep -rn '"xmlac/internal/sqldb"\|"xmlac/internal/nativedb"' internal/core/*.
 fi
 
 # The enforcer seam is load-bearing too: the rewriting layer (planner,
-# rewrite enforcer, policy rewriter) must never touch sign internals —
-# the CAM package, annotation-query construction, sign application or
-# the reannotator. Only the materialized enforcer's side of the seam may.
+# rewrite enforcer, policy rewriter, and the write region both enforcers
+# maintain their state over) must never touch sign internals — the CAM
+# package, annotation-query construction, sign application or the
+# reannotator. Only the materialized enforcer's side of the seam may.
 if grep -n 'xmlac/internal/cam\|BuildAnnotationQuery\|AnnotationQuery\|ApplySigns\|xmltree\.Sign\|Reannotat\|\.Sign\b' \
-	internal/core/rewriter.go internal/core/planner.go internal/xpath/rewrite.go; then
+	internal/core/rewriter.go internal/core/planner.go internal/core/region.go internal/xpath/rewrite.go; then
 	echo "check.sh: the rewriting enforcement layer must not reference sign internals" >&2
 	exit 1
 fi
@@ -42,11 +43,12 @@ go test -race ./...
 
 # Cross-mode golden equivalence: the rewriting enforcer must answer
 # byte-identically to the materialized signs pipeline on every backend,
-# every Table 2 semantics and both fixtures — the refactor's safety net —
-# and its scope sets, patched by every write, must equal a fresh rebuild.
-# `go test ./...` above runs it; this standalone form is what CI's
-# blocking cross-mode job calls.
-go test -run 'TestCrossModeEquivalence|TestRecursiveSchemaOnlyRewrite|TestStaticDenyFastPath|TestRewriteScopePatchDifferential' ./internal/core
+# every Table 2 semantics and both fixtures — the refactor's safety net.
+# Both modes maintain their state over each write's region: the patched
+# scope sets must equal a fresh rebuild, and the maintained signs a fresh
+# annotation. `go test ./...` above runs it; this standalone form is what
+# CI's blocking cross-mode job calls.
+go test -run 'TestCrossModeEquivalence|TestRecursiveSchemaOnlyRewrite|TestStaticDenyFastPath|TestRewriteScopePatchDifferential|TestSignPatchDifferential|TestAuctionPairGolden' ./internal/core
 
 # Differential fuzzing: replay generated statement scripts against the row,
 # column and vectorized engines and require identical results and errors;
@@ -59,6 +61,7 @@ go test -short -run 'TestDifferentialEngines|TestModeDifferentialFuzz' ./interna
 # a broken bench is otherwise only caught when scripts/bench.sh runs.
 go test -short -bench 'BenchmarkFig10_Request(MonetSQL|Postgres|MonetCol|Rewrite)' -benchtime 1x -run '^$' .
 go test -short -bench 'BenchmarkHotWrite_SignsVsRewrite' -benchtime 1x -run '^$' .
+go test -short -bench 'BenchmarkFig12_(Reannot|Fannot)MonetSQL' -benchtime 1x -run '^$' .
 
 # Smoke the multi-user cohort scale benchmarks (-short population: 200
 # users over 10 distinct policies; the million-subject register skips).
