@@ -241,12 +241,10 @@ func main() {
 			}
 		case op == "plan":
 			p := sys.Plan()
-			fmt.Printf("plan: requested=%s mode=%s active=%s recursive=%v raw_capable=%v\n",
-				p.Requested, p.Mode, sys.ActiveMode(), p.Recursive, p.RawCapable)
+			fmt.Printf("plan: requested=%s mode=%s active=%s recursive=%v\n",
+				p.Requested, p.Mode, sys.ActiveMode(), p.Recursive)
 			fmt.Printf("  reason: %s\n", p.Reason)
-			if rw := sys.Rewriter(); rw != nil {
-				fmt.Printf("  accessible set: %s\n", rw.AccessExpr())
-			}
+			fmt.Printf("  accessible set: %s\n", sys.Rewriter().AccessExpr())
 		case op == "coverage":
 			ensureAnnotated()
 			cov, err := sys.Coverage()

@@ -36,12 +36,11 @@
 //	GET /multiuser      policy-cohort statistics: users, cohorts, dedup
 //	                    ratio and the per-cohort breakdown (JSON; -users
 //	                    mode only)
-//	GET /request?q=     run an all-or-nothing request (&doc= selects the
-//	                    document in catalog mode; without doc the query
-//	                    broadcasts to every document as one trace;
-//	                    &user= requests as a -users subject; &enforce=
-//	                    signs|rewrite overrides the enforcement mode for
-//	                    this one request)
+//	GET /request?q=     run an all-or-nothing request under the system's
+//	                    enforcement mode (&doc= selects the document in
+//	                    catalog mode; without doc the query broadcasts to
+//	                    every document as one trace; &user= requests as a
+//	                    -users subject)
 //	GET /why?q=         per-node rule attribution for the matched nodes
 //	                    (&doc= in catalog mode)
 //	GET /debug/pprof/   the Go runtime profiler
@@ -305,9 +304,7 @@ func newOpsMux(sys *xmlac.System, cat *xmlac.Catalog, mu *xmlac.MultiUser, obsy 
 				"active_mode": sys.ActiveMode(),
 				"enforcement": sys.EnforcementStats(),
 			}
-			if rw := sys.Rewriter(); rw != nil {
-				out["accessible_set"] = rw.AccessExpr()
-			}
+			out["accessible_set"] = sys.Rewriter().AccessExpr()
 			if s := r.URL.Query().Get("q"); s != "" {
 				q, err := xmlac.ParseXPath(s)
 				if err != nil {
@@ -316,9 +313,7 @@ func newOpsMux(sys *xmlac.System, cat *xmlac.Catalog, mu *xmlac.MultiUser, obsy 
 				}
 				out["query"] = q.String()
 				out["static_verdict"] = sys.ClassifyQuery(q).String()
-				if rw := sys.Rewriter(); rw != nil {
-					out["rewritten"] = rw.Rewrite(q)
-				}
+				out["rewritten"] = sys.Rewriter().Rewrite(q)
 			}
 			writeJSON(w, out)
 		}))
@@ -328,22 +323,9 @@ func newOpsMux(sys *xmlac.System, cat *xmlac.Catalog, mu *xmlac.MultiUser, obsy 
 		if !ok {
 			return
 		}
-		mode := xmlac.EnforceAuto
-		if s := r.URL.Query().Get("enforce"); s != "" {
-			m, err := xmlac.ParseEnforceMode(s)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			mode = m
-		}
 		// A user parameter routes the request through the multi-user layer
 		// as that subject (its own audit event, stamped with the user).
 		if user := r.URL.Query().Get("user"); user != "" {
-			if mode != xmlac.EnforceAuto {
-				http.Error(w, "enforce parameter applies to system requests, not -users subjects", http.StatusBadRequest)
-				return
-			}
 			if mu == nil {
 				http.Error(w, "user parameter requires -users mode", http.StatusBadRequest)
 				return
@@ -367,10 +349,6 @@ func newOpsMux(sys *xmlac.System, cat *xmlac.Catalog, mu *xmlac.MultiUser, obsy 
 		// Catalog mode without a doc parameter broadcasts the query to
 		// every document — one trace covering the whole fan-out.
 		if cat != nil && r.URL.Query().Get("doc") == "" {
-			if mode != xmlac.EnforceAuto {
-				http.Error(w, "enforce parameter requires a doc parameter in catalog mode", http.StatusBadRequest)
-				return
-			}
 			results, errs := cat.RequestAll(q)
 			granted := map[string]any{}
 			for doc, res := range results {
@@ -396,11 +374,8 @@ func newOpsMux(sys *xmlac.System, cat *xmlac.Catalog, mu *xmlac.MultiUser, obsy 
 		if !ok {
 			return
 		}
-		res, err := s.RequestMode(q, mode)
+		res, err := s.Request(q)
 		out := map[string]any{"query": q.String()}
-		if mode != xmlac.EnforceAuto {
-			out["enforce"] = mode
-		}
 		if cat != nil {
 			out["doc"] = r.URL.Query().Get("doc")
 		}

@@ -184,6 +184,67 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
+// TestServeRewrite serves a system built as -enforce rewrite builds it:
+// /plan reports the rewrite mode and /request answers from the
+// unannotated store.
+func TestServeRewrite(t *testing.T) {
+	schema, err := xmlac.ParseDTD(xmlac.HospitalDTD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := xmlac.ParsePolicy(xmlac.HospitalPolicyText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mode, err := xmlac.ParseEnforceMode("rewrite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := xmlac.NewMetricsRegistry()
+	aud := xmlac.NewAuditLog(0)
+	sys, err := xmlac.New(xmlac.Config{
+		Schema: schema, Policy: pol, Backend: xmlac.BackendNative,
+		Optimize: true, Metrics: reg, Audit: aud, Enforce: mode,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := xmlac.ParseXMLString(xmlac.HospitalDocumentText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Load(doc); err != nil {
+		t.Fatal(err)
+	}
+	obsy := xmlac.NewObservatory(xmlac.ObservatoryOptions{Metrics: reg})
+	obsy.Attach(aud)
+	srv := httptest.NewServer(newServeMux(sys, nil, obsy, reg, aud, xmlac.NewTraceCollector(0)))
+	t.Cleanup(srv.Close)
+
+	var plan struct {
+		Plan struct {
+			Mode string `json:"mode"`
+		} `json:"plan"`
+		ActiveMode string `json:"active_mode"`
+	}
+	getJSON(t, srv.URL+"/plan", &plan)
+	if plan.Plan.Mode != "rewrite" || plan.ActiveMode != "rewrite" {
+		t.Fatalf("plan = %+v, want rewrite", plan)
+	}
+	var req struct {
+		Outcome string `json:"outcome"`
+		Checked int    `json:"checked"`
+	}
+	getJSON(t, srv.URL+"/request?q=//patient/name", &req)
+	if req.Outcome != "grant" || req.Checked != 3 {
+		t.Fatalf("request //patient/name = %+v, want a grant of 3", req)
+	}
+	getJSON(t, srv.URL+"/request?q=//patient", &req)
+	if req.Outcome != "deny" {
+		t.Fatalf("request //patient = %+v, want a denial", req)
+	}
+}
+
 // TestServeMultiUser: the /multiuser route reports the cohort compression
 // of the demo roles (the two doctors share one cohort), healthz carries
 // the population counts, and the registry exposes the cohort gauges.

@@ -114,9 +114,7 @@ func TestCrossModeEquivalence(t *testing.T) {
 							Backend: b, Optimize: true, Enforce: EnforceRewrite,
 						})
 						if err != nil {
-							// A backend with no RawQuery capability cannot
-							// serve rewriting at all — statically inapplicable.
-							t.Skipf("rewrite mode unavailable on %v: %v", b, err)
+							t.Fatal(err)
 						}
 						if err := rewrite.Load(fx.doc.Clone()); err != nil {
 							t.Fatal(err)

@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"xmlac/internal/hospital"
 	"xmlac/internal/obs"
 	"xmlac/internal/policy"
+	"xmlac/internal/store"
 	"xmlac/internal/xpath"
 )
 
@@ -73,11 +75,10 @@ func TestAnnotatePhasesNative(t *testing.T) {
 		t.Errorf("children sum %d exceeds root %d", sum, root.Duration())
 	}
 	// The native backend ran its annotation query through the store.
-	if got := reg.Counter("nativedb_queries_total").Value(); got == 0 {
-		t.Error("nativedb_queries_total = 0")
-	}
-	if got := reg.Counter("nativedb_nodes_visited_total").Value(); got == 0 {
-		t.Error("nativedb_nodes_visited_total = 0")
+	for _, name := range []string{`store_queries_total{engine="native"}`, `store_rows_scanned_total{engine="native"}`} {
+		if got := reg.Counter(name).Value(); got == 0 {
+			t.Errorf("%s = 0", name)
+		}
 	}
 }
 
@@ -102,8 +103,9 @@ func TestAnnotatePhasesRelational(t *testing.T) {
 					t.Errorf("annotate span is missing child %q\n%s", name, root.Tree())
 				}
 			}
-			if got := reg.Counter("sqldb_statements_total").Value(); got == 0 {
-				t.Error("sqldb_statements_total = 0")
+			name := fmt.Sprintf("store_queries_total{engine=%q}", store.EngineLabel(sys.Engine()))
+			if got := reg.Counter(name).Value(); got == 0 {
+				t.Errorf("%s = 0", name)
 			}
 			snap := reg.Snapshot()
 			if h, ok := snap.Histograms["sqldb_exec_seconds"]; !ok || h.Count == 0 {

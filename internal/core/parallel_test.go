@@ -145,64 +145,90 @@ func TestRepeatedParallelAnnotationIsStable(t *testing.T) {
 }
 
 // TestConcurrentSystemHammer drives one shared System from many goroutines
-// mixing full annotation, requests, coverage reads and delete-updates. It
-// exists for the -race run: the System-level lock must serialize writers
-// against the readers.
+// mixing full annotation, requests, coverage reads, inserts and deletes,
+// on every backend under each enforcement mode. It exists for the -race
+// run: the System-level lock must serialize writers against the readers,
+// whichever enforcer keeps the decisions.
 func TestConcurrentSystemHammer(t *testing.T) {
 	for _, b := range allBackends {
 		t.Run(b.String(), func(t *testing.T) {
-			sys := newHospitalSystem(t, b, hospital.Generate(hospital.GenOptions{
-				Seed: 17, Departments: 2, PatientsPerDept: 12, StaffPerDept: 4}))
-			if _, err := sys.Annotate(); err != nil {
-				t.Fatal(err)
-			}
-			q := xpath.MustParse("//patient/name")
-			del := xpath.MustParse(`//patient[.//experimental]`)
-			var wg sync.WaitGroup
-			errCh := make(chan error, 64)
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < 12; i++ {
-						switch (g + i) % 5 {
-						case 0:
-							if _, err := sys.Annotate(); err != nil {
-								errCh <- err
-							}
-						case 1:
-							if _, err := sys.Request(q); err != nil && !errors.Is(err, ErrAccessDenied) {
-								errCh <- err
-							}
-						case 2:
-							if _, err := sys.AccessibleIDs(); err != nil {
-								errCh <- err
-							}
-						case 3:
-							if _, err := sys.Coverage(); err != nil {
-								errCh <- err
-							}
-						case 4:
-							if _, err := sys.DeleteAndReannotate(del); err != nil {
-								errCh <- err
-							}
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			close(errCh)
-			for err := range errCh {
-				t.Fatal(err)
-			}
-			// The store must still be coherent after the hammering.
-			if _, err := sys.Annotate(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sys.AccessibleIDs(); err != nil {
-				t.Fatal(err)
+			for _, mode := range []EnforceMode{EnforceSigns, EnforceRewrite} {
+				t.Run(mode.String(), func(t *testing.T) { hammerSystem(t, b, mode) })
 			}
 		})
+	}
+}
+
+func hammerSystem(t *testing.T, b Backend, mode EnforceMode) {
+	sys, err := NewSystem(Config{
+		Schema: hospital.Schema(), Policy: policy.MustParse(table1Policy),
+		Backend: b, Optimize: true, Enforce: mode,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Load(hospital.Generate(hospital.GenOptions{
+		Seed: 17, Departments: 2, PatientsPerDept: 12, StaffPerDept: 4})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Annotate(); err != nil {
+		t.Fatal(err)
+	}
+	q := xpath.MustParse("//patient/name")
+	del := xpath.MustParse(`//patient[.//experimental]`)
+	parent := xpath.MustParse(`//patient[psn = "003"]`)
+	tmpl := xmltree.NewSubtree("treatment")
+	xmltree.AddTemplateChild(tmpl, "experimental")
+	const goroutines, ops = 8, 12
+	var wg sync.WaitGroup
+	errCh := make(chan error, goroutines*ops) // one slot per operation: no send blocks
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				var err error
+				switch (g + i) % 6 {
+				case 0:
+					_, err = sys.Annotate()
+				case 1:
+					if _, err = sys.Request(q); errors.Is(err, ErrAccessDenied) {
+						err = nil
+					}
+				case 2:
+					_, err = sys.AccessibleIDs()
+				case 3:
+					_, err = sys.Coverage()
+				case 4:
+					_, err = sys.DeleteAndReannotate(del)
+				case 5:
+					_, err = sys.InsertAndReannotate(parent, tmpl)
+				}
+				if err != nil {
+					errCh <- err
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	// The store must still be coherent after the hammering.
+	if _, err := sys.Annotate(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sys.AccessibleIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.Policy().Semantics(sys.Document())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSet(got, want) {
+		t.Fatalf("%d accessible after the hammering, the Table 2 semantics give %d", len(got), len(want))
 	}
 }
 

@@ -8,16 +8,15 @@ import (
 	"xmlac/internal/dtd"
 	"xmlac/internal/pattern"
 	"xmlac/internal/policy"
-	"xmlac/internal/store"
 	"xmlac/internal/xpath"
 )
 
 // The enforcement planner decides, once per System, which strategy
-// serves a (policy, schema, backend) triple — and, per query, whether
-// the decision is already determined statically. The materialized
-// pipeline needs schema-aware path expansion for its re-annotation
-// triggers, which never terminates on recursive DTDs; the rewriter needs
-// an engine able to evaluate unannotated queries (store.RawQuerier).
+// serves a (policy, schema) pair — and, per query, whether the decision
+// is already determined statically. The materialized pipeline needs
+// schema-aware path expansion for its re-annotation triggers, which
+// never terminates on recursive DTDs; the rewriter runs on every engine,
+// since each can evaluate unannotated queries (store.RawQuerier).
 // EnforceAuto picks signs wherever the paper's pipeline applies and
 // falls back to rewriting where it cannot.
 
@@ -37,24 +36,17 @@ type EnforcePlan struct {
 	// handle by evaluation (signs at annotation time, rewriting at scope
 	// time) but the static checker refuses to reason about.
 	ValueDependent bool `json:"value_dependent"`
-	// RawCapable reports whether the backend implements store.RawQuerier,
-	// i.e. whether rewriting enforcement (planned or per-request) is
-	// available at all.
-	RawCapable bool `json:"raw_capable"`
 }
 
-// planEnforcement resolves the configured mode against the policy, the
-// schema and the opened engine.
-func planEnforcement(requested EnforceMode, pol *policy.Policy, schema *dtd.Schema, eng store.Engine) (EnforcePlan, error) {
-	shape := policyShape(pol)
-	an := pattern.Analyze(shape, schema)
-	_, raw := eng.(store.RawQuerier)
+// planEnforcement resolves the configured mode against the policy and the
+// schema.
+func planEnforcement(requested EnforceMode, pol *policy.Policy, schema *dtd.Schema) (EnforcePlan, error) {
+	an := pattern.Analyze(policyShape(pol), schema)
 	plan := EnforcePlan{
 		Requested:      requested,
 		Recursive:      an.Recursive,
 		Cycle:          an.Cycle,
 		ValueDependent: an.ValueDependent,
-		RawCapable:     raw,
 	}
 	switch requested {
 	case EnforceSigns:
@@ -63,18 +55,12 @@ func planEnforcement(requested EnforceMode, pol *policy.Policy, schema *dtd.Sche
 		}
 		plan.Mode, plan.Reason = EnforceSigns, "signs requested"
 	case EnforceRewrite:
-		if !raw {
-			return plan, fmt.Errorf("core: backend %s cannot evaluate unannotated queries (no RawQuery); rewriting enforcement unavailable", eng.Name())
-		}
 		plan.Mode, plan.Reason = EnforceRewrite, "rewrite requested"
 	default:
-		switch {
-		case an.Recursive && raw:
+		if an.Recursive {
 			plan.Mode = EnforceRewrite
 			plan.Reason = fmt.Sprintf("recursive schema (cycle %v): sign expansion does not terminate, rewriting does", an.Cycle)
-		case an.Recursive:
-			return plan, fmt.Errorf("core: recursive schema (cycle %v) needs rewriting enforcement, but backend %s cannot evaluate unannotated queries", an.Cycle, eng.Name())
-		default:
+		} else {
 			plan.Mode = EnforceSigns
 			plan.Reason = "non-recursive schema: materialized signs serve reads at annotation cost paid once"
 		}
@@ -147,11 +133,9 @@ func (c *staticChecker) classify(q *xpath.Path) pattern.StaticVerdict {
 }
 
 // EnforcementStats is the planner-decision coverage block of /coverage:
-// the resolved plan, the live mode, and how requests were classified and
-// served.
+// the resolved plan and how requests were classified and served.
 type EnforcementStats struct {
-	Plan       EnforcePlan `json:"plan"`
-	ActiveMode EnforceMode `json:"active_mode"`
+	Plan EnforcePlan `json:"plan"`
 	// StaticGrants/StaticDenials/StaticUnknown count the static
 	// classifications of served requests; a StaticDenials request never
 	// touched a store.
@@ -175,11 +159,18 @@ const (
 var encModeNames = [encModes]string{"signs", "rewrite", "static-deny"}
 var encOutcomeNames = [3]string{"grant", "deny", "error"}
 
+// modeIndex maps an enforcement mode to its enfCounts row.
+func modeIndex(m EnforceMode) int {
+	if m == EnforceRewrite {
+		return encRewrite
+	}
+	return encSigns
+}
+
 // EnforcementStats reports the planner-decision coverage of this System.
 func (s *System) EnforcementStats() EnforcementStats {
 	st := EnforcementStats{
 		Plan:          s.plan,
-		ActiveMode:    s.ActiveMode(),
 		StaticGrants:  s.static.grants.Load(),
 		StaticDenials: s.static.denies.Load(),
 		StaticUnknown: s.static.unknowns.Load(),

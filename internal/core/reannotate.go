@@ -33,10 +33,7 @@ import (
 // "reannot". The round trip lands in the audit trail as a "reannotate"
 // event attributed to the triggered rules.
 func (s *System) DeleteAndReannotate(u *xpath.Path) (*UpdateReport, error) {
-	start := time.Now()
-	rep, err := s.deleteAndReannotate(u)
-	s.auditUpdate(u.String(), rep, time.Since(start), err)
-	return rep, err
+	return s.update(s.deleteOp("delete-reannotate", u, false))
 }
 
 // DeleteAndFullAnnotate is the baseline Figure 12 compares against: apply
@@ -44,10 +41,7 @@ func (s *System) DeleteAndReannotate(u *xpath.Path) (*UpdateReport, error) {
 // Audited like DeleteAndReannotate (the inner full annotation emits its
 // own "annotate" event).
 func (s *System) DeleteAndFullAnnotate(u *xpath.Path) (*UpdateReport, error) {
-	start := time.Now()
-	rep, err := s.deleteAndFullAnnotate(u)
-	s.auditUpdate(u.String(), rep, time.Since(start), err)
-	return rep, err
+	return s.update(s.deleteOp("delete-fannot", u, true))
 }
 
 // InsertAndReannotate grafts a subtree under every node matched by
@@ -56,10 +50,168 @@ func (s *System) DeleteAndFullAnnotate(u *xpath.Path) (*UpdateReport, error) {
 // nodes — the insert counterpart the paper lists as future work, supported
 // here by the same Trigger machinery. Audited as a "reannotate" event.
 func (s *System) InsertAndReannotate(parentPath *xpath.Path, tmpl *xmltree.Node) (*UpdateReport, error) {
+	return s.update(writeOp{
+		span: "insert-reannotate", attr: "parent", target: parentPath, applySpan: "apply-insert",
+		apply: func(parents []*xmltree.Node) (writeDelta, error) {
+			var d writeDelta
+			if tmpl == nil || !tmpl.IsElement() {
+				return d, fmt.Errorf("core: insert template must be an element")
+			}
+			for _, p := range parents {
+				n, err := s.doc.InsertSubtree(p, tmpl)
+				if err != nil {
+					return d, err
+				}
+				d.inserted = append(d.inserted, n)
+				if err := s.engine.InsertSubtree(n); err != nil {
+					return d, err
+				}
+			}
+			return d, nil
+		},
+		locators: func() []*xpath.Path { return insertLocators(parentPath, tmpl) },
+	})
+}
+
+// deleteOp describes a delete of the subtrees u matches; full selects the
+// full-annotation baseline.
+func (s *System) deleteOp(span string, u *xpath.Path, full bool) writeOp {
+	return writeOp{
+		span: span, attr: "update", target: u, applySpan: "apply-delete", full: full,
+		apply: func(matches []*xmltree.Node) (writeDelta, error) {
+			d, err := deleteNodes(s.doc, u, matches)
+			if err != nil {
+				return d, err
+			}
+			_, err = s.engine.DeleteRows(d.deleted)
+			return d, err
+		},
+		locators: func() []*xpath.Path { return []*xpath.Path{u} },
+	}
+}
+
+// writeOp is one update as the write skeleton runs it.
+type writeOp struct {
+	span, attr string      // root span name and the attribute carrying target
+	target     *xpath.Path // locates the nodes whose write access is checked
+	// apply changes the tree and the engine at the checked targets, as
+	// the span named applySpan. On failure the delta holds what was
+	// changed before it.
+	applySpan string
+	apply     func(targets []*xmltree.Node) (writeDelta, error)
+	// locators yields the update expressions Trigger names rules for.
+	locators func() []*xpath.Path
+	// full annotates the whole document after the write instead of having
+	// the enforcer maintain its state over the write's region.
+	full bool
+}
+
+// update runs one write through the skeleton every write shares: under the
+// exclusive lock it resolves the targets and checks write access, applies
+// the change inside one engine transaction, bumps the version, has the
+// enforcer bring its state up to date, and commits. A write that is
+// denied, or fails before it changes the tree, leaves the version — and
+// with it every version-keyed cache — alone. The round trip is audited.
+func (s *System) update(op writeOp) (*UpdateReport, error) {
 	start := time.Now()
-	rep, err := s.insertAndReannotate(parentPath, tmpl)
-	s.auditUpdate(parentPath.String(), rep, time.Since(start), err)
+	rep, err := s.runUpdate(op)
+	s.auditUpdate(op.target.String(), rep, time.Since(start), err)
 	return rep, err
+}
+
+// runUpdate is update without the audit wrapper.
+func (s *System) runUpdate(op writeOp) (*UpdateReport, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.loaded {
+		return nil, fmt.Errorf("core: no document loaded")
+	}
+	targets, err := xpath.Eval(op.target, s.doc)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.checkWriteAccess(op.target.String(), targets); err != nil {
+		return nil, err
+	}
+	rep := &UpdateReport{}
+	root := s.tracer.Start(op.span).SetAttr(op.attr, op.target.String()).SetAttr("enforce", s.enf.Mode().String())
+	defer root.Finish()
+	rep.TraceID = root.TraceID().String()
+
+	// The tuple changes and the sign maintenance form one atomic unit: a
+	// failure mid-way must not leave the store half-updated. The native
+	// engine's transaction scope is an accepted no-op (the tree update is
+	// the commit).
+	if err := s.engine.Begin(); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	sp := obs.Start(root, op.applySpan)
+	d, err := op.apply(targets)
+	sp.Finish()
+	if err == nil || d.changed() {
+		s.version++ // the accessible set may have changed
+	}
+	if err != nil {
+		return nil, s.abortEngine(err)
+	}
+	rep.DeletedNodes = d.removed
+	rep.UpdateTime = time.Since(start)
+
+	if op.full {
+		// The full annotation runs as a child of this round trip's root,
+		// so the baseline renders as one tree too.
+		rep.Stats, err = s.annotateLocked(obs.ContextWithSpan(context.Background(), root))
+		rep.ReannotateTime = rep.Stats.Duration
+	} else {
+		err = s.enf.Maintain(root, rep, d, op.locators)
+	}
+	if err != nil {
+		return nil, s.abortEngine(err)
+	}
+	if err := s.engine.Commit(); err != nil {
+		return nil, err
+	}
+	rep.finishPhases()
+	return rep, nil
+}
+
+// abortEngine rolls the engine back after a mid-update failure; the error
+// is returned enriched if the rollback itself fails.
+func (s *System) abortEngine(err error) error {
+	if !s.engine.InTransaction() {
+		return err
+	}
+	if rbErr := s.engine.Rollback(); rbErr != nil {
+		return fmt.Errorf("%w (relational rollback also failed: %v)", err, rbErr)
+	}
+	return err
+}
+
+// insertLocators builds one update expression per element of the inserted
+// subtree: parentPath followed by the template-internal label chain. Every
+// inserted node may change rule scopes (inserted descendants need their own
+// annotations, unlike deleted ones, which simply vanish), so each locator
+// participates in triggering.
+func insertLocators(parentPath *xpath.Path, tmpl *xmltree.Node) []*xpath.Path {
+	var out []*xpath.Path
+	var walk func(n *xmltree.Node, chain []string)
+	walk = func(n *xmltree.Node, chain []string) {
+		if !n.IsElement() {
+			return
+		}
+		chain = append(chain, n.Label)
+		u := parentPath.Clone()
+		for _, l := range chain {
+			u.Steps = append(u.Steps, &xpath.Step{Axis: xpath.Child, Test: l})
+		}
+		out = append(out, u)
+		for _, c := range n.Children() {
+			walk(c, chain)
+		}
+	}
+	walk(tmpl, nil)
+	return out
 }
 
 // auditUpdate records one update + re-annotation round trip, attributed
@@ -91,7 +243,7 @@ func (s *System) auditUpdate(query string, rep *UpdateReport, d time.Duration, e
 
 // trigger records, as the trigger-selection phase, the names of the rules
 // the Trigger algorithm selects for the update expressions. Callers hold
-// s.mu exclusively under signs enforcement.
+// s.mu exclusively.
 func (s *System) trigger(root *obs.Span, rep *UpdateReport, us ...*xpath.Path) {
 	_ = stage(root, &rep.Stats.Phases, "trigger-selection", func() error {
 		rep.Triggered = s.reann.RuleNames(s.reann.TriggerAll(us))
@@ -154,25 +306,28 @@ func (s *System) reannotateRegion(root *obs.Span, d writeDelta, stats *AnnotateS
 // them grouped by table) and the total number of deleted nodes including
 // text nodes.
 func ApplyDeleteTree(doc *xmltree.Document, u *xpath.Path) (map[string][]int64, int, error) {
-	d, total, err := deleteTree(doc, u)
-	return d.deleted, total, err
-}
-
-// deleteTree is ApplyDeleteTree reporting the change as a writeDelta,
-// whose parents are those of the removed subtree roots.
-func deleteTree(doc *xmltree.Document, u *xpath.Path) (writeDelta, int, error) {
 	matches, err := xpath.Eval(u, doc)
 	if err != nil {
-		return writeDelta{}, 0, err
+		return nil, 0, err
+	}
+	d, err := deleteNodes(doc, u, matches)
+	return d.deleted, d.removed, err
+}
+
+// deleteNodes removes the matches of the update u with their subtrees and
+// reports the change as a writeDelta, whose parents are those of the
+// removed subtree roots. An update matching the document root is refused
+// before anything is removed.
+func deleteNodes(doc *xmltree.Document, u *xpath.Path, matches []*xmltree.Node) (writeDelta, error) {
+	for _, n := range matches {
+		if n == doc.Root() {
+			return writeDelta{}, fmt.Errorf("core: update %q would delete the document root", u)
+		}
 	}
 	d := writeDelta{deleted: map[string][]int64{}}
-	total := 0
 	for _, n := range matches {
 		if !doc.Contains(n) {
 			continue // already removed inside an earlier match's subtree
-		}
-		if n == doc.Root() {
-			return writeDelta{}, 0, fmt.Errorf("core: update %q would delete the document root", u)
 		}
 		// Record the subtree's element ids before removal.
 		var stack []*xmltree.Node
@@ -183,13 +338,14 @@ func deleteTree(doc *xmltree.Document, u *xpath.Path) (writeDelta, int, error) {
 			if m.IsElement() {
 				d.deleted[m.Label] = append(d.deleted[m.Label], m.ID)
 			}
-			total++
+			d.removed++
 			stack = append(stack, m.Children()...)
 		}
-		d.parents = append(d.parents, n.Parent())
+		p := n.Parent()
 		if err := doc.DeleteSubtree(n); err != nil {
-			return writeDelta{}, 0, err
+			return d, err
 		}
+		d.parents = append(d.parents, p)
 	}
-	return d, total, nil
+	return d, nil
 }

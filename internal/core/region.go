@@ -45,13 +45,18 @@ func newWriteRegion(rw *xpath.Rewriter) *writeRegion {
 }
 
 // writeDelta is what one applied write changed in the tree: the element
-// ids it removed, the parents of the removed subtrees, and the roots of
-// the inserted ones.
+// ids it removed, the number of tree nodes (elements and text) it
+// removed, the parents of the removed subtrees, and the roots of the
+// inserted ones.
 type writeDelta struct {
 	deleted  map[string][]int64
+	removed  int
 	parents  []*xmltree.Node
 	inserted []*xmltree.Node
 }
+
+// changed reports whether the write changed the tree at all.
+func (d writeDelta) changed() bool { return len(d.parents) > 0 || len(d.inserted) > 0 }
 
 // roots returns the roots of the subtrees in which the write d, already
 // applied to doc, can have changed a decision; whole is set instead when

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -14,13 +13,14 @@ import (
 )
 
 // rewriteEnforcer enforces by query rewriting: the user query is
-// evaluated raw (store.RawQuerier — no sign consultation) and each match
-// is decided by the Table 2 membership algebra over the policy's allow
-// and deny scope unions. Signs are never written and writes never
+// evaluated raw (the engine's RawQuery — no sign consultation) and each
+// match is decided by the Table 2 membership algebra over the policy's
+// allow and deny scope unions. Signs are never written and writes never
 // re-annotate. The scope sets are evaluated through the engine's
-// EvalScope on the first read, then kept current across inserts and
-// deletes by patching the write's region (see patch); only a write the
-// patch cannot bound leaves them stale, and the next read rebuilds them.
+// EvalScope by Annotate or, failing that, by the first read, then kept
+// current across inserts and deletes by patching the write's region (see
+// Maintain); only a write the patch cannot bound leaves them stale, and
+// the next read rebuilds them.
 type rewriteEnforcer struct {
 	s  *System
 	rw *xpath.Rewriter
@@ -63,8 +63,7 @@ func NewRewriter(p *policy.Policy) *xpath.Rewriter {
 	return rw
 }
 
-func (e *rewriteEnforcer) Mode() EnforceMode    { return EnforceRewrite }
-func (e *rewriteEnforcer) MaintainsSigns() bool { return false }
+func (e *rewriteEnforcer) Mode() EnforceMode { return EnforceRewrite }
 
 // scopeUnion folds rule resources into one engine set expression.
 func scopeUnion(paths []*xpath.Path) *store.SetExpr {
@@ -102,20 +101,27 @@ func (e *rewriteEnforcer) scopes() (allow, deny map[int64]bool, hit bool, err er
 	return allow, deny, false, nil
 }
 
-// patch brings scope sets that were current at version before up to the
-// current version after a successful write, instead of leaving them for
-// the next read to rebuild. Callers hold s.mu exclusively. Deleted ids
-// leave both sets, and every element of the write's region (see
-// writeRegion) is re-decided against each rule with xpath.Selects. When
-// that region is the whole document the sets are left stale.
-func (e *rewriteEnforcer) patch(before uint64, d writeDelta) {
+// Annotate rebuilds the scope sets for the current version; no signs are
+// written.
+func (e *rewriteEnforcer) Annotate(context.Context) (AnnotateStats, error) {
+	_, _, _, err := e.scopes()
+	return AnnotateStats{}, err
+}
+
+// Maintain patches scope sets that were current just before the write's
+// version bump up to the new version, instead of leaving them for the
+// next read to rebuild. Deleted ids leave both sets, and every element of
+// the write's region (see writeRegion) is re-decided against each rule
+// with xpath.Selects. When that region is the whole document the sets are
+// left stale.
+func (e *rewriteEnforcer) Maintain(_ *obs.Span, _ *UpdateReport, d writeDelta, _ func() []*xpath.Path) error {
 	c := e.cur.Load()
-	if c == nil || c.built != before {
-		return
+	if c == nil || c.built+1 != e.s.version {
+		return nil
 	}
 	roots, whole := e.s.region.roots(e.s.doc, d)
 	if whole {
-		return
+		return nil
 	}
 	for _, ids := range d.deleted {
 		for _, id := range ids {
@@ -133,6 +139,7 @@ func (e *rewriteEnforcer) patch(before uint64, d writeDelta) {
 		})
 	}
 	e.cur.Store(&scopeSets{built: e.s.version, allow: c.allow, deny: c.deny})
+	return nil
 }
 
 // setMember records whether n lies in the union of the given scopes.
@@ -150,15 +157,11 @@ func setMember(set map[int64]bool, n *xmltree.Node, paths []*xpath.Path) {
 // first-denial on the tree store, deduplicated ascending IDs with an
 // id-only denial on the relational ones.
 func (e *rewriteEnforcer) Request(ctx context.Context, q *xpath.Path, parent *obs.Span) (*RequestResult, bool, error) {
-	raw, ok := e.s.engine.(store.RawQuerier)
-	if !ok {
-		return nil, false, fmt.Errorf("core: backend %s cannot evaluate unannotated queries", e.s.cfg.Backend)
-	}
 	allow, deny, hit, err := e.scopes()
 	if err != nil {
 		return nil, hit, err
 	}
-	res, err := raw.RawQuery(obs.ContextWithSpan(ctx, parent), q)
+	res, err := e.s.engine.RawQuery(obs.ContextWithSpan(ctx, parent), q)
 	if err != nil {
 		return nil, hit, err
 	}
@@ -185,10 +188,9 @@ func (e *rewriteEnforcer) Request(ctx context.Context, q *xpath.Path, parent *ob
 	return res, hit, nil
 }
 
-// accessibleIDs derives the accessible element set from the scope sets —
-// the rewriting counterpart of reading materialized signs back, serving
-// AccessibleIDs, Coverage and view export when no signs exist.
-func (e *rewriteEnforcer) accessibleIDs() (map[int64]bool, error) {
+// AccessibleIDs derives the accessible element set from the scope sets —
+// the rewriting counterpart of reading materialized signs back.
+func (e *rewriteEnforcer) AccessibleIDs() (map[int64]bool, error) {
 	allow, deny, _, err := e.scopes()
 	if err != nil {
 		return nil, err

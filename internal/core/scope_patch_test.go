@@ -200,7 +200,7 @@ func TestRewriteScopePatchDifferential(t *testing.T) {
 					if err := sys.Load(doc); err != nil {
 						t.Fatal(err)
 					}
-					e := sys.rewriteEnf
+					e := sys.enf.(*rewriteEnforcer)
 					if fallback := sys.region.predAny || sys.region.predLabels[doc.Root().Label]; fallback != v.fallback {
 						t.Fatalf("policy falls back = %v, want %v", fallback, v.fallback)
 					}

@@ -82,8 +82,7 @@ type Config struct {
 	// tracing (the stages still record their Phases breakdown).
 	Tracer *obs.Tracer
 	// Metrics is attached to the backend store, feeding the store_*
-	// counters and histograms (plus the legacy sqldb_*/nativedb_* names);
-	// nil disables collection.
+	// counters and histograms; nil disables collection.
 	Metrics *obs.Registry
 	// Parallelism bounds the worker pool the annotation engine fans its
 	// independent units out on (per-rule node-set queries on the native
@@ -106,9 +105,9 @@ type Config struct {
 	// mapping. Routing is on by default because each universal id lives in
 	// exactly one table.
 	NoIDRouting bool
-	// Enforce selects the enforcement strategy: EnforceSigns is the
-	// paper's materialized pipeline, EnforceRewrite composes the policy
-	// into each query over the unannotated store, and EnforceAuto (the
+	// Enforce selects the enforcement strategy, once for the System's
+	// life: signs is the paper's materialized pipeline, rewrite composes
+	// the policy into each query over the unannotated store, and auto (the
 	// zero value) lets the planner pick — signs where the pipeline
 	// applies, rewriting where it cannot (recursive schemas).
 	Enforce EnforceMode
@@ -140,15 +139,15 @@ type System struct {
 	policy  *policy.Policy // optimized read policy (drives annotation)
 	write   *policy.Policy // write rules (drive update checks)
 	removed []policy.Rule
-	reann   *Reannotator
+	reann   *Reannotator      // built by newEnforcer under signs only
 	doc     *xmltree.Document // installed by Load
 	engine  store.Engine
 	tracer  *obs.Tracer // nil when tracing is off
 	pool    *pool.Pool  // nil forces the sequential reference path
 	loaded  bool
 	// version stamps the store's accessibility state: bumped (under the
-	// exclusive lock) by every load, annotation and update, it invalidates
-	// the query cache.
+	// exclusive lock) by every load, annotation and applied update, it
+	// invalidates the query cache, the attribution and the scope sets.
 	version uint64
 	qc      *queryCache // nil unless Config.QueryCache
 	aud     *audit.Log  // nil when auditing is off
@@ -161,23 +160,20 @@ type System struct {
 	reqHist [3]*obs.Histogram
 	annHist *obs.Histogram
 	// Enforcement seam: plan is the planner's construction-time verdict;
-	// enf the active strategy (guarded by mu); signsEnf/rewriteEnf the
-	// built strategies (rewriteEnf nil on engines without RawQuery);
-	// static the per-query enforceability memo; contains the containment
-	// oracle kept for late reannotator builds at mode flips.
-	plan       EnforcePlan
-	enf        Enforcer
-	signsEnf   *materializedEnforcer
-	rewriteEnf *rewriteEnforcer
-	static     *staticChecker
-	contains   ContainFunc
+	// enf the one strategy NewSystem built from it, fixed for the System's
+	// life; static the per-query enforceability memo.
+	plan   EnforcePlan
+	enf    Enforcer
+	static *staticChecker
 	// region bounds each write's effect on the read policy's decisions;
 	// both enforcers maintain their state over it at write time.
 	region *writeRegion
 	// enfCounts mirror core_enforcer_requests_total{mode,outcome} for the
-	// planner-decision coverage report (live even without metrics).
+	// planner-decision coverage report (live even without metrics); enfRow
+	// is the row of enf's mode.
 	enfCounts   [encModes][3]atomic.Uint64
 	enfCounters [encModes][3]*obs.Counter
+	enfRow      int
 }
 
 // reqHist outcome indexes.
@@ -221,7 +217,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.SchemaAware {
 		contains = SchemaContainFunc(cfg.Schema)
 	}
-	s.contains = contains
 	if cfg.Optimize {
 		s.policy, s.removed = RemoveRedundantWith(s.policy, contains)
 	}
@@ -238,31 +233,15 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s.engine = eng
-	// The enforcement plan decides whether the sign machinery is built at
-	// all: rewriting enforcement never materializes signs, so the
-	// reannotator — whose schema-aware expansion rejects recursive DTDs —
-	// is only constructed when the plan maintains signs.
-	s.plan, err = planEnforcement(cfg.Enforce, s.policy, cfg.Schema, eng)
+	s.plan, err = planEnforcement(cfg.Enforce, s.policy, cfg.Schema)
 	if err != nil {
 		return nil, err
 	}
-	if s.plan.Mode == EnforceSigns {
-		reann, err := NewReannotatorWith(s.policy, cfg.Schema, contains)
-		if err != nil {
-			return nil, err
-		}
-		s.reann = reann
-	}
 	s.region = newWriteRegion(NewRewriter(s.policy))
-	s.signsEnf = &materializedEnforcer{s: s}
-	if s.plan.RawCapable {
-		s.rewriteEnf = newRewriteEnforcer(s)
+	if s.enf, err = newEnforcer(s, s.plan.Mode, contains); err != nil {
+		return nil, err
 	}
-	if s.plan.Mode == EnforceRewrite {
-		s.enf = s.rewriteEnf
-	} else {
-		s.enf = s.signsEnf
-	}
+	s.enfRow = modeIndex(s.plan.Mode)
 	s.static = newStaticChecker(s.policy, cfg.Schema)
 	if cfg.Metrics != nil {
 		lbl := store.EngineLabel(eng)
@@ -400,7 +379,7 @@ func (s *System) Loaded() bool {
 }
 
 // Reannotator exposes the re-annotation machinery (for inspection and the
-// benchmark harness).
+// benchmark harness); nil under rewriting enforcement.
 func (s *System) Reannotator() *Reannotator { return s.reann }
 
 // Load installs the document: it is validated against the schema and
@@ -462,10 +441,10 @@ func (s *System) annotateLocked(ctx context.Context) (AnnotateStats, error) {
 	if !s.loaded {
 		return AnnotateStats{}, fmt.Errorf("core: no document loaded")
 	}
-	s.version++ // signs are about to change; invalidate the query cache
+	s.version++ // the enforcer's state is about to be rebuilt; invalidate the caches
 	sp := s.startSpan(ctx, "annotate").SetAttr("backend", s.cfg.Backend.String())
 	start := time.Now()
-	stats, err := s.engine.Annotate(obs.ContextWithSpan(ctx, sp), BuildAnnotationQuery(s.policy))
+	stats, err := s.enf.Annotate(obs.ContextWithSpan(ctx, sp))
 	stats.Duration = time.Since(start)
 	sp.SetAttr("updated", stats.Updated).SetAttr("reset", stats.Reset)
 	sp.Finish()
@@ -518,296 +497,6 @@ func (rep *UpdateReport) finishPhases() {
 	rep.Phases.Add("reannotate", rep.ReannotateTime)
 }
 
-// deleteAndReannotate is DeleteAndReannotate without the audit wrapper
-// (see reannotate.go).
-func (s *System) deleteAndReannotate(u *xpath.Path) (*UpdateReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.loaded {
-		return nil, fmt.Errorf("core: no document loaded")
-	}
-	if err := s.checkWriteDelete(u); err != nil {
-		return nil, err
-	}
-	if !s.enf.MaintainsSigns() {
-		// Rewriting enforcement: no signs exist, so there is nothing to
-		// re-annotate — the delete applies and the rewriter patches its
-		// scope sets.
-		return s.deleteNoSignsLocked(u)
-	}
-	before := s.version
-	rep := &UpdateReport{}
-	root := s.tracer.Start("delete-reannotate").SetAttr("update", u.String())
-	defer root.Finish()
-	rep.TraceID = root.TraceID().String()
-
-	start := time.Now()
-	s.trigger(root, rep, u)
-	rep.PrepareTime = time.Since(start)
-
-	// The tuple deletions and per-tuple sign updates form one atomic unit:
-	// a failure mid-way must not leave the store half-updated. The native
-	// engine's transaction scope is an accepted no-op (the tree update is
-	// the commit).
-	if err := s.engine.Begin(); err != nil {
-		return nil, err
-	}
-	start = time.Now()
-	sp := obs.Start(root, "apply-delete")
-	delta, total, err := s.applyDelete(u)
-	sp.Finish()
-	if err != nil {
-		return nil, s.abortEngine(err)
-	}
-	rep.DeletedNodes = total
-	rep.UpdateTime = time.Since(start)
-
-	start = time.Now()
-	err = s.reannotateRegion(root, delta, &rep.Stats)
-	rep.ReannotateTime = time.Since(start)
-	if err != nil {
-		return nil, s.abortEngine(err)
-	}
-	if err := s.engine.Commit(); err != nil {
-		return nil, err
-	}
-	s.patchScopes(before, delta)
-	rep.finishPhases()
-	return rep, nil
-}
-
-// deleteNoSignsLocked applies a delete without any sign maintenance —
-// the write path of rewriting enforcement, where annotations are never
-// materialized. Callers hold s.mu exclusively and have already checked
-// write access.
-func (s *System) deleteNoSignsLocked(u *xpath.Path) (*UpdateReport, error) {
-	rep := &UpdateReport{}
-	root := s.tracer.Start("delete-reannotate").SetAttr("update", u.String()).SetAttr("enforce", "rewrite")
-	defer root.Finish()
-	rep.TraceID = root.TraceID().String()
-	if err := s.engine.Begin(); err != nil {
-		return nil, err
-	}
-	before := s.version
-	start := time.Now()
-	sp := obs.Start(root, "apply-delete")
-	delta, total, err := s.applyDelete(u)
-	sp.Finish()
-	if err != nil {
-		return nil, s.abortEngine(err)
-	}
-	rep.DeletedNodes = total
-	rep.UpdateTime = time.Since(start)
-	if err := s.engine.Commit(); err != nil {
-		return nil, err
-	}
-	s.patchScopes(before, delta)
-	rep.finishPhases()
-	return rep, nil
-}
-
-// abortEngine rolls the engine back after a mid-update failure; the error
-// is returned enriched if the rollback itself fails.
-func (s *System) abortEngine(err error) error {
-	if !s.engine.InTransaction() {
-		return err
-	}
-	if rbErr := s.engine.Rollback(); rbErr != nil {
-		return fmt.Errorf("%w (relational rollback also failed: %v)", err, rbErr)
-	}
-	return err
-}
-
-// deleteAndFullAnnotate is DeleteAndFullAnnotate without the audit
-// wrapper (see reannotate.go).
-func (s *System) deleteAndFullAnnotate(u *xpath.Path) (*UpdateReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.loaded {
-		return nil, fmt.Errorf("core: no document loaded")
-	}
-	if err := s.checkWriteDelete(u); err != nil {
-		return nil, err
-	}
-	if !s.enf.MaintainsSigns() {
-		return s.deleteNoSignsLocked(u)
-	}
-	if err := s.engine.Begin(); err != nil {
-		return nil, err
-	}
-	rep := &UpdateReport{}
-	root := s.tracer.Start("delete-fannot").SetAttr("update", u.String())
-	defer root.Finish()
-	rep.TraceID = root.TraceID().String()
-	before := s.version
-	start := time.Now()
-	sp := obs.Start(root, "apply-delete")
-	delta, total, err := s.applyDelete(u)
-	sp.Finish()
-	if err != nil {
-		return nil, s.abortEngine(err)
-	}
-	rep.DeletedNodes = total
-	rep.UpdateTime = time.Since(start)
-
-	// The inner full annotation runs as a child of this round trip's root,
-	// so the baseline path renders as one tree too.
-	stats, err := s.annotateLocked(obs.ContextWithSpan(context.Background(), root))
-	rep.Stats = stats
-	rep.ReannotateTime = stats.Duration
-	if err != nil {
-		return nil, s.abortEngine(err)
-	}
-	if err := s.engine.Commit(); err != nil {
-		return nil, err
-	}
-	s.patchScopes(before, delta)
-	rep.finishPhases()
-	return rep, nil
-}
-
-// checkWriteDelete verifies write access to the subtree roots a delete
-// update would remove. Deleting a node carries its subtree with it; the
-// check is on the targeted roots, matching the granularity of the update
-// expression.
-func (s *System) checkWriteDelete(u *xpath.Path) error {
-	if !s.cfg.EnforceWrite {
-		return nil
-	}
-	targets, err := xpath.Eval(u, s.Document())
-	if err != nil {
-		return err
-	}
-	return s.checkWriteAccess(u.String(), targets)
-}
-
-// applyDelete removes the matched subtrees from the tree and hands the
-// deleted element ids to the engine (relational backends drop the
-// corresponding tuples; the native engine has nothing further to do).
-func (s *System) applyDelete(u *xpath.Path) (writeDelta, int, error) {
-	s.version++ // the accessible set is about to change
-	delta, total, err := deleteTree(s.Document(), u)
-	if err != nil {
-		return writeDelta{}, 0, err
-	}
-	if _, err := s.engine.DeleteRows(delta.deleted); err != nil {
-		return writeDelta{}, 0, err
-	}
-	return delta, total, nil
-}
-
-// patchScopes hands a committed write to the rewrite enforcer, whose scope
-// sets follow it when they were current at version before.
-func (s *System) patchScopes(before uint64, d writeDelta) {
-	if s.rewriteEnf != nil {
-		s.rewriteEnf.patch(before, d)
-	}
-}
-
-// insertAndReannotate is InsertAndReannotate without the audit wrapper
-// (see reannotate.go).
-func (s *System) insertAndReannotate(parentPath *xpath.Path, tmpl *xmltree.Node) (*UpdateReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.loaded {
-		return nil, fmt.Errorf("core: no document loaded")
-	}
-	if tmpl == nil || !tmpl.IsElement() {
-		return nil, fmt.Errorf("core: insert template must be an element")
-	}
-	doc := s.Document()
-	rep := &UpdateReport{}
-	root := s.tracer.Start("insert-reannotate").SetAttr("parent", parentPath.String())
-	defer root.Finish()
-	rep.TraceID = root.TraceID().String()
-
-	// Under rewriting enforcement no signs exist: trigger selection and
-	// sign maintenance are skipped entirely, and the rewriter patches its
-	// scope sets once the insert commits.
-	maintain := s.enf.MaintainsSigns()
-	before := s.version
-	start := time.Now()
-	if maintain {
-		s.trigger(root, rep, insertLocators(parentPath, tmpl)...)
-	} else {
-		root.SetAttr("enforce", "rewrite")
-	}
-	rep.PrepareTime = time.Since(start)
-
-	start = time.Now()
-	s.version++ // the accessible set is about to change
-	sp := obs.Start(root, "apply-insert")
-	parents, err := xpath.Eval(parentPath, doc)
-	if err != nil {
-		sp.Finish()
-		return nil, err
-	}
-	if err := s.checkWriteAccess(parentPath.String(), parents); err != nil {
-		sp.Finish()
-		return nil, err
-	}
-	if err := s.engine.Begin(); err != nil {
-		sp.Finish()
-		return nil, err
-	}
-	var delta writeDelta
-	for _, p := range parents {
-		n, err := doc.InsertSubtree(p, tmpl)
-		if err != nil {
-			sp.Finish()
-			return nil, s.abortEngine(err)
-		}
-		if err := s.engine.InsertSubtree(n); err != nil {
-			sp.Finish()
-			return nil, s.abortEngine(err)
-		}
-		delta.inserted = append(delta.inserted, n)
-	}
-	sp.Finish()
-	rep.UpdateTime = time.Since(start)
-
-	if maintain {
-		start = time.Now()
-		err = s.reannotateRegion(root, delta, &rep.Stats)
-		rep.ReannotateTime = time.Since(start)
-		if err != nil {
-			return nil, s.abortEngine(err)
-		}
-	}
-	if err := s.engine.Commit(); err != nil {
-		return nil, err
-	}
-	s.patchScopes(before, delta)
-	rep.finishPhases()
-	return rep, nil
-}
-
-// insertLocators builds one update expression per element of the inserted
-// subtree: parentPath followed by the template-internal label chain. Every
-// inserted node may change rule scopes (inserted descendants need their own
-// annotations, unlike deleted ones, which simply vanish), so each locator
-// participates in triggering.
-func insertLocators(parentPath *xpath.Path, tmpl *xmltree.Node) []*xpath.Path {
-	var out []*xpath.Path
-	var walk func(n *xmltree.Node, chain []string)
-	walk = func(n *xmltree.Node, chain []string) {
-		if !n.IsElement() {
-			return
-		}
-		chain = append(chain, n.Label)
-		u := parentPath.Clone()
-		for _, l := range chain {
-			u.Steps = append(u.Steps, &xpath.Step{Axis: xpath.Child, Test: l})
-		}
-		out = append(out, u)
-		for _, c := range n.Children() {
-			walk(c, chain)
-		}
-	}
-	walk(tmpl, nil)
-	return out
-}
-
 // Request evaluates a user query with all-or-nothing access checking on the
 // configured backend. Every request lands in the audit trail (when a log
 // is attached): outcome, counts, cache hit and — for denials — the rule
@@ -820,25 +509,6 @@ func (s *System) Request(q *xpath.Path) (*RequestResult, error) {
 // parents the request span (a catalog broadcast's shard span, say), so
 // cross-document fan-outs trace as one connected tree.
 func (s *System) RequestCtx(ctx context.Context, q *xpath.Path) (*RequestResult, error) {
-	return s.requestEnforced(ctx, q, EnforceAuto)
-}
-
-// RequestMode evaluates one request under an explicit enforcement mode,
-// overriding the active strategy for this call only. Requesting signs
-// while the system runs rewriting is refused (no signs are materialized
-// to check against); requesting rewriting works whenever the backend can
-// evaluate unannotated queries.
-func (s *System) RequestMode(q *xpath.Path, mode EnforceMode) (*RequestResult, error) {
-	return s.RequestModeCtx(context.Background(), q, mode)
-}
-
-// RequestModeCtx is RequestMode under a caller's context.
-func (s *System) RequestModeCtx(ctx context.Context, q *xpath.Path, mode EnforceMode) (*RequestResult, error) {
-	return s.requestEnforced(ctx, q, mode)
-}
-
-// requestEnforced is the request path behind Request and RequestMode.
-func (s *System) requestEnforced(ctx context.Context, q *xpath.Path, mode EnforceMode) (*RequestResult, error) {
 	start := time.Now()
 	// Instant refusal: a query the enforceability checker proves denied
 	// from its shape alone is rejected before the system lock, before any
@@ -856,46 +526,16 @@ func (s *System) requestEnforced(ctx context.Context, q *xpath.Path, mode Enforc
 	if !s.loaded {
 		return nil, fmt.Errorf("core: no document loaded")
 	}
-	enf, err := s.enforcerForLocked(mode)
-	if err != nil {
-		return nil, err
-	}
+	mode := s.enf.Mode().String()
 	sp := s.startSpan(ctx, "request").SetAttr("query", q.String()).
-		SetAttr("backend", s.cfg.Backend.String()).SetAttr("enforce", enf.Mode().String())
+		SetAttr("backend", s.cfg.Backend.String()).SetAttr("enforce", mode)
 	defer sp.Finish()
-	res, hit, err := enf.Request(ctx, q, sp)
+	res, hit, err := s.enf.Request(ctx, q, sp)
 	d := time.Since(start)
 	s.observeRequest(d, err)
-	s.countEnforced(modeIndex(enf.Mode()), err)
-	s.auditRequest(q, res, hit, d, sp, enf.Mode().String(), err)
+	s.countEnforced(s.enfRow, err)
+	s.auditRequest(q, res, hit, d, sp, mode, err)
 	return res, err
-}
-
-// enforcerForLocked resolves a per-request mode override against the
-// active strategy. Callers hold at least s.mu.RLock.
-func (s *System) enforcerForLocked(mode EnforceMode) (Enforcer, error) {
-	switch mode {
-	case EnforceSigns:
-		if !s.enf.MaintainsSigns() {
-			return nil, fmt.Errorf("core: signs are not materialized under the active rewrite mode; switch with SetEnforceMode first")
-		}
-		return s.signsEnf, nil
-	case EnforceRewrite:
-		if s.rewriteEnf == nil {
-			return nil, fmt.Errorf("core: backend %s cannot evaluate unannotated queries (no RawQuery)", s.cfg.Backend)
-		}
-		return s.rewriteEnf, nil
-	default:
-		return s.enf, nil
-	}
-}
-
-// modeIndex maps an enforcement mode to its enfCounts row.
-func modeIndex(m EnforceMode) int {
-	if m == EnforceRewrite {
-		return encRewrite
-	}
-	return encSigns
 }
 
 // countEnforced feeds the per-mode decision counters (and their metric
@@ -929,70 +569,18 @@ func (s *System) auditStaticDeny(q *xpath.Path, d time.Duration, err error) {
 // Plan returns the enforcement planner's construction-time verdict.
 func (s *System) Plan() EnforcePlan { return s.plan }
 
-// ActiveMode returns the enforcement strategy currently serving requests
-// (the plan's mode until SetEnforceMode changes it).
-func (s *System) ActiveMode() EnforceMode {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.enf.Mode()
-}
+// ActiveMode returns the enforcement strategy serving requests: the
+// plan's mode, fixed at construction.
+func (s *System) ActiveMode() EnforceMode { return s.enf.Mode() }
 
-// Rewriter returns the compiled policy rewriter (nil on backends that
-// cannot evaluate unannotated queries). Plans and tooling render the
-// composed safe query with it.
-func (s *System) Rewriter() *xpath.Rewriter {
-	if s.rewriteEnf == nil {
-		return nil
-	}
-	return s.rewriteEnf.rw
-}
+// Rewriter returns the compiled policy rewriter. Plans and tooling render
+// the composed safe query with it.
+func (s *System) Rewriter() *xpath.Rewriter { return s.region.rw }
 
 // ClassifyQuery returns the static enforceability verdict for q under
 // the active policy and schema.
 func (s *System) ClassifyQuery(q *xpath.Path) pattern.StaticVerdict {
 	return s.static.classify(q)
-}
-
-// SetEnforceMode switches the enforcement strategy at runtime.
-// Switching to signs on a system that ran rewriting re-annotates first
-// (signs were not maintained meanwhile); EnforceAuto restores the plan's
-// choice. Requests observe the flip atomically — they either hold the
-// read lock and finish under the old strategy, or start under the new.
-func (s *System) SetEnforceMode(mode EnforceMode) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	resolved := mode
-	if mode == EnforceAuto {
-		resolved = s.plan.Mode
-	}
-	switch resolved {
-	case EnforceSigns:
-		if s.plan.Recursive {
-			return fmt.Errorf("core: signs enforcement cannot serve recursive schema (cycle %v)", s.plan.Cycle)
-		}
-		if s.reann == nil {
-			reann, err := NewReannotatorWith(s.policy, s.cfg.Schema, s.contains)
-			if err != nil {
-				return err
-			}
-			s.reann = reann
-		}
-		if s.enf.MaintainsSigns() {
-			return nil
-		}
-		s.enf = s.signsEnf
-		if s.loaded {
-			if _, err := s.annotateLocked(context.Background()); err != nil {
-				return err
-			}
-		}
-	case EnforceRewrite:
-		if s.rewriteEnf == nil {
-			return fmt.Errorf("core: backend %s cannot evaluate unannotated queries (no RawQuery)", s.cfg.Backend)
-		}
-		s.enf = s.rewriteEnf
-	}
-	return nil
 }
 
 // observeRequest feeds the request's latency into the histogram of its
@@ -1038,22 +626,7 @@ func (s *System) accessibleIDsLocked() (map[int64]bool, error) {
 	if !s.loaded {
 		return nil, fmt.Errorf("core: no document loaded")
 	}
-	if !s.enf.MaintainsSigns() {
-		// No signs are materialized under rewriting enforcement; the
-		// accessible set is derived from the rewriter's scope sets.
-		return s.rewriteEnf.accessibleIDs()
-	}
-	if s.qc != nil {
-		// Expanding the cached compressed map reproduces the backend's
-		// accessible set exactly (the map was built from it), so view
-		// export, filtered requests and coverage all serve from memory.
-		acc, _, err := s.cachedCAM()
-		if err != nil {
-			return nil, err
-		}
-		return acc.AccessibleIDs(s.Document()), nil
-	}
-	return s.engine.AccessibleIDs()
+	return s.enf.AccessibleIDs()
 }
 
 // Coverage returns the accessible fraction of element nodes.

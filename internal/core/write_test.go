@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"xmlac/internal/hospital"
+	"xmlac/internal/obs"
 	"xmlac/internal/policy"
 	"xmlac/internal/xmltree"
 	"xmlac/internal/xpath"
@@ -143,6 +145,66 @@ func TestInsertWriteCheckOnParents(t *testing.T) {
 	xmltree.AddTemplateText(xmltree.AddTemplateChild(n, "phone"), "555")
 	if _, err := sys.InsertAndReannotate(xpath.MustParse("//staffinfo"), staff); !errors.Is(err, ErrUpdateDenied) {
 		t.Fatalf("expected ErrUpdateDenied, got %v", err)
+	}
+}
+
+// TestRejectedWriteKeepsCaches: a write that is denied, or fails before it
+// changes the tree, leaves the version alone, so the next read is served
+// from what the last read built — the rewriter's scope sets, or the CAM of
+// the query cache under signs — instead of rebuilding it.
+func TestRejectedWriteKeepsCaches(t *testing.T) {
+	staff := xmltree.NewSubtree("staff")
+	nurse := xmltree.AddTemplateChild(staff, "nurse")
+	xmltree.AddTemplateText(xmltree.AddTemplateChild(nurse, "sid"), "s1")
+	xmltree.AddTemplateText(xmltree.AddTemplateChild(nurse, "name"), "x")
+	xmltree.AddTemplateText(xmltree.AddTemplateChild(nurse, "phone"), "555")
+	for _, mode := range []EnforceMode{EnforceSigns, EnforceRewrite} {
+		for _, b := range []Backend{BackendNative, BackendColumn} {
+			t.Run(fmt.Sprintf("%v/%v", mode, b), func(t *testing.T) {
+				reg := obs.NewRegistry()
+				sys, err := NewSystem(Config{
+					Schema: hospital.Schema(), Policy: policy.MustParse(writePolicy),
+					Backend: b, Optimize: true, EnforceWrite: true, QueryCache: true,
+					Enforce: mode, Metrics: reg,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sys.Load(hospital.Document()); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sys.Annotate(); err != nil {
+					t.Fatal(err)
+				}
+				q := xpath.MustParse("//patient/name")
+				read := func() {
+					if _, err := sys.Request(q); err != nil && !errors.Is(err, ErrAccessDenied) {
+						t.Fatal(err)
+					}
+				}
+				read()
+				rebuilds := reg.Counter("core_rewrite_scope_rebuilds_total")
+				misses := reg.Counter("core_qcache_misses_total")
+				version, r0, m0 := sys.Version(), rebuilds.Value(), misses.Value()
+
+				if _, err := sys.InsertAndReannotate(xpath.MustParse("//staffinfo"), staff); !errors.Is(err, ErrUpdateDenied) {
+					t.Fatalf("insert under staffinfo: err = %v, want ErrUpdateDenied", err)
+				}
+				if _, err := sys.DeleteAndReannotate(xpath.MustParse("//treatment")); !errors.Is(err, ErrUpdateDenied) {
+					t.Fatalf("delete of //treatment: err = %v, want ErrUpdateDenied", err)
+				}
+				if _, err := sys.InsertAndReannotate(xpath.MustParse("//patient"), nil); err == nil {
+					t.Fatal("insert of a nil template succeeded")
+				}
+				if v := sys.Version(); v != version {
+					t.Fatalf("version %d -> %d across rejected writes", version, v)
+				}
+				read()
+				if r, m := rebuilds.Value(), misses.Value(); r != r0 || m != m0 {
+					t.Fatalf("scope rebuilds %d -> %d, CAM misses %d -> %d after rejected writes", r0, r, m0, m)
+				}
+			})
+		}
 	}
 }
 

@@ -37,22 +37,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// MultiCounter fans every increment out to a set of counters — the
-// aliasing device that keeps a legacy metric name (sqldb_*, nativedb_*)
-// ticking next to its backend-neutral store_* replacement. A nil or empty
-// MultiCounter no-ops, like a nil *Counter.
-type MultiCounter []*Counter
-
-// Add adds n to every aliased counter.
-func (m MultiCounter) Add(n int64) {
-	for _, c := range m {
-		c.Add(n)
-	}
-}
-
-// Inc adds 1 to every aliased counter.
-func (m MultiCounter) Inc() { m.Add(1) }
-
 // Gauge is a metric that can go up and down. Nil gauges no-op.
 type Gauge struct {
 	bits atomic.Uint64 // float64 bits
@@ -218,11 +202,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 // concurrent use; a nil registry hands out nil (no-op) metrics so
 // instrumented code needs no enabled-checks.
 type Registry struct {
-	// legacyOff gates the deprecated sqldb_*/nativedb_* alias series (see
-	// SetLegacyNames); stored inverted so the zero value keeps them on,
-	// matching NewRegistry's default for this release.
-	legacyOff atomic.Bool
-
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -236,37 +215,6 @@ func NewRegistry() *Registry {
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
-}
-
-// SetLegacyNames chooses whether the deprecated backend-specific alias
-// series (sqldb_*, nativedb_*) are still dual-written next to their
-// backend-neutral store_* replacements. The default is on for one more
-// release; dashboards should migrate to the store_* names.
-func (r *Registry) SetLegacyNames(on bool) {
-	if r == nil {
-		return
-	}
-	r.legacyOff.Store(!on)
-}
-
-// LegacyNames reports whether the deprecated alias series are written
-// (false on a nil registry).
-func (r *Registry) LegacyNames() bool {
-	return r != nil && !r.legacyOff.Load()
-}
-
-// CounterAliased returns a MultiCounter ticking the canonical name and —
-// while LegacyNames is on — the deprecated legacy alias alongside it.
-// Backends use this for their dual-written series so that turning the
-// aliases off is one registry switch.
-func (r *Registry) CounterAliased(name, legacy string) MultiCounter {
-	if r == nil {
-		return nil
-	}
-	if r.LegacyNames() {
-		return MultiCounter{r.Counter(name), r.Counter(legacy)}
-	}
-	return MultiCounter{r.Counter(name)}
 }
 
 // Counter returns the named counter, creating it on first use.

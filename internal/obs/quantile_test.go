@@ -129,35 +129,3 @@ func TestLabeledHistogramExposition(t *testing.T) {
 		t.Errorf("suffix hung after a closing label brace:\n%s", got)
 	}
 }
-
-func TestRegistryLegacyNames(t *testing.T) {
-	r := NewRegistry()
-	if !r.LegacyNames() {
-		t.Fatal("legacy names should default on")
-	}
-	mc := r.CounterAliased("store_queries_total", "sqldb_statements_total")
-	mc.Add(3)
-	s := r.Snapshot()
-	if s.Counters["store_queries_total"] != 3 || s.Counters["sqldb_statements_total"] != 3 {
-		t.Fatalf("dual-write failed: %v", s.Counters)
-	}
-
-	r2 := NewRegistry()
-	r2.SetLegacyNames(false)
-	mc2 := r2.CounterAliased("store_queries_total", "sqldb_statements_total")
-	mc2.Inc()
-	s2 := r2.Snapshot()
-	if s2.Counters["store_queries_total"] != 1 {
-		t.Fatalf("canonical counter missing: %v", s2.Counters)
-	}
-	if _, ok := s2.Counters["sqldb_statements_total"]; ok {
-		t.Fatalf("legacy alias written despite opt-out: %v", s2.Counters)
-	}
-
-	var nilReg *Registry
-	nilReg.SetLegacyNames(true)
-	if nilReg.LegacyNames() {
-		t.Fatal("nil registry reports legacy names on")
-	}
-	nilReg.CounterAliased("a", "b").Inc() // must not panic
-}

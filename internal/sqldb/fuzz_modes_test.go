@@ -10,11 +10,9 @@
 package sqldb_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"xmlac/internal/core"
@@ -220,84 +218,4 @@ func TestModeDifferentialFuzz(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestModeFlipRaceHammer drives concurrent requests — auto mode, forced
-// rewrite, and forced signs — while the main goroutine flips the
-// system's enforcement mode back and forth and a writer applies
-// (empty-scope) deletes. Run under -race this is the locking proof for
-// SetEnforceMode: every observed outcome must be a grant, an access
-// denial, or the documented signs-not-materialized refusal.
-func TestModeFlipRaceHammer(t *testing.T) {
-	pol := policy.MustParse("default deny\nconflict deny\n" + modeFuzzRules)
-	sys, err := core.NewSystem(core.Config{
-		Schema: hospital.Schema(), Policy: pol,
-		Backend: core.BackendVector, Optimize: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := hospital.Generate(hospital.GenOptions{Seed: 77, Departments: 2, PatientsPerDept: 10, StaffPerDept: 3})
-	if err := sys.Load(doc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Annotate(); err != nil {
-		t.Fatal(err)
-	}
-	queries := []*xpath.Path{
-		xpath.MustParse("//patient/name"),
-		xpath.MustParse("//regular"),
-		xpath.MustParse("//patient"),
-		xpath.MustParse("//staff"),
-	}
-	okErr := func(err error) bool {
-		return err == nil || errors.Is(err, core.ErrAccessDenied) ||
-			strings.Contains(err.Error(), "signs are not materialized")
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			mode := []core.EnforceMode{core.EnforceAuto, core.EnforceSigns, core.EnforceRewrite}[w%3]
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := sys.RequestMode(queries[i%len(queries)], mode); !okErr(err) {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		noScope := xpath.MustParse(`//experimental[test = "no-such-value"]`)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := sys.DeleteAndReannotate(noScope); err != nil {
-				t.Errorf("writer: %v", err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 40; i++ {
-		if err := sys.SetEnforceMode(core.EnforceRewrite); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.SetEnforceMode(core.EnforceSigns); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

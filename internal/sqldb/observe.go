@@ -17,13 +17,12 @@ import (
 
 // dbMetrics caches the engine's metric handles so the per-statement hot
 // path does not hit the registry's map. The cross-engine series
-// (statements, rows) are MultiCounters feeding the backend-neutral
-// store_* names — with an inline engine label — and, while the registry's
-// LegacyNames switch is on, the deprecated sqldb_* aliases.
+// (statements, rows) feed the backend-neutral store_* names, with an
+// inline engine label.
 type dbMetrics struct {
-	statements      obs.MultiCounter
-	rowsReturned    obs.MultiCounter
-	rowsScanned     obs.MultiCounter
+	statements      *obs.Counter
+	rowsReturned    *obs.Counter
+	rowsScanned     *obs.Counter
 	joinTuples      *obs.Counter
 	slowQueries     *obs.Counter
 	planCacheHits   *obs.Counter
@@ -54,8 +53,7 @@ func (db *Database) engineLabel() string {
 
 // SetMetrics attaches a metrics registry to the database. Statement
 // execution then feeds the shared store_* counters (labeled by engine)
-// and the histograms; the deprecated sqldb_* counter aliases ride along
-// while the registry's LegacyNames switch is on. nil detaches.
+// and the histograms. nil detaches.
 func (db *Database) SetMetrics(r *obs.Registry) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -65,12 +63,9 @@ func (db *Database) SetMetrics(r *obs.Registry) {
 	}
 	lbl := db.engineLabel()
 	db.m = &dbMetrics{
-		statements: r.CounterAliased(
-			fmt.Sprintf("store_queries_total{engine=%q}", lbl), "sqldb_statements_total"),
-		rowsReturned: r.CounterAliased(
-			fmt.Sprintf("store_rows_matched_total{engine=%q}", lbl), "sqldb_rows_returned_total"),
-		rowsScanned: r.CounterAliased(
-			fmt.Sprintf("store_rows_scanned_total{engine=%q}", lbl), "sqldb_rows_scanned_total"),
+		statements:      r.Counter(fmt.Sprintf("store_queries_total{engine=%q}", lbl)),
+		rowsReturned:    r.Counter(fmt.Sprintf("store_rows_matched_total{engine=%q}", lbl)),
+		rowsScanned:     r.Counter(fmt.Sprintf("store_rows_scanned_total{engine=%q}", lbl)),
 		joinTuples:      r.Counter("sqldb_join_tuples_total"),
 		slowQueries:     r.Counter("sqldb_slow_queries_total"),
 		planCacheHits:   r.Counter("sqldb_plan_cache_hits_total"),

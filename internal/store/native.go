@@ -30,10 +30,7 @@ type nativeEngine struct {
 }
 
 // Compile-time interface compliance, checked by go vet and the CI gate.
-var (
-	_ Engine     = (*nativeEngine)(nil)
-	_ RawQuerier = (*nativeEngine)(nil)
-)
+var _ Engine = (*nativeEngine)(nil)
 
 func openNative(o Options) (Engine, error) {
 	e := &nativeEngine{st: nativedb.OpenStore(), docName: o.DocName, def: o.Default, pl: o.Pool}
@@ -219,7 +216,7 @@ func (e *nativeEngine) Rollback() error     { return nil }
 func (e *nativeEngine) InTransaction() bool { return false }
 
 // SetMetrics attaches the registry to the underlying store (feeding the
-// store_* series and the legacy nativedb_* aliases).
+// store_* series).
 func (e *nativeEngine) SetMetrics(r *obs.Registry) { e.st.SetMetrics(r) }
 
 // SetSlowQueryLog is a no-op: the native store has no statement executor.

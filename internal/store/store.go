@@ -71,6 +71,9 @@ type Engine interface {
 	// DeniedError) when any matched node is inaccessible. A span in ctx
 	// parents the evaluation's phase spans.
 	Request(ctx context.Context, q *xpath.Path) (*RequestResult, error)
+	// RawQuerier evaluates a user query with no access check, for
+	// rewriting enforcement.
+	RawQuerier
 	// AccessibleIDs lists the currently accessible element ids.
 	AccessibleIDs() (map[int64]bool, error)
 
@@ -97,20 +100,18 @@ type Engine interface {
 	InTransaction() bool
 
 	// SetMetrics attaches a metrics registry (nil detaches): engines
-	// feed the shared store_* series plus their legacy backend names.
+	// feed the shared store_* series.
 	SetMetrics(*obs.Registry)
 	// SetSlowQueryLog logs statements slower than threshold to w; a
 	// no-op on engines without a statement executor.
 	SetSlowQueryLog(w io.Writer, threshold time.Duration)
 }
 
-// RawQuerier is the optional capability the rewriting enforcer probes
-// for: evaluating a user query over the *unannotated* store — no sign
-// checks, no access decision — returning the raw match set in the
-// engine family's native result shape (Nodes in evaluation order for the
-// tree store, deduplicated ascending IDs for the relational ones).
-// Engines that cannot evaluate without consulting signs simply do not
-// implement it, and the planner refuses rewriting enforcement on them.
+// RawQuerier is the part of Engine the rewriting enforcer reads through:
+// evaluating a user query over the *unannotated* store — no sign checks,
+// no access decision — returning the raw match set in the engine
+// family's native result shape (Nodes in evaluation order for the tree
+// store, deduplicated ascending IDs for the relational ones).
 type RawQuerier interface {
 	// RawQuery evaluates q with no access checking. A span in ctx parents
 	// the evaluation's phase spans, exactly as in Request.

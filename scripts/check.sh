@@ -103,8 +103,8 @@ if command -v curl >/dev/null 2>&1; then
 		|| { echo "check.sh: /forensics did not report windows" >&2; exit 1; }
 	curl -sf "http://127.0.0.1:$serve_port/plan" | grep -q '"active_mode": "signs"' \
 		|| { echo "check.sh: /plan missing the active enforcement mode" >&2; exit 1; }
-	curl -sf "http://127.0.0.1:$serve_port/request?q=//name&enforce=rewrite" | grep -q '"outcome"' \
-		|| { echo "check.sh: /request?enforce=rewrite did not answer" >&2; exit 1; }
+	curl -sf "http://127.0.0.1:$serve_port/request?q=//name" | grep -q '"outcome"' \
+		|| { echo "check.sh: /request did not answer" >&2; exit 1; }
 	# The SSE stream opens with a hello frame; grab the first frame only.
 	frame=$(curl -sN --max-time 2 "http://127.0.0.1:$serve_port/stream" | head -c 300 || true)
 	echo "$frame" | grep -q 'event: hello' \

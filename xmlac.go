@@ -99,13 +99,13 @@ type (
 	MultiUserStats = core.MultiUserStats
 	// CohortInfo is one cohort's entry in MultiUserStats.
 	CohortInfo = core.CohortInfo
-	// EnforceMode selects the enforcement strategy of a System or a
-	// single request: materialized signs, query rewriting, or the
-	// planner's automatic choice.
+	// EnforceMode selects the enforcement strategy of a System:
+	// materialized signs, query rewriting, or the planner's automatic
+	// choice.
 	EnforceMode = core.EnforceMode
 	// EnforcePlan is the enforcement planner's verdict for one System:
-	// the resolved mode and why, plus the schema and backend facts
-	// (recursion, raw-query capability) it rested on.
+	// the resolved mode and why, plus the schema facts (recursion, value
+	// predicates) it rested on.
 	EnforcePlan = core.EnforcePlan
 	// EnforcementStats is the planner-decision coverage block: static
 	// classifications and per-mode decision counts.
