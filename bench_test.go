@@ -160,21 +160,17 @@ func requestBenchFactor() float64 {
 }
 
 // benchRequest measures the all-or-nothing request path over the 55-query
-// workload. reference is the unoptimized path (no id routing, per-table
-// sign probes); optimized layers sign-predicate pushdown, id→table routing
-// and the CAM-backed accessibility cache.
+// workload. reference is the default path, which checks the signs in the
+// store (routed probes, or the folded sign predicate on monetcol);
+// optimized answers the checks from the query cache's in-memory decision
+// set.
 func benchRequest(b *testing.B, backend xmlac.Backend, optimized bool) {
 	cfg := core.Config{
-		Schema:   xmark.Schema(),
-		Policy:   bench.MidPolicy().Clone(),
-		Backend:  backend,
-		Optimize: true,
-	}
-	if optimized {
-		cfg.PushdownSigns = true
-		cfg.QueryCache = true
-	} else {
-		cfg.NoIDRouting = true
+		Schema:     xmark.Schema(),
+		Policy:     bench.MidPolicy().Clone(),
+		Backend:    backend,
+		Optimize:   true,
+		QueryCache: optimized,
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
@@ -206,8 +202,8 @@ func BenchmarkFig10_RequestPostgres(b *testing.B) { benchRequestPair(b, xmlac.Ba
 
 // BenchmarkFig10_RequestRewrite pits the two enforcement strategies
 // against each other on the column store: reference is the fully
-// optimized materialized path (signs + pushdown + CAM cache, the
-// "optimized" side of the pairs above), optimized is the rewriting
+// optimized materialized path (signs + query cache, the "optimized" side
+// of the pairs above), optimized is the rewriting
 // enforcer over the *unannotated* store — no signs exist, so the system
 // never paid the annotation either (the setup cost outside the timer is
 // Load alone).
@@ -220,10 +216,7 @@ func BenchmarkFig10_RequestRewrite(b *testing.B) {
 			Optimize: true,
 			Enforce:  mode,
 		}
-		if mode == core.EnforceSigns {
-			cfg.PushdownSigns = true
-			cfg.QueryCache = true
-		}
+		cfg.QueryCache = mode == core.EnforceSigns
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -252,8 +245,8 @@ func BenchmarkFig10_RequestRewrite(b *testing.B) {
 // cycle under each enforcement mode: one delete plus the next request, on
 // a system whose read path is warm. The signs run pays Trigger plus
 // partial re-annotation in the write; the rewrite run pays whatever the
-// write leaves its scope sets to — a patch at write time, or a rebuild in
-// the read. The reannotated_nodes/op metric records the re-annotation work
+// write leaves its decision set to — a patch at write time, or a rebuild
+// in the read. The reannotated_nodes/op metric records the re-annotation work
 // and must be exactly zero in rewrite mode (EXPERIMENTS.md keeps the
 // before/after table).
 func BenchmarkHotWrite_SignsVsRewrite(b *testing.B) {
@@ -312,13 +305,12 @@ func BenchmarkHotWrite_SignsVsRewrite(b *testing.B) {
 func BenchmarkRequest_AuditOverhead(b *testing.B) {
 	run := func(b *testing.B, log *audit.Log) {
 		cfg := core.Config{
-			Schema:        xmark.Schema(),
-			Policy:        bench.MidPolicy().Clone(),
-			Backend:       xmlac.BackendColumn,
-			Optimize:      true,
-			PushdownSigns: true,
-			QueryCache:    true,
-			Audit:         log,
+			Schema:     xmark.Schema(),
+			Policy:     bench.MidPolicy().Clone(),
+			Backend:    xmlac.BackendColumn,
+			Optimize:   true,
+			QueryCache: true,
+			Audit:      log,
 		}
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
@@ -360,13 +352,12 @@ func BenchmarkRequest_ObservatoryOverhead(b *testing.B) {
 			o.Attach(log)
 		}
 		cfg := core.Config{
-			Schema:        xmark.Schema(),
-			Policy:        bench.MidPolicy().Clone(),
-			Backend:       xmlac.BackendColumn,
-			Optimize:      true,
-			PushdownSigns: true,
-			QueryCache:    true,
-			Audit:         log,
+			Schema:     xmark.Schema(),
+			Policy:     bench.MidPolicy().Clone(),
+			Backend:    xmlac.BackendColumn,
+			Optimize:   true,
+			QueryCache: true,
+			Audit:      log,
 		}
 		sys, err := core.NewSystem(cfg)
 		if err != nil {

@@ -33,12 +33,10 @@ func main() {
 		updates  = flag.Int("updates", 12, "number of delete updates for fig12 (0 = full workload)")
 		metrics  = flag.String("metrics", "", "write the run's backend metrics as JSON to this file")
 		parallel = flag.Int("parallel", 0, "annotation worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		pushdown = flag.Bool("pushdown", false, "fold the sign check into translated request queries (relational backends)")
-		qcache   = flag.Bool("qcache", false, "serve request access checks from a compressed accessibility map")
+		qcache   = flag.Bool("qcache", false, "answer signs-mode request access checks from the in-memory decision set")
 	)
 	flag.Parse()
 	bench.Parallelism = *parallel
-	bench.PushdownSigns = *pushdown
 	bench.QueryCache = *qcache
 
 	if *metrics != "" {

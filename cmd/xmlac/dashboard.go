@@ -54,12 +54,6 @@ type cohortRow struct {
 	Marks    int
 }
 
-// ruleRow is one top-rules table row.
-type ruleRow struct {
-	Rule    string
-	Matches int64
-}
-
 // traceRow is one slow-traces table row.
 type traceRow struct {
 	Trace    string
@@ -108,7 +102,6 @@ type dashData struct {
 	Latency    []latRow
 	Vector     []vecRow
 	ShardHeat  []shardRow
-	TopRules   []ruleRow
 	Slow       []traceRow
 	Denials    []denialRow
 	MultiUser  bool // the -users layer is active
@@ -300,24 +293,6 @@ func dashboardData(sys *xmlac.System, cat *xmlac.Catalog, mu *xmlac.MultiUser, o
 		d.StreamSubs = obsy.Stream().Subscribers()
 	}
 
-	// Busiest policy rules by attribution matches.
-	for name, v := range snap.Counters {
-		base, labels := parseLabels(name)
-		if base != "core_rule_matches_total" || v == 0 {
-			continue
-		}
-		d.TopRules = append(d.TopRules, ruleRow{Rule: labels["rule"], Matches: v})
-	}
-	sort.Slice(d.TopRules, func(i, j int) bool {
-		if d.TopRules[i].Matches != d.TopRules[j].Matches {
-			return d.TopRules[i].Matches > d.TopRules[j].Matches
-		}
-		return d.TopRules[i].Rule < d.TopRules[j].Rule
-	})
-	if len(d.TopRules) > 10 {
-		d.TopRules = d.TopRules[:10]
-	}
-
 	// Slowest recent traces, with ids joining the audit stream.
 	roots := col.Roots()
 	sort.SliceStable(roots, func(i, j int) bool { return roots[i].Duration() > roots[j].Duration() })
@@ -425,12 +400,6 @@ backend {{.Backend}}, semantics {{.Semantics}}
 {{end}}</table>
 <p class="muted">{{.StreamSubs}} live <a href="/stream">/stream</a> subscriber(s) · details at <a href="/forensics">/forensics</a> and <a href="/alerts">/alerts</a></p>
 {{else}}<p class="muted">observatory not attached</p>{{end}}
-
-<h2>Top rules</h2>
-{{if .TopRules}}<table>
-<tr><th>rule</th><th class="num">node matches</th></tr>
-{{range .TopRules}}<tr><td><code>{{.Rule}}</code></td><td class="num">{{.Matches}}</td></tr>
-{{end}}</table>{{else}}<p class="muted">no rule attribution recorded yet (served by /why and denials)</p>{{end}}
 
 <h2>Slow traces</h2>
 {{if .Slow}}<table>

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	xmlac [-dtd file] [-policy file] [-doc file] [-backend xquery|monetsql|monetcol|postgres]
-//	      [-trace] [-explain] [-slowquery dur] [-pushdown] [-qcache] [-enforce auto|signs|rewrite]
+//	      [-trace] [-explain] [-slowquery dur] [-qcache] [-enforce auto|signs|rewrite]
 //	      [-audit file] [-audit-max-bytes n] [-audit-max-files n]
 //	      [-serve addr] [-slo spec] [-users list|demo] [-version] op...
 //
@@ -72,8 +72,7 @@ func main() {
 		explain    = flag.Bool("explain", false, "print the SQL plan before each query (relational backends)")
 		slowQuery  = flag.Duration("slowquery", 0, "log SQL statements slower than this duration to stderr (0 disables)")
 		parallel   = flag.Int("parallel", 0, "annotation worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		pushdown   = flag.Bool("pushdown", false, "fold the sign check into translated queries (relational backends)")
-		qcache     = flag.Bool("qcache", false, "serve request access checks from a compressed accessibility map")
+		qcache     = flag.Bool("qcache", false, "answer signs-mode request access checks from the in-memory decision set instead of the store")
 		enforce    = flag.String("enforce", "auto", "enforcement strategy: auto (planner decides), signs (materialized annotations) or rewrite (policy composed into each query)")
 		auditFile  = flag.String("audit", "", "append audit events as JSON lines to this file")
 		auditMaxB  = flag.Int64("audit-max-bytes", 0, "rotate the -audit file once it would exceed this size (0 = never rotate)")
@@ -135,7 +134,7 @@ func main() {
 	}
 	cfg := xmlac.Config{
 		Schema: schema, Policy: pol, Backend: be, Optimize: *optimize,
-		PushdownSigns: *pushdown, QueryCache: *qcache, Enforce: mode,
+		QueryCache: *qcache, Enforce: mode,
 	}.WithParallelism(*parallel)
 	reg := xmlac.NewMetricsRegistry()
 	cfg.Metrics = reg

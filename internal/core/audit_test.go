@@ -114,28 +114,29 @@ func TestAuditTypedDenial(t *testing.T) {
 	}
 }
 
-// TestAuditCacheHitFlag: with the query cache on, the first request builds
-// the map (miss) and the second is served from it (hit).
+// TestAuditCacheHitFlag: with the query cache on, Annotate builds the
+// decision set, so the first request is already served from it (a hit),
+// and a delete whose region is bounded patches it, so the request after
+// the delete is a hit too.
 func TestAuditCacheHitFlag(t *testing.T) {
 	sys, log := auditedSystem(t, Config{Backend: BackendColumn, QueryCache: true, Optimize: true})
 	q := xpath.MustParse("//patient/name")
-	for i, wantHit := range []bool{false, true} {
+	for i := 0; i < 2; i++ {
 		if _, err := sys.Request(q); err != nil {
 			t.Fatal(err)
 		}
-		if e := lastEvent(t, log); e.CacheHit != wantHit {
-			t.Fatalf("request %d: CacheHit = %v, want %v", i, e.CacheHit, wantHit)
+		if e := lastEvent(t, log); !e.CacheHit {
+			t.Fatalf("request %d after Annotate: CacheHit = false", i)
 		}
 	}
-	// An update bumps the version: the next request misses again.
 	if _, err := sys.DeleteAndReannotate(xpath.MustParse("//patient/treatment")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.Request(q); err != nil {
 		t.Fatal(err)
 	}
-	if e := lastEvent(t, log); e.CacheHit {
-		t.Fatal("request after update still served from stale cache")
+	if e := lastEvent(t, log); !e.CacheHit {
+		t.Fatal("request after a region-bounded delete rebuilt the decision set")
 	}
 }
 

@@ -6,20 +6,19 @@ import (
 	"xmlac/internal/observatory"
 	"xmlac/internal/policy"
 	"xmlac/internal/xmltree"
-	"xmlac/internal/xpath"
 )
 
-// Policy coverage analytics: the attribution map already knows, per node,
-// which rules matched; replaying the Table 2 conflict resolution over
-// every element node turns that into per-rule fire counts — which rules
-// decide, which only ever lose, and which never match at all. The
-// never-firing case is Cheney's static-enforceability question answered
-// dynamically: a rule that matches no node of the loaded document cannot
-// influence any decision until the document changes.
+// Policy coverage analytics: deciding every element node on the fly (see
+// decideOnFly) and counting the rules each decision names turns the
+// policy into per-rule fire counts — which rules decide, which only ever
+// lose, and which never match at all. The never-firing case is Cheney's
+// static-enforceability question answered dynamically: a rule that
+// matches no node of the loaded document cannot influence any decision
+// until the document changes.
 
-// coverageTally folds one document's decisions into a coverage report for
-// pol. byID maps node id -> matching rule indices (policy order).
-func coverageTally(pol *policy.Policy, elements []*xmltree.Node, byID map[int64][]int32, removed []policy.Rule, members int) *observatory.CoverageReport {
+// coverageTally folds the decisions of a document's elements under pol
+// into a coverage report.
+func coverageTally(pol *policy.Policy, elements []*xmltree.Node, removed []policy.Rule, members int) *observatory.CoverageReport {
 	rep := &observatory.CoverageReport{
 		Semantics: semanticsLabel(pol),
 		Members:   members,
@@ -33,25 +32,24 @@ func coverageTally(pol *policy.Policy, elements []*xmltree.Node, byID map[int64]
 		})
 	}
 	for _, n := range elements {
-		matched := byID[n.ID]
-		deciding, also, losing, accessible := decide(pol, matched)
-		if accessible {
+		d := decideOnFly(pol, n)
+		if d.Accessible {
 			rep.AllowedNodes++
 		} else {
 			rep.DeniedNodes++
 		}
-		if deciding.Index < 0 {
+		if d.Deciding.Index < 0 {
 			rep.DefaultDecided++
 			continue
 		}
-		rc := &rep.Rules[deciding.Index]
+		rc := &rep.Rules[d.Deciding.Index]
 		rc.Matched++
 		rc.Deciding++
-		for _, ref := range also {
+		for _, ref := range d.Also {
 			rep.Rules[ref.Index].Matched++
 			rep.Rules[ref.Index].CoMatched++
 		}
-		for _, ref := range losing {
+		for _, ref := range d.Losing {
 			rep.Rules[ref.Index].Matched++
 			rep.Rules[ref.Index].Losing++
 		}
@@ -76,19 +74,15 @@ func semanticsLabel(pol *policy.Policy) string {
 // PolicyCoverage joins the loaded policy against the annotated document:
 // per-rule decide/co-match/lose counts, dead and always-losing rules,
 // the allow/deny node mix, and the rules the optimizer removed before
-// annotation. It reuses the per-version attribution cache that backs Why,
-// so repeated calls between updates cost one pass over the element list.
+// annotation. Each element is decided the way Why decides it, so a call
+// costs one pass over the element list and keeps nothing.
 func (s *System) PolicyCoverage() (*observatory.CoverageReport, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if !s.loaded {
 		return nil, fmt.Errorf("core: no document loaded")
 	}
-	byID, err := s.attributionLocked()
-	if err != nil {
-		return nil, err
-	}
-	return coverageTally(s.policy, s.Document().Elements(), byID, s.removed, 1), nil
+	return coverageTally(s.policy, s.Document().Elements(), s.removed, 1), nil
 }
 
 // CoverageByCohort computes one coverage report per policy-equivalence
@@ -101,17 +95,7 @@ func (m *MultiUser) CoverageByCohort() (map[string]*observatory.CoverageReport, 
 	elements := m.doc.Elements()
 	out := make(map[string]*observatory.CoverageReport, len(m.cohorts))
 	for _, c := range m.cohorts {
-		byID := make(map[int64][]int32)
-		for i, r := range c.pol.Rules {
-			nodes, err := xpath.Eval(r.Resource, m.doc)
-			if err != nil {
-				return nil, fmt.Errorf("core: coverage of cohort %s rule %s: %w", c.id(), ruleLabel(i, r), err)
-			}
-			for _, n := range nodes {
-				byID[n.ID] = append(byID[n.ID], int32(i))
-			}
-		}
-		out[c.id()] = coverageTally(c.pol, elements, byID, nil, c.refs)
+		out[c.id()] = coverageTally(c.pol, elements, nil, c.refs)
 	}
 	return out, nil
 }

@@ -73,6 +73,24 @@ rule KILLER deny //experimental
 	}
 }
 
+// TestPolicyCoverageMatchCounts pins exact per-rule match counts on the
+// hospital document under Table 1: R1 matches the three patients, and R5
+// the one patient with an experimental treatment.
+func TestPolicyCoverageMatchCounts(t *testing.T) {
+	sys := whySystem(t, BackendNative, table1With("deny", "deny"), false)
+	rep, err := sys.PolicyCoverage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched := map[string]int{}
+	for _, r := range rep.Rules {
+		matched[r.Name] = r.Matched
+	}
+	if matched["R1"] != 3 || matched["R5"] != 1 {
+		t.Fatalf("R1 matches %d, R5 matches %d; want 3 and 1", matched["R1"], matched["R5"])
+	}
+}
+
 // TestPolicyCoverageReportsRemovedRules: rules the Table 3 optimizer
 // eliminates before annotation surface in RemovedRules rather than
 // silently vanishing from the report.

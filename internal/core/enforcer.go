@@ -18,9 +18,10 @@ import (
 // composes the policy into the query and evaluates it over the
 // unannotated store. Both are strategies behind one interface, and each
 // System is built with exactly one of them: the System owns locking,
-// spans, metrics and auditing, and its Enforcer owns how the decisions
-// are kept — read checks, the accessible set, the full build and the
-// per-write maintenance.
+// spans, metrics, auditing and the in-memory decision set (decisions.go),
+// and its Enforcer owns how requests are checked and how the store's own
+// decisions, if any, are kept — the signs' full build and per-write
+// maintenance.
 
 // EnforceMode selects the enforcement strategy of a System.
 type EnforceMode uint8
@@ -83,31 +84,33 @@ func ParseEnforceMode(s string) (EnforceMode, error) {
 }
 
 // Enforcer is one enforcement strategy. NewSystem builds exactly one,
-// chosen by the plan, and it owns every job that depends on how the
-// decisions are kept: answering requests, listing the accessible set,
-// building its state over the whole document, and keeping that state
-// current across writes. The System holds its lock around every call —
-// at least the read lock for Request and AccessibleIDs, the exclusive
-// lock for Annotate and Maintain — and owns spans, metrics and auditing.
+// chosen by the plan, and it owns every job that depends on where the
+// decisions are read from: answering requests, listing the accessible
+// set, building its state over the whole document, and keeping that
+// state current across writes. The System holds its lock around every
+// call — at least the read lock for Request and AccessibleIDs, the
+// exclusive lock for Annotate and Maintain — and owns spans, metrics,
+// auditing and the decision set.
 type Enforcer interface {
 	// Mode identifies the strategy (EnforceSigns or EnforceRewrite).
 	Mode() EnforceMode
 	// Request decides one query all-or-nothing: the granted result, or a
 	// DeniedError naming the first inaccessible node. cacheHit reports
-	// whether the decision was served from a cached accessibility
-	// artifact (the CAM query cache, or the rewriter's scope sets).
+	// whether the decision was served from a current decision set.
 	Request(ctx context.Context, q *xpath.Path, sp *obs.Span) (res *RequestResult, cacheHit bool, err error)
 	// AccessibleIDs lists the accessible element ids.
 	AccessibleIDs() (map[int64]bool, error)
 	// Annotate builds the strategy's state over the whole document at the
 	// current version. A span in ctx parents its stages.
 	Annotate(ctx context.Context) (AnnotateStats, error)
-	// Maintain brings the state up to date after the write d, which the
-	// tree and the engine already hold and whose version bump has just
-	// happened. locators yields the write's update expressions, for the
-	// rules the report names; root parents the stages, and rep receives
-	// their statistics.
-	Maintain(root *obs.Span, rep *UpdateReport, d writeDelta, locators func() []*xpath.Path) error
+	// Maintain brings the strategy's state up to date after a write that
+	// the tree and the engine already hold and whose version bump has
+	// just happened. region is the write's region as the System
+	// re-decided it; whole is set instead when the region is the whole
+	// document (region is then nil). locators yields the write's update
+	// expressions, for the rules the report names; root parents the
+	// stages, and rep receives their statistics.
+	Maintain(root *obs.Span, rep *UpdateReport, region []decided, whole bool, locators func() []*xpath.Path) error
 }
 
 // newEnforcer builds the strategy of the given (resolved) mode. Only the
@@ -115,7 +118,7 @@ type Enforcer interface {
 // expansion rejects recursive DTDs, so only it builds one, as s.reann.
 func newEnforcer(s *System, mode EnforceMode, contains ContainFunc) (Enforcer, error) {
 	if mode == EnforceRewrite {
-		return newRewriteEnforcer(s), nil
+		return &rewriteEnforcer{s: s}, nil
 	}
 	reann, err := NewReannotatorWith(s.policy, s.cfg.Schema, contains)
 	if err != nil {
@@ -127,35 +130,33 @@ func newEnforcer(s *System, mode EnforceMode, contains ContainFunc) (Enforcer, e
 
 // materializedEnforcer is the paper's pipeline behind the seam: annotation
 // writes '+'/'−' signs into the engine, the engine checks each query
-// against them (or, with the query cache on, against the CAM built from
-// them), and each write re-decides its region and rewrites those signs.
+// against them (or, with the query cache on, the System decides it
+// against its decision set), and each write rewrites the signs of its
+// re-decided region.
 type materializedEnforcer struct {
 	s *System
 }
 
 func (m *materializedEnforcer) Mode() EnforceMode { return EnforceSigns }
 
+// Request checks q against the signs in the engine or, with the query
+// cache on, evaluates it on the tree and checks every match against the
+// decision set — no store probe at all.
 func (m *materializedEnforcer) Request(ctx context.Context, q *xpath.Path, sp *obs.Span) (*RequestResult, bool, error) {
-	if m.s.qc != nil {
-		return m.s.requestCached(q, sp)
+	if !m.s.cfg.QueryCache {
+		res, err := m.s.engine.Request(obs.ContextWithSpan(ctx, sp), q)
+		return res, false, err
 	}
-	res, err := m.s.engine.Request(obs.ContextWithSpan(ctx, sp), q)
-	return res, false, err
+	return m.s.requestDecided(sp, "qcache", func() (*RequestResult, error) { return m.s.treeQuery(q, sp) })
 }
 
-// AccessibleIDs reads the signs back. With the query cache on, expanding
-// the cached compressed map reproduces the engine's accessible set
-// exactly (the map was built from it), so view export, filtered requests
-// and coverage all serve from memory.
+// AccessibleIDs reads the signs back or, with the query cache on, derives
+// the set from the decision set, which the signs agree with.
 func (m *materializedEnforcer) AccessibleIDs() (map[int64]bool, error) {
-	if m.s.qc == nil {
-		return m.s.engine.AccessibleIDs()
+	if m.s.cfg.QueryCache {
+		return m.s.decidedAccessibleIDs()
 	}
-	acc, _, err := m.s.cachedCAM()
-	if err != nil {
-		return nil, err
-	}
-	return acc.AccessibleIDs(m.s.Document()), nil
+	return m.s.engine.AccessibleIDs()
 }
 
 // Annotate runs the policy's annotation query (Figure 5) on the engine.
@@ -164,14 +165,14 @@ func (m *materializedEnforcer) Annotate(ctx context.Context) (AnnotateStats, err
 }
 
 // Maintain names the rules the Trigger algorithm selects (the report's
-// prepare time) and rewrites the signs of the write's region (its
-// re-annotation time).
-func (m *materializedEnforcer) Maintain(root *obs.Span, rep *UpdateReport, d writeDelta, locators func() []*xpath.Path) error {
+// prepare time) and rewrites the signs of the write's region (part of
+// its re-annotation time).
+func (m *materializedEnforcer) Maintain(root *obs.Span, rep *UpdateReport, region []decided, whole bool, locators func() []*xpath.Path) error {
 	start := time.Now()
 	m.s.trigger(root, rep, locators()...)
 	rep.PrepareTime = time.Since(start)
 	start = time.Now()
-	err := m.s.reannotateRegion(root, d, &rep.Stats)
-	rep.ReannotateTime = time.Since(start)
+	err := m.s.writeRegionSigns(root, region, whole, &rep.Stats)
+	rep.ReannotateTime += time.Since(start)
 	return err
 }

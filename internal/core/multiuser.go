@@ -582,9 +582,7 @@ func (m *MultiUser) auditRequestLocked(user string, c *cohort, q *xpath.Path, st
 		e.Outcome = audit.OutcomeGrant
 	case denied != nil:
 		e.Outcome = audit.OutcomeDeny
-		if d, derr := decideOnFly(c.pol, m.doc, denied); derr == nil {
-			e.Rules = d.AttributingRules()
-		}
+		e.Rules = decideOnFly(c.pol, denied).AttributingRules()
 	default:
 		e.Outcome = audit.OutcomeError
 		e.Err = err.Error()

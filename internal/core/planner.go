@@ -107,9 +107,8 @@ func newStaticChecker(pol *policy.Policy, schema *dtd.Schema) *staticChecker {
 	}
 }
 
-// classify returns the memoized static verdict for q.
-func (c *staticChecker) classify(q *xpath.Path) pattern.StaticVerdict {
-	key := q.String()
+// classify returns the memoized static verdict for q, whose text is key.
+func (c *staticChecker) classify(q *xpath.Path, key string) pattern.StaticVerdict {
 	c.mu.Lock()
 	v, ok := c.memo[key]
 	c.mu.Unlock()

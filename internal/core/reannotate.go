@@ -111,7 +111,7 @@ type writeOp struct {
 // the change inside one engine transaction, bumps the version, has the
 // enforcer bring its state up to date, and commits. A write that is
 // denied, or fails before it changes the tree, leaves the version — and
-// with it every version-keyed cache — alone. The round trip is audited.
+// with it the decision set — alone. The round trip is audited.
 func (s *System) update(op writeOp) (*UpdateReport, error) {
 	start := time.Now()
 	rep, err := s.runUpdate(op)
@@ -161,10 +161,10 @@ func (s *System) runUpdate(op writeOp) (*UpdateReport, error) {
 	if op.full {
 		// The full annotation runs as a child of this round trip's root,
 		// so the baseline renders as one tree too.
-		rep.Stats, err = s.annotateLocked(obs.ContextWithSpan(context.Background(), root))
+		rep.Stats, err = s.annotateLocked(obs.ContextWithSpan(context.Background(), root), false)
 		rep.ReannotateTime = rep.Stats.Duration
 	} else {
-		err = s.enf.Maintain(root, rep, d, op.locators)
+		err = s.maintain(root, rep, d, op.locators)
 	}
 	if err != nil {
 		return nil, s.abortEngine(err)
@@ -251,49 +251,65 @@ func (s *System) trigger(root *obs.Span, rep *UpdateReport, us ...*xpath.Path) {
 	})
 }
 
-// reannotateRegion brings the signs up to date after the write d, which
-// the tree and the engine already hold: every element of the write's
-// region is re-decided against the whole read policy, and the engine
-// rewrites the signs of the region's elements only. A write whose region
-// is the whole document is annotated in full instead. Callers hold s.mu
+// maintain brings the System's decisions up to date after the write d,
+// which the tree and the engine already hold: the write's region is
+// computed and re-decided once, and the same membership patches the
+// decision set, when it was current before the write, and feeds the
+// enforcer, which rewrites the region's signs under signs enforcement. A
+// region that is the whole document is not walked: the decision set is
+// left stale and the signs are annotated in full. Callers hold s.mu
 // exclusively, inside the engine transaction of the write.
-func (s *System) reannotateRegion(root *obs.Span, d writeDelta, stats *AnnotateStats) error {
-	var roots []*xmltree.Node
+func (s *System) maintain(root *obs.Span, rep *UpdateReport, d writeDelta, locators func() []*xpath.Path) error {
+	set := s.currentBeforeWrite()
+	var region []decided
 	var whole bool
-	_ = stage(root, &stats.Phases, "write-region", func() error {
-		roots, whole = s.region.roots(s.doc, d)
-		return nil
-	})
+	if set != nil || s.enf.Mode() == EnforceSigns {
+		start := time.Now()
+		var roots []*xmltree.Node
+		_ = stage(root, &rep.Stats.Phases, "write-region", func() error {
+			roots, whole = s.region.roots(s.doc, d)
+			return nil
+		})
+		if !whole {
+			_ = stage(root, &rep.Stats.Phases, "decide-region", func() error {
+				region = s.region.decide(roots)
+				return nil
+			})
+			if set != nil {
+				s.patchDecisions(set, d, region)
+			}
+		}
+		rep.ReannotateTime = time.Since(start)
+	}
+	return s.enf.Maintain(root, rep, region, whole, locators)
+}
+
+// writeRegionSigns rewrites the signs of a write's re-decided region, the
+// way full annotation writes them: the elements whose decision differs
+// from the policy default carry the opposite sign, every other element of
+// the region the default. A whole-document region is annotated in full
+// instead. Callers hold s.mu exclusively, inside the engine transaction
+// of the write.
+func (s *System) writeRegionSigns(root *obs.Span, region []decided, whole bool, stats *AnnotateStats) error {
 	if whole {
-		full, err := s.annotateLocked(obs.ContextWithSpan(context.Background(), root))
+		full, err := s.annotateLocked(obs.ContextWithSpan(context.Background(), root), false)
 		stats.Updated, stats.Reset = full.Updated, full.Reset
 		stats.Phases = append(stats.Phases, full.Phases...)
 		return err
 	}
-	// Signs are written the way full annotation writes them: the nodes
-	// whose decision differs from the policy default carry the opposite
-	// sign, every other element of the region the default.
-	defAllow := s.region.rw.DefaultAllow
+	rw := s.region.rw
 	def, sign := xmltree.SignMinus, xmltree.SignPlus
-	if defAllow {
+	if rw.DefaultAllow {
 		def, sign = sign, def
 	}
-	affected, flipped := map[int64]bool{}, map[int64]bool{}
-	_ = stage(root, &stats.Phases, "decide-region", func() error {
-		for _, r := range roots {
-			r.Walk(func(n *xmltree.Node) bool {
-				if n.IsElement() {
-					affected[n.ID] = true
-					if s.region.accessible(n) != defAllow {
-						flipped[n.ID] = true
-					}
-				}
-				return true
-			})
-		}
-		return nil
-	})
 	return stage(root, &stats.Phases, "apply-signs", func() error {
+		affected, flipped := make(map[int64]bool, len(region)), map[int64]bool{}
+		for _, e := range region {
+			affected[e.id] = true
+			if rw.Accessible(e.allow, e.deny) != rw.DefaultAllow {
+				flipped[e.id] = true
+			}
+		}
 		var err error
 		stats.Updated, stats.Reset, err = s.engine.ApplySignsWithin(affected, flipped, sign, def)
 		return err

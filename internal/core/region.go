@@ -6,9 +6,9 @@ import (
 )
 
 // writeRegion bounds what one write can change in the policy's decisions,
-// so both enforcers keep their state current by re-deciding only the
-// write's region: the rewrite enforcer patches its allow/deny scope sets,
-// the materialized one rewrites the region's stored decisions.
+// so the System keeps them current by re-deciding only the write's
+// region, once per write: the same membership patches the decision set
+// and feeds the signs enforcer's sign write.
 //
 // The region is sound for XP(/,//,*,[]): qualifiers only look downward,
 // so a write can change a qualifier's truth only at an ancestor-or-self
@@ -114,7 +114,24 @@ func selectsAny(paths []*xpath.Path, n *xmltree.Node) bool {
 	return false
 }
 
-// accessible decides n against the whole read policy on the fly.
-func (r *writeRegion) accessible(n *xmltree.Node) bool {
-	return r.rw.Accessible(selectsAny(r.rw.Allow, n), selectsAny(r.rw.Deny, n))
+// decided is one element of a write's region with its re-decided scope
+// membership.
+type decided struct {
+	id          int64
+	allow, deny bool
+}
+
+// decide re-decides every element under roots against each rule with
+// xpath.Selects.
+func (r *writeRegion) decide(roots []*xmltree.Node) []decided {
+	var out []decided
+	for _, root := range roots {
+		root.Walk(func(n *xmltree.Node) bool {
+			if n.IsElement() {
+				out = append(out, decided{id: n.ID, allow: selectsAny(r.rw.Allow, n), deny: selectsAny(r.rw.Deny, n)})
+			}
+			return true
+		})
+	}
+	return out
 }

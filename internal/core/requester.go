@@ -7,7 +7,6 @@ import (
 	"xmlac/internal/audit"
 	"xmlac/internal/obs"
 	"xmlac/internal/store"
-	"xmlac/internal/xpath"
 )
 
 // The requester module is the system's front end (Section 4): it evaluates
@@ -29,16 +28,15 @@ type DeniedError = store.DeniedError
 type RequestResult = store.RequestResult
 
 // auditRequest records one request decision. Denials are attributed: the
-// denied node's matching rules are looked up in the attribution cache
-// (built lazily once per store version) and the deciding plus overridden
-// rule ids land on the event. The request span's trace id is stamped on
-// the event so /audit entries join /traces output. Callers hold at least
-// s.mu.RLock.
-func (s *System) auditRequest(q *xpath.Path, res *RequestResult, cacheHit bool, d time.Duration, sp *obs.Span, mode string, err error) {
+// denied node is decided on the fly against the read rules, and the
+// deciding plus overridden rule ids land on the event. The request span's
+// trace id is stamped on the event so /audit entries join /traces output.
+// Callers hold at least s.mu.RLock.
+func (s *System) auditRequest(query string, res *RequestResult, cacheHit bool, d time.Duration, sp *obs.Span, mode string, err error) {
 	if s.aud == nil {
 		return
 	}
-	e := audit.Event{Kind: "request", Query: q.String(), CacheHit: cacheHit,
+	e := audit.Event{Kind: "request", Query: query, CacheHit: cacheHit,
 		Mode: mode, Duration: d, Trace: sp.TraceID().String()}
 	var denied *DeniedError
 	switch {
@@ -48,8 +46,8 @@ func (s *System) auditRequest(q *xpath.Path, res *RequestResult, cacheHit bool, 
 	case errors.As(err, &denied):
 		e.Outcome = audit.OutcomeDeny
 		e.Err = err.Error()
-		if dec, derr := s.whyDeniedLocked(denied.ID); derr == nil && dec != nil {
-			e.Rules = dec.AttributingRules()
+		if n := s.doc.NodeByID(denied.ID); n != nil {
+			e.Rules = decideOnFly(s.policy, n).AttributingRules()
 		}
 	default:
 		e.Outcome = audit.OutcomeError

@@ -48,6 +48,22 @@ func flatSystem(t *testing.T, b Backend, n int, polText string) *System {
 	return sys
 }
 
+// forgetOwners empties the owner index of a relational system, so every
+// sign probe takes the probe-every-table fallback: the reference the
+// routed probes must agree with.
+func forgetOwners(t *testing.T, sys *System) {
+	t.Helper()
+	var ids []int64
+	for _, n := range sys.Document().Elements() {
+		ids = append(ids, n.ID)
+	}
+	m := sys.Engine().(store.Relational).Mapping()
+	m.ForgetOwner(ids...)
+	if owned, _ := m.GroupByOwner(ids); len(owned) != 0 {
+		t.Fatalf("owner index still routes %d tables", len(owned))
+	}
+}
+
 const allowAllPolicy = `
 default allow
 conflict allow
@@ -134,7 +150,9 @@ func TestRequestBatchBoundary(t *testing.T) {
 
 // TestRequestCheckedDeduplicatesWitnesses pins the duplicate-id semantics:
 // a translated qualifier query returns one row per witness, but Checked
-// counts distinct matched nodes on every backend and every mode.
+// counts distinct matched nodes on every backend and every mode. The
+// reference is the default system with its owner index emptied; on
+// monetcol the default path folds the sign check into the query.
 func TestRequestCheckedDeduplicatesWitnesses(t *testing.T) {
 	schema := dtd.MustParse(`
 <!ELEMENT r (p*)>
@@ -181,15 +199,17 @@ rule R1 allow //r
 	}
 
 	modes := map[string]func(*Config){
-		"reference": func(c *Config) { c.NoIDRouting = true },
+		"reference": nil,
 		"routed":    nil,
-		"pushdown":  func(c *Config) { c.PushdownSigns = true },
 		"qcache":    func(c *Config) { c.QueryCache = true },
 	}
-	for _, b := range []Backend{BackendColumn, BackendRow} {
+	for _, b := range []Backend{BackendColumn, BackendVector, BackendRow} {
 		for name, mod := range modes {
 			t.Run(b.String()+"/"+name, func(t *testing.T) {
 				sys := build(t, b, mod)
+				if name == "reference" {
+					forgetOwners(t, sys)
+				}
 				// The raw translated SQL really does return duplicate rows
 				// (one per witness t); that is what Checked must not count.
 				rel := sys.Engine().(store.Relational)
@@ -220,7 +240,9 @@ rule R1 allow //r
 }
 
 // TestRequestSpanOutcomesAndModes checks the check-access span's outcome
-// and mode attributes across the optimized paths.
+// and mode attributes across the request paths: the reference is the
+// default system with its owner index emptied, and monetcol folds the
+// sign check into the query.
 func TestRequestSpanOutcomesAndModes(t *testing.T) {
 	granted := xpath.MustParse("//patient/name")
 	denied := xpath.MustParse("//patient")
@@ -230,9 +252,9 @@ func TestRequestSpanOutcomesAndModes(t *testing.T) {
 		mod  func(*Config)
 		mode string
 	}{
-		{"reference", func(c *Config) { c.NoIDRouting = true }, "all-tables"},
+		{"reference", nil, "routed"},
 		{"routed", nil, "routed"},
-		{"pushdown", func(c *Config) { c.PushdownSigns = true }, "pushdown"},
+		{"pushdown", func(c *Config) { c.Backend = BackendVector }, "pushdown"},
 		{"qcache", func(c *Config) { c.QueryCache = true }, "qcache"},
 	}
 	for _, tc := range cases {
@@ -257,6 +279,9 @@ func TestRequestSpanOutcomesAndModes(t *testing.T) {
 			}
 			if _, err := sys.Annotate(); err != nil {
 				t.Fatal(err)
+			}
+			if tc.name == "reference" {
+				forgetOwners(t, sys)
 			}
 
 			col.Reset()
@@ -291,15 +316,16 @@ func TestRequestSpanOutcomesAndModes(t *testing.T) {
 
 // TestRoutedRequestsSurviveDeletes checks that id routing stays correct
 // after deletes drop ids from the owner index: routed results must match a
-// NoIDRouting reference system that saw the same update.
+// reference system whose owner index was emptied (every probe then takes
+// the probe-every-table fallback) and that saw the same update.
 func TestRoutedRequestsSurviveDeletes(t *testing.T) {
 	queries := []string{"//patient/name", "//patient", "//regular", "//doctor", "//treatment"}
 	for _, b := range []Backend{BackendColumn, BackendRow} {
 		t.Run(b.String(), func(t *testing.T) {
-			build := func(noRoute bool) *System {
+			build := func(forget bool) *System {
 				sys, err := NewSystem(Config{
 					Schema: hospital.Schema(), Policy: policy.MustParse(table1Policy),
-					Backend: b, Optimize: true, NoIDRouting: noRoute,
+					Backend: b, Optimize: true,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -309,6 +335,9 @@ func TestRoutedRequestsSurviveDeletes(t *testing.T) {
 				}
 				if _, err := sys.Annotate(); err != nil {
 					t.Fatal(err)
+				}
+				if forget {
+					forgetOwners(t, sys)
 				}
 				return sys
 			}

@@ -18,14 +18,14 @@ import (
 	"xmlac/internal/xpath"
 )
 
-// The write-sequence differential for the rewrite enforcer's scope
-// patching: after every insert or delete, the allow/deny sets the write
-// patched must equal a fresh EvalScope rebuild over the engine, without
-// the rebuild counter moving, and the accessible set must equal the
-// brute-force Table 2 semantics of the updated document. Policies with a
-// predicate on the root (or on a * step) put every write's region at the
-// whole document; there the sets must be left stale and rebuilt by the
-// next read instead.
+// The write-sequence differential for the decision set's patching, under
+// rewriting enforcement and under signs with the query cache: after every
+// insert or delete, the allow/deny sets the write patched must equal a
+// fresh EvalScope rebuild over the engine, without the rebuild counter
+// moving, and the accessible set must equal the brute-force Table 2
+// semantics of the updated document. Policies with a predicate on the
+// root (or on a * step) put every write's region at the whole document;
+// there the sets must be left stale and rebuilt by the next read instead.
 
 // locator builds an absolute path selecting n: its label chain from the
 // root, or just //label, narrowed most of the time by a value predicate
@@ -148,26 +148,29 @@ func sameSet(a, b map[int64]bool) bool {
 }
 
 func TestRewriteScopePatchDifferential(t *testing.T) {
+	// signs reports whether signs enforcement can serve the fixture (its
+	// schema is not recursive).
 	fixtures := []struct {
 		name     string
 		schema   *dtd.Schema
 		doc      func() *xmltree.Document
 		pol      string
 		backends []Backend
+		signs    bool
 	}{
 		{"hospital", hospital.Schema(), func() *xmltree.Document {
 			return hospital.Generate(hospital.GenOptions{Seed: 5, Departments: 2, PatientsPerDept: 8, StaffPerDept: 3})
-		}, table1Policy, allBackends},
+		}, table1Policy, allBackends, true},
 		{"xmark", xmark.Schema(), func() *xmltree.Document {
 			return xmark.Generate(xmark.Options{Factor: 0.002, Seed: 9})
-		}, xmarkTestPolicy, allBackends},
+		}, xmarkTestPolicy, allBackends, true},
 		{"parts", dtd.MustParse(partsDTD), func() *xmltree.Document {
 			d, err := xmltree.ParseString(partsDoc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return d
-		}, partsPolicy, []Backend{BackendNative}},
+		}, partsPolicy, []Backend{BackendNative}, false},
 	}
 	// The fallback variants add one rule whose predicated step matches
 	// the root element: by its label, or by a * test.
@@ -184,73 +187,92 @@ func TestRewriteScopePatchDifferential(t *testing.T) {
 	if testing.Short() {
 		writes = 10
 	}
+	// The signs input runs signs enforcement with the query cache, named
+	// by a /signs-qcache suffix.
 	for fi, fx := range fixtures {
 		for vi, v := range variants {
 			for _, b := range fx.backends {
-				t.Run(fmt.Sprintf("%s/%s/%v", fx.name, v.name, b), func(t *testing.T) {
-					doc := fx.doc()
-					reg := obs.NewRegistry()
-					sys, err := NewSystem(Config{
-						Schema: fx.schema, Policy: policy.MustParse(fx.pol + v.rule(doc.Root().Label)),
-						Backend: b, Optimize: true, Enforce: EnforceRewrite, Metrics: reg,
+				for _, mode := range []EnforceMode{EnforceRewrite, EnforceSigns} {
+					if mode == EnforceSigns && !fx.signs {
+						continue
+					}
+					name := fmt.Sprintf("%s/%s/%v", fx.name, v.name, b)
+					if mode == EnforceSigns {
+						name += "/signs-qcache"
+					}
+					t.Run(name, func(t *testing.T) {
+						doc := fx.doc()
+						checkScopePatches(t, fx.schema, doc, fx.pol+v.rule(doc.Root().Label), mode, b, v.fallback,
+							rand.New(rand.NewSource(int64(100*fi+10*vi+int(b)))), writes)
 					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := sys.Load(doc); err != nil {
-						t.Fatal(err)
-					}
-					e := sys.enf.(*rewriteEnforcer)
-					if fallback := sys.region.predAny || sys.region.predLabels[doc.Root().Label]; fallback != v.fallback {
-						t.Fatalf("policy falls back = %v, want %v", fallback, v.fallback)
-					}
-					rebuilds := reg.Counter("core_rewrite_scope_rebuilds_total")
-					if _, err := sys.AccessibleIDs(); err != nil {
-						t.Fatal(err)
-					}
-					r := rand.New(rand.NewSource(int64(100*fi + 10*vi + int(b))))
-					for i := 0; i < writes; i++ {
-						before := rebuilds.Value()
-						w := applyRandomWrite(t, r, sys)
-						c := e.cur.Load()
-						if patched := c.built == sys.version; patched == v.fallback {
-							t.Fatalf("write %d (%s): sets patched = %v, want %v", i, w, patched, !v.fallback)
-						}
-						if !v.fallback {
-							allow, err := sys.engine.EvalScope(scopeUnion(e.rw.Allow))
-							if err != nil {
-								t.Fatal(err)
-							}
-							deny, err := sys.engine.EvalScope(scopeUnion(e.rw.Deny))
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !sameSet(c.allow, allow) || !sameSet(c.deny, deny) {
-								t.Fatalf("write %d (%s): patched sets allow=%d deny=%d, rebuild allow=%d deny=%d",
-									i, w, len(c.allow), len(c.deny), len(allow), len(deny))
-							}
-						}
-						got, err := sys.AccessibleIDs()
-						if err != nil {
-							t.Fatal(err)
-						}
-						want := before
-						if v.fallback {
-							want++
-						}
-						if n := rebuilds.Value(); n != want {
-							t.Fatalf("write %d (%s): %d scope rebuilds, want %d", i, w, n-before, want-before)
-						}
-						sem, err := sys.Policy().Semantics(sys.Document())
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !sameSet(got, sem) {
-							t.Fatalf("write %d (%s): %d accessible, the Table 2 semantics give %d", i, w, len(got), len(sem))
-						}
-					}
-				})
+				}
 			}
+		}
+	}
+}
+
+// checkScopePatches runs one TestRewriteScopePatchDifferential case;
+// fallback marks a policy that puts every write's region at the whole
+// document.
+func checkScopePatches(t *testing.T, schema *dtd.Schema, doc *xmltree.Document, pol string, mode EnforceMode, b Backend,
+	fallback bool, r *rand.Rand, writes int) {
+	reg := obs.NewRegistry()
+	sys, err := NewSystem(Config{
+		Schema: schema, Policy: policy.MustParse(pol),
+		Backend: b, Optimize: true, Enforce: mode, QueryCache: mode == EnforceSigns, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Load(doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.region.predAny || sys.region.predLabels[doc.Root().Label]; got != fallback {
+		t.Fatalf("policy falls back = %v, want %v", got, fallback)
+	}
+	rebuilds := reg.Counter("core_rewrite_scope_rebuilds_total")
+	if _, err := sys.Annotate(); err != nil {
+		t.Fatal(err)
+	}
+	rw := sys.region.rw
+	for i := 0; i < writes; i++ {
+		before := rebuilds.Value()
+		w := applyRandomWrite(t, r, sys)
+		c := sys.dec.cur.Load()
+		if patched := c.built == sys.version; patched == fallback {
+			t.Fatalf("write %d (%s): sets patched = %v, want %v", i, w, patched, !fallback)
+		}
+		if !fallback {
+			allow, err := sys.engine.EvalScope(scopeUnion(rw.Allow))
+			if err != nil {
+				t.Fatal(err)
+			}
+			deny, err := sys.engine.EvalScope(scopeUnion(rw.Deny))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameSet(c.allow, allow) || !sameSet(c.deny, deny) {
+				t.Fatalf("write %d (%s): patched sets allow=%d deny=%d, rebuild allow=%d deny=%d",
+					i, w, len(c.allow), len(c.deny), len(allow), len(deny))
+			}
+		}
+		got, err := sys.AccessibleIDs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := before
+		if fallback {
+			want++
+		}
+		if n := rebuilds.Value(); n != want {
+			t.Fatalf("write %d (%s): %d scope rebuilds, want %d", i, w, n-before, want-before)
+		}
+		sem, err := sys.Policy().Semantics(sys.Document())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameSet(got, sem) {
+			t.Fatalf("write %d (%s): %d accessible, the Table 2 semantics give %d", i, w, len(got), len(sem))
 		}
 	}
 }
@@ -443,10 +465,10 @@ func TestAuctionPairGolden(t *testing.T) {
 	}
 }
 
-// TestRewriteScopesConcurrentReads runs readers on the rewrite enforcer's
-// lock-free hit path while a writer patches the scope sets: under -race
-// this is the synchronization proof for publishing them through an atomic
-// pointer. Every read must be a grant or an access denial.
+// TestRewriteScopesConcurrentReads runs readers on the decision set's
+// lock-free hit path while a writer patches the set: under -race this is
+// the synchronization proof for publishing it through an atomic pointer.
+// Every read must be a grant or an access denial.
 func TestRewriteScopesConcurrentReads(t *testing.T) {
 	sys, err := NewSystem(Config{
 		Schema: hospital.Schema(), Policy: policy.MustParse(table1Policy),

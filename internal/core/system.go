@@ -90,21 +90,13 @@ type Config struct {
 	// ones). 0 selects GOMAXPROCS; 1 forces the sequential reference path,
 	// which produces byte-identical sign columns.
 	Parallelism int
-	// PushdownSigns folds the access check of relational requests into the
-	// translated query (shred.TranslateAccessible) instead of issuing
-	// per-table sign-probe batches. Result-identical to the reference path.
-	PushdownSigns bool
-	// QueryCache answers request access checks from a compressed
-	// accessibility map (internal/cam) materialized after annotation and
-	// invalidated on every load, (re-)annotation and update — on both the
-	// native and the relational backends. Result-identical to the
-	// uncached paths.
+	// QueryCache answers the access checks of signs-mode requests from
+	// the System's decision set (decisions.go) instead of the signs in the
+	// store: the query is evaluated on the tree and each match is decided
+	// in memory, on every backend. Annotate builds the set and every write
+	// keeps it current over its region. Result-identical to the store's
+	// check; rewriting enforcement always answers from the set.
 	QueryCache bool
-	// NoIDRouting disables id→table routing of the relational sign probes,
-	// restoring the reference behavior of probing every table of the
-	// mapping. Routing is on by default because each universal id lives in
-	// exactly one table.
-	NoIDRouting bool
 	// Enforce selects the enforcement strategy, once for the System's
 	// life: signs is the paper's materialized pipeline, rewrite composes
 	// the policy into each query over the unannotated store, and auto (the
@@ -146,14 +138,11 @@ type System struct {
 	pool    *pool.Pool  // nil forces the sequential reference path
 	loaded  bool
 	// version stamps the store's accessibility state: bumped (under the
-	// exclusive lock) by every load, annotation and applied update, it
-	// invalidates the query cache, the attribution and the scope sets.
+	// exclusive lock) by every load, annotation and applied update. The
+	// decision set dec is the only state stamped with it.
 	version uint64
-	qc      *queryCache // nil unless Config.QueryCache
-	aud     *audit.Log  // nil when auditing is off
-	// attr caches per-rule sign provenance (which rules match each node),
-	// keyed by version like the query cache; System.Why serves from it.
-	attr attribution
+	dec     decisions
+	aud     *audit.Log // nil when auditing is off
 	// reqHist (indexed grant/deny/error) and annHist are the RED latency
 	// histograms behind store_request_seconds{engine,outcome} and
 	// store_annotate_seconds{engine}; nil without Config.Metrics.
@@ -166,7 +155,7 @@ type System struct {
 	enf    Enforcer
 	static *staticChecker
 	// region bounds each write's effect on the read policy's decisions;
-	// both enforcers maintain their state over it at write time.
+	// the decision set and the signs are maintained over it at write time.
 	region *writeRegion
 	// enfCounts mirror core_enforcer_requests_total{mode,outcome} for the
 	// planner-decision coverage report (live even without metrics); enfRow
@@ -210,9 +199,6 @@ func NewSystem(cfg Config) (*System, error) {
 			s.pool.SetMetrics(cfg.Metrics)
 		}
 	}
-	if cfg.QueryCache {
-		s.qc = newQueryCache(cfg.Metrics)
-	}
 	contains := ContainFunc(pattern.Contains)
 	if cfg.SchemaAware {
 		contains = SchemaContainFunc(cfg.Schema)
@@ -221,13 +207,11 @@ func NewSystem(cfg Config) (*System, error) {
 		s.policy, s.removed = RemoveRedundantWith(s.policy, contains)
 	}
 	eng, err := store.Open(cfg.Backend.String(), store.Options{
-		DocName:       cfg.DocName,
-		Schema:        cfg.Schema,
-		Default:       defaultSign(s.policy),
-		Metrics:       cfg.Metrics,
-		Pool:          s.pool,
-		PushdownSigns: cfg.PushdownSigns,
-		NoIDRouting:   cfg.NoIDRouting,
+		DocName: cfg.DocName,
+		Schema:  cfg.Schema,
+		Default: defaultSign(s.policy),
+		Metrics: cfg.Metrics,
+		Pool:    s.pool,
 	})
 	if err != nil {
 		return nil, err
@@ -250,6 +234,7 @@ func NewSystem(cfg Config) (*System, error) {
 				fmt.Sprintf("store_request_seconds{engine=%q,outcome=%q}", lbl, outcome))
 		}
 		s.annHist = cfg.Metrics.Histogram(fmt.Sprintf("store_annotate_seconds{engine=%q}", lbl))
+		s.dec.rebuilds = cfg.Metrics.Counter("core_rewrite_scope_rebuilds_total")
 		for m := 0; m < encModes; m++ {
 			for o, outcome := range encOutcomeNames {
 				s.enfCounters[m][o] = cfg.Metrics.Counter(
@@ -271,25 +256,18 @@ func (s *System) WritePolicy() *policy.Policy { return s.write }
 var ErrUpdateDenied = fmt.Errorf("core: update denied")
 
 // checkWriteAccess verifies every target node is updatable under the write
-// rules, evaluated on the fly (the materialized signs only cover reads).
-// Every check lands in the audit trail as a "write-check" event; a denial
-// is attributed to the deciding write rule.
+// rules, decided per target on the fly (the materialized signs only cover
+// reads); the decision that denies a target also attributes the denial.
+// Every check lands in the audit trail as a "write-check" event.
 func (s *System) checkWriteAccess(query string, targets []*xmltree.Node) error {
 	if !s.cfg.EnforceWrite {
 		return nil
 	}
 	start := time.Now()
-	sem, err := s.write.SemanticsAction(s.Document(), policy.ActionWrite)
-	if err != nil {
-		s.auditWriteCheck(query, len(targets), time.Since(start), nil, err)
-		return err
-	}
-	// SemanticsAction folds the default semantics in, so sem is the
-	// complete updatable node set.
 	for _, n := range targets {
-		if !sem[n.ID] {
+		if dec := decideOnFly(s.write, n); !dec.Accessible {
 			err := fmt.Errorf("%w: node %d (%s) is not updatable", ErrUpdateDenied, n.ID, n.Label)
-			s.auditWriteCheck(query, len(targets), time.Since(start), n, err)
+			s.auditWriteCheck(query, len(targets), time.Since(start), &dec, err)
 			return err
 		}
 	}
@@ -297,9 +275,9 @@ func (s *System) checkWriteAccess(query string, targets []*xmltree.Node) error {
 	return nil
 }
 
-// auditWriteCheck records one write-access check; denied carries the node
-// that failed the check, attributed on the fly against the write rules.
-func (s *System) auditWriteCheck(query string, checked int, d time.Duration, denied *xmltree.Node, err error) {
+// auditWriteCheck records one write-access check; denied is the decision
+// of the target that failed it.
+func (s *System) auditWriteCheck(query string, checked int, d time.Duration, denied *WhyDecision, err error) {
 	if s.aud == nil {
 		return
 	}
@@ -311,9 +289,7 @@ func (s *System) auditWriteCheck(query string, checked int, d time.Duration, den
 		e.Outcome = audit.OutcomeDeny
 		e.Err = err.Error()
 		if denied != nil {
-			if dec, derr := decideOnFly(s.write, s.Document(), denied); derr == nil {
-				e.Rules = dec.AttributingRules()
-			}
+			e.Rules = denied.AttributingRules()
 		}
 	default:
 		e.Outcome = audit.OutcomeError
@@ -422,7 +398,7 @@ func (s *System) Annotate() (AnnotateStats, error) {
 func (s *System) AnnotateCtx(ctx context.Context) (AnnotateStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.annotateLocked(ctx)
+	return s.annotateLocked(ctx, s.servesFromSet())
 }
 
 // startSpan begins the named span as a child of the context's span when
@@ -436,15 +412,20 @@ func (s *System) startSpan(ctx context.Context, name string) *obs.Span {
 	return s.tracer.Start(name)
 }
 
-// annotateLocked is AnnotateCtx for callers already holding s.mu.
-func (s *System) annotateLocked(ctx context.Context) (AnnotateStats, error) {
+// annotateLocked is AnnotateCtx for callers already holding s.mu; withSet
+// also builds the decision set, which the writes that annotate in full
+// leave stale instead.
+func (s *System) annotateLocked(ctx context.Context, withSet bool) (AnnotateStats, error) {
 	if !s.loaded {
 		return AnnotateStats{}, fmt.Errorf("core: no document loaded")
 	}
-	s.version++ // the enforcer's state is about to be rebuilt; invalidate the caches
+	s.version++ // the enforcer's state is about to be rebuilt; the decision set goes stale
 	sp := s.startSpan(ctx, "annotate").SetAttr("backend", s.cfg.Backend.String())
 	start := time.Now()
 	stats, err := s.enf.Annotate(obs.ContextWithSpan(ctx, sp))
+	if err == nil && withSet {
+		_, _, err = s.decisionSet()
+	}
 	stats.Duration = time.Since(start)
 	sp.SetAttr("updated", stats.Updated).SetAttr("reset", stats.Reset)
 	sp.Finish()
@@ -499,8 +480,9 @@ func (rep *UpdateReport) finishPhases() {
 
 // Request evaluates a user query with all-or-nothing access checking on the
 // configured backend. Every request lands in the audit trail (when a log
-// is attached): outcome, counts, cache hit and — for denials — the rule
-// that decided against the first inaccessible node.
+// is attached): outcome, counts, whether the decision set was current and
+// — for denials — the rule that decided against the first inaccessible
+// node.
 func (s *System) Request(q *xpath.Path) (*RequestResult, error) {
 	return s.RequestCtx(context.Background(), q)
 }
@@ -510,15 +492,16 @@ func (s *System) Request(q *xpath.Path) (*RequestResult, error) {
 // cross-document fan-outs trace as one connected tree.
 func (s *System) RequestCtx(ctx context.Context, q *xpath.Path) (*RequestResult, error) {
 	start := time.Now()
+	text := q.String() // the memo key, the span attribute and the audit query
 	// Instant refusal: a query the enforceability checker proves denied
 	// from its shape alone is rejected before the system lock, before any
 	// span, and before any store is touched.
-	if s.static.classify(q) == pattern.StaticDeny {
-		err := &DeniedError{Query: q.String()}
+	if s.static.classify(q, text) == pattern.StaticDeny {
+		err := &DeniedError{Query: text}
 		d := time.Since(start)
 		s.observeRequest(d, err)
 		s.countEnforced(encStatic, err)
-		s.auditStaticDeny(q, d, err)
+		s.auditStaticDeny(text, d, err)
 		return nil, err
 	}
 	s.mu.RLock()
@@ -527,14 +510,14 @@ func (s *System) RequestCtx(ctx context.Context, q *xpath.Path) (*RequestResult,
 		return nil, fmt.Errorf("core: no document loaded")
 	}
 	mode := s.enf.Mode().String()
-	sp := s.startSpan(ctx, "request").SetAttr("query", q.String()).
+	sp := s.startSpan(ctx, "request").SetAttr("query", text).
 		SetAttr("backend", s.cfg.Backend.String()).SetAttr("enforce", mode)
 	defer sp.Finish()
 	res, hit, err := s.enf.Request(ctx, q, sp)
 	d := time.Since(start)
 	s.observeRequest(d, err)
 	s.countEnforced(s.enfRow, err)
-	s.auditRequest(q, res, hit, d, sp, mode, err)
+	s.auditRequest(text, res, hit, d, sp, mode, err)
 	return res, err
 }
 
@@ -558,11 +541,11 @@ func (s *System) countEnforced(mode int, err error) {
 
 // auditStaticDeny records an instant refusal: Mode "static-deny", no
 // trace (no spans ran) and no node attribution (no node was identified).
-func (s *System) auditStaticDeny(q *xpath.Path, d time.Duration, err error) {
+func (s *System) auditStaticDeny(query string, d time.Duration, err error) {
 	if s.aud == nil {
 		return
 	}
-	s.auditRecord(audit.Event{Kind: "request", Query: q.String(), Outcome: audit.OutcomeDeny,
+	s.auditRecord(audit.Event{Kind: "request", Query: query, Outcome: audit.OutcomeDeny,
 		Mode: "static-deny", Duration: d, Err: err.Error()})
 }
 
@@ -580,7 +563,7 @@ func (s *System) Rewriter() *xpath.Rewriter { return s.region.rw }
 // ClassifyQuery returns the static enforceability verdict for q under
 // the active policy and schema.
 func (s *System) ClassifyQuery(q *xpath.Path) pattern.StaticVerdict {
-	return s.static.classify(q)
+	return s.static.classify(q, q.String())
 }
 
 // observeRequest feeds the request's latency into the histogram of its

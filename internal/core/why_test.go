@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"xmlac/internal/hospital"
-	"xmlac/internal/obs"
 	"xmlac/internal/policy"
 	"xmlac/internal/xpath"
 )
@@ -202,57 +201,5 @@ func TestWhyOptimizedPolicy(t *testing.T) {
 		if r := sys.Policy().Rules[d.Deciding.Index]; r.Name != "R2" {
 			t.Fatalf("deciding index %d resolves to %s, want R2", d.Deciding.Index, r.Name)
 		}
-	}
-}
-
-// TestWhyRuleMetrics: building the attribution map feeds the per-rule
-// match counters and annotation-latency histograms.
-func TestWhyRuleMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	sys, err := NewSystem(Config{
-		Schema:  hospital.Schema(),
-		Policy:  policy.MustParse(table1With("deny", "deny")),
-		Backend: BackendNative,
-		Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Load(hospital.Document()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Annotate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Why(xpath.MustParse("//patient")); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters[`core_rule_matches_total{rule="R1"}`]; got != 3 {
-		t.Fatalf("R1 matches = %d, want 3 (the three patients)", got)
-	}
-	if got := snap.Counters[`core_rule_matches_total{rule="R5"}`]; got != 1 {
-		t.Fatalf("R5 matches = %d, want 1 (the experimental patient)", got)
-	}
-	h, ok := snap.Histograms[`core_rule_annotation_seconds{rule="R1"}`]
-	if !ok || h.Count != 1 {
-		t.Fatalf("R1 latency histogram = %+v, want one sample", h)
-	}
-	// A second Why on the same version serves from the cache: no new samples.
-	if _, err := sys.Why(xpath.MustParse("//regular")); err != nil {
-		t.Fatal(err)
-	}
-	if h := reg.Snapshot().Histograms[`core_rule_annotation_seconds{rule="R1"}`]; h.Count != 1 {
-		t.Fatalf("attribution rebuilt on warm cache: %d samples", h.Count)
-	}
-	// Re-annotation bumps the version; the next Why rebuilds.
-	if _, err := sys.Annotate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Why(xpath.MustParse("//regular")); err != nil {
-		t.Fatal(err)
-	}
-	if h := reg.Snapshot().Histograms[`core_rule_annotation_seconds{rule="R1"}`]; h.Count != 2 {
-		t.Fatalf("attribution not rebuilt after annotate: %d samples", h.Count)
 	}
 }

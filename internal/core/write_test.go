@@ -150,8 +150,8 @@ func TestInsertWriteCheckOnParents(t *testing.T) {
 
 // TestRejectedWriteKeepsCaches: a write that is denied, or fails before it
 // changes the tree, leaves the version alone, so the next read is served
-// from what the last read built — the rewriter's scope sets, or the CAM of
-// the query cache under signs — instead of rebuilding it.
+// from the decision set the last read used — under rewrite, and under
+// signs with the query cache — instead of rebuilding it.
 func TestRejectedWriteKeepsCaches(t *testing.T) {
 	staff := xmltree.NewSubtree("staff")
 	nurse := xmltree.AddTemplateChild(staff, "nurse")
@@ -184,8 +184,7 @@ func TestRejectedWriteKeepsCaches(t *testing.T) {
 				}
 				read()
 				rebuilds := reg.Counter("core_rewrite_scope_rebuilds_total")
-				misses := reg.Counter("core_qcache_misses_total")
-				version, r0, m0 := sys.Version(), rebuilds.Value(), misses.Value()
+				version, r0 := sys.Version(), rebuilds.Value()
 
 				if _, err := sys.InsertAndReannotate(xpath.MustParse("//staffinfo"), staff); !errors.Is(err, ErrUpdateDenied) {
 					t.Fatalf("insert under staffinfo: err = %v, want ErrUpdateDenied", err)
@@ -200,10 +199,103 @@ func TestRejectedWriteKeepsCaches(t *testing.T) {
 					t.Fatalf("version %d -> %d across rejected writes", version, v)
 				}
 				read()
-				if r, m := rebuilds.Value(), misses.Value(); r != r0 || m != m0 {
-					t.Fatalf("scope rebuilds %d -> %d, CAM misses %d -> %d after rejected writes", r0, r, m0, m)
+				if r := rebuilds.Value(); r != r0 {
+					t.Fatalf("scope rebuilds %d -> %d after rejected writes", r0, r)
 				}
 			})
+		}
+	}
+}
+
+// TestWritesKeepDecisionSetCurrent: an accepted insert and an accepted
+// delete patch the decision set under both configurations that read it —
+// signs with the query cache, and rewrite — so the next request is served
+// from it without a rebuild and answers as the store's check of a
+// default system that saw the same writes. With a predicate on the root
+// every write's region is the whole document: the set is then rebuilt
+// exactly once per write.
+func TestWritesKeepDecisionSetCurrent(t *testing.T) {
+	queries := []string{"//patient", "//patient/name", "//regular", "//treatment", "//experimental", "//psn"}
+	tmpl := xmltree.NewSubtree("treatment")
+	xmltree.AddTemplateChild(tmpl, "experimental")
+	writes := []struct {
+		name  string
+		apply func(*System) error
+	}{
+		{"insert", func(s *System) error {
+			_, err := s.InsertAndReannotate(xpath.MustParse(`//patient[psn = "099"]`), tmpl)
+			return err
+		}},
+		{"delete", func(s *System) error {
+			_, err := s.DeleteAndReannotate(xpath.MustParse(`//patient[psn = "033"]/treatment`))
+			return err
+		}},
+	}
+	variants := []struct {
+		name     string
+		rule     string
+		rebuilds int64 // per write
+	}{
+		{"patched", "", 0},
+		{"root-predicate", "rule F1 deny /hospital[*]//name\n", 1},
+	}
+	for _, v := range variants {
+		for _, mode := range []EnforceMode{EnforceSigns, EnforceRewrite} {
+			for _, b := range []Backend{BackendNative, BackendColumn} {
+				t.Run(fmt.Sprintf("%s/%v/%v", v.name, mode, b), func(t *testing.T) {
+					reg := obs.NewRegistry()
+					sys, log := auditedSystem(t, Config{Policy: policy.MustParse(table1Policy + v.rule),
+						Backend: b, Optimize: true, Enforce: mode, QueryCache: true, Metrics: reg})
+					ref, _ := auditedSystem(t, Config{Policy: policy.MustParse(table1Policy + v.rule),
+						Backend: b, Optimize: true, Enforce: EnforceSigns})
+					rebuilds := reg.Counter("core_rewrite_scope_rebuilds_total")
+					for _, w := range writes {
+						before := rebuilds.Value()
+						if err := w.apply(sys); err != nil {
+							t.Fatalf("%s: %v", w.name, err)
+						}
+						if err := w.apply(ref); err != nil {
+							t.Fatalf("%s on the reference: %v", w.name, err)
+						}
+						for i, qs := range queries {
+							q := xpath.MustParse(qs)
+							got, want := renderDecision(sys.Request(q)), renderDecision(ref.Request(q))
+							if got != want {
+								t.Errorf("after %s, %s: %s, the store's check gives %s", w.name, qs, got, want)
+							}
+							if hit := lastEvent(t, log).CacheHit; i == 0 && hit != (v.rebuilds == 0) {
+								t.Errorf("after %s: the first request's CacheHit = %v", w.name, hit)
+							}
+						}
+						if n := rebuilds.Value() - before; n != v.rebuilds {
+							t.Errorf("%s and %d requests rebuilt the set %d times, want %d", w.name, len(queries), n, v.rebuilds)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestWriteAccessPerNode: the per-target decision checkWriteAccess makes
+// agrees with the write semantics of Table 2 on every element of the
+// hospital document, under all four (ds, cr) semantics.
+func TestWriteAccessPerNode(t *testing.T) {
+	doc := hospital.Document()
+	for _, def := range []policy.Effect{policy.Deny, policy.Allow} {
+		for _, conflict := range []policy.Effect{policy.Deny, policy.Allow} {
+			p := policy.MustParse(writePolicy).ForAction(policy.ActionWrite)
+			p.Default, p.Conflict = def, conflict
+			sem, err := p.SemanticsAction(doc, policy.ActionWrite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range doc.Elements() {
+				if d := decideOnFly(p, n); d.Accessible != sem[n.ID] {
+					t.Errorf("ds=%v cr=%v: node %d (%s) decided %v by %s, the write semantics give %v",
+						def, conflict, n.ID, n.Label, d.Accessible, d.Deciding, sem[n.ID])
+				}
+			}
 		}
 	}
 }

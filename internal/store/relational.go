@@ -36,7 +36,6 @@ type relationalEngine struct {
 	def      xmltree.Sign
 	pl       *pool.Pool // nil selects the sequential reference path
 	pushdown bool       // fold sign checks into translated queries
-	route    bool       // id→table routing of the fallback sign probes
 	signs    *obs.Counter
 }
 
@@ -63,8 +62,11 @@ func openerFor(kind sqldb.Engine) Opener {
 			name = "monetcol"
 		}
 		e := &relationalEngine{
-			name: name, db: sqldb.Open(kind), m: m, def: o.Default,
-			pl: o.Pool, pushdown: o.PushdownSigns, route: !o.NoIDRouting,
+			name: name, db: sqldb.Open(kind), m: m, def: o.Default, pl: o.Pool,
+			// Folding the sign check into the translated query pays off on
+			// the vectorized executor only; the others answer faster by
+			// probing each matched id's owning table.
+			pushdown: kind == sqldb.EngineColumnVector,
 		}
 		if o.Metrics != nil {
 			e.SetMetrics(o.Metrics)
@@ -389,9 +391,10 @@ func (e *relationalEngine) scanOwners(ids []int64, owned map[string][]int64) err
 }
 
 // Request evaluates a query against the annotated store: the query is
-// translated to SQL, and every returned tuple's sign is checked. The
-// reference path probes every table of the mapping; the optimized
-// variants (sign pushdown, id→table routing) are result-identical.
+// translated to SQL, and every returned tuple's sign is checked — probed
+// in the tuple's owning table, or, on the vectorized executor, by a second
+// translation with the sign predicate folded in (shred.TranslateAccessible).
+// Both checks are result-identical.
 //
 // Note that the relational store materializes all signs at annotation
 // time (Figure 6 initializes every tuple to the default), so unlike the
@@ -419,8 +422,7 @@ func (e *relationalEngine) Request(ctx context.Context, q *xpath.Path) (*Request
 	sp = obs.Start(parent, "check-access")
 	defer sp.Finish()
 	var accessible map[int64]bool
-	switch {
-	case e.pushdown:
+	if e.pushdown {
 		sp.SetAttr("mode", "pushdown")
 		signedSQL, err := shred.TranslateAccessible(e.m, q)
 		if err != nil {
@@ -430,15 +432,9 @@ func (e *relationalEngine) Request(ctx context.Context, q *xpath.Path) (*Request
 		if err != nil {
 			return nil, err
 		}
-	case e.route:
+	} else {
 		sp.SetAttr("mode", "routed")
-		accessible, err = e.probeSignsRouted(idList)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		sp.SetAttr("mode", "all-tables")
-		accessible, err = e.probeSigns(e.m.Tables(), idList)
+		accessible, err = e.probeSigns(idList)
 		if err != nil {
 			return nil, err
 		}
@@ -479,23 +475,11 @@ func (e *relationalEngine) RawQuery(ctx context.Context, q *xpath.Path) (*Reques
 	return &RequestResult{IDs: idList, Checked: len(ids)}, nil
 }
 
-// probeSigns checks signs table by table with batched IN probes (the
-// paper's universal-identifier iteration: an id alone does not identify its
-// table); the IN lists resolve through the primary-key index.
-func (e *relationalEngine) probeSigns(tables []*shred.TableInfo, idList []int64) (map[int64]bool, error) {
-	accessible := map[int64]bool{}
-	for _, ti := range tables {
-		if err := e.probeSignsTable(ti.Table, idList, accessible); err != nil {
-			return nil, err
-		}
-	}
-	return accessible, nil
-}
-
-// probeSignsRouted probes each id's owning table only, falling back to the
-// full cross-product for ids the owner index does not know (databases
-// populated outside the shredder).
-func (e *relationalEngine) probeSignsRouted(idList []int64) (map[int64]bool, error) {
+// probeSigns probes each id's owning table only, falling back to
+// probing every table for the ids the owner index does not know
+// (databases populated outside the shredder); a table's probes are
+// batched IN lists resolved through the primary-key index.
+func (e *relationalEngine) probeSigns(idList []int64) (map[int64]bool, error) {
 	owned, unknown := e.m.GroupByOwner(idList)
 	accessible := map[int64]bool{}
 	// Deterministic table order keeps the probe sequence stable.
@@ -589,7 +573,7 @@ func (e *relationalEngine) DeleteRows(byLabel map[string][]int64) (int, error) {
 			total += res.Affected
 		}
 		// Keep the id→table routing index in sync. Dropping an id is always
-		// safe: an unknown id simply falls back to the all-tables probe.
+		// safe: an unknown id simply falls back to probing every table.
 		e.m.ForgetOwner(ids...)
 	}
 	return total, nil

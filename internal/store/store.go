@@ -147,12 +147,6 @@ type Options struct {
 	// on (per-rule node-set queries, per-table reset and sign-update
 	// phases); nil selects the sequential reference path.
 	Pool *pool.Pool
-	// PushdownSigns folds the access check of relational requests into
-	// the translated query instead of issuing per-table sign probes.
-	PushdownSigns bool
-	// NoIDRouting disables id→table routing of the relational sign
-	// probes, restoring the probe-every-table reference behavior.
-	NoIDRouting bool
 }
 
 // withDefaults fills the option defaults shared by all engines.

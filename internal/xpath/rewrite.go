@@ -1,10 +1,6 @@
 package xpath
 
-import (
-	"strings"
-
-	"xmlac/internal/xmltree"
-)
+import "strings"
 
 // Query rewriting (after Mahfoud–Imine, "Secure Querying of Recursive XML
 // Views", arXiv:1112.2605): instead of materializing sign annotations,
@@ -15,8 +11,7 @@ import (
 // conflict-resolution bits — and provides
 //
 //   - the membership algebra (Accessible) that turns a node's allow/deny
-//     scope membership into its accessibility,
-//   - set evaluation over a tree (Sets, AccessibleSet), and
+//     scope membership into its accessibility, and
 //   - the textual safe-query rendering (Rewrite) shown by plans and
 //     EXPLAIN-style tooling.
 //
@@ -52,51 +47,6 @@ func (r *Rewriter) Accessible(inAllow, inDeny bool) bool {
 	default:
 		return inAllow && !inDeny
 	}
-}
-
-// Sets evaluates the allow and deny scope unions over the unannotated
-// tree, keyed by universal identifier.
-func (r *Rewriter) Sets(doc *xmltree.Document) (allow, deny map[int64]bool, err error) {
-	allow, err = evalUnion(r.Allow, doc)
-	if err != nil {
-		return nil, nil, err
-	}
-	deny, err = evalUnion(r.Deny, doc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return allow, deny, nil
-}
-
-// AccessibleSet evaluates the full accessible element set of the tree
-// under the policy — the rewriting counterpart of reading materialized
-// signs back.
-func (r *Rewriter) AccessibleSet(doc *xmltree.Document) (map[int64]bool, error) {
-	allow, deny, err := r.Sets(doc)
-	if err != nil {
-		return nil, err
-	}
-	out := map[int64]bool{}
-	for _, n := range doc.Elements() {
-		if r.Accessible(allow[n.ID], deny[n.ID]) {
-			out[n.ID] = true
-		}
-	}
-	return out, nil
-}
-
-func evalUnion(paths []*Path, doc *xmltree.Document) (map[int64]bool, error) {
-	out := map[int64]bool{}
-	for _, p := range paths {
-		nodes, err := Eval(p, doc)
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range nodes {
-			out[n.ID] = true
-		}
-	}
-	return out, nil
 }
 
 // AccessExpr renders the policy's accessible set as a set-algebra

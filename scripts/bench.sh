@@ -6,11 +6,13 @@
 # columnar executor) is instead recorded against the same run's MonetSQL
 # row-executor figure, so its speedup column is the columnar execution win.
 #
-# Also runs the Figure 10 request-path comparison (reference vs optimized
-# read path: sign-predicate pushdown + id routing + query cache, XMark
-# f = 0.1) and records both sides to BENCH_request.json, plus the
+# Also runs the Figure 10 request-path comparison (reference: the default
+# read path, which checks the signs in the store with id-routed probes, or
+# with the sign predicate folded into the query on monetcol; optimized:
+# the query cache, which checks them against the in-memory decision set;
+# XMark f = 0.1) and records both sides to BENCH_request.json, plus the
 # MonetColVsMonetSQL/reference case: row versus vectorized executor on the
-# unoptimized request path, where database work dominates. The Rewrite
+# reference request path, where database work dominates. The Rewrite
 # case compares the enforcement strategies on the column store: the
 # optimized signs pipeline (reference) versus rewriting enforcement over
 # the unannotated store (optimized).
@@ -192,7 +194,7 @@ END {
 	}
 	# The columnar comparison the vectorized executor is accepted on: the
 	# row executor (MonetSQL) versus the vectorized one (MonetCol) on the
-	# same unoptimized reference path, where the database work dominates.
+	# reference path, where the database work dominates.
 	b = before["MonetSQL"]; a = before["MonetCol"]
 	if (b == "" || a == "") {
 		print "bench.sh: missing MonetSQL or MonetCol reference run" > "/dev/stderr"

@@ -21,12 +21,12 @@ if grep -rn '"xmlac/internal/sqldb"\|"xmlac/internal/nativedb"' internal/core/*.
 fi
 
 # The enforcer seam is load-bearing too: the rewriting layer (planner,
-# rewrite enforcer, policy rewriter, and the write region both enforcers
-# maintain their state over) must never touch sign internals — the CAM
+# rewrite enforcer, policy rewriter, the decision set and the write region
+# it is maintained over) must never touch sign internals — the CAM
 # package, annotation-query construction, sign application or the
 # reannotator. Only the materialized enforcer's side of the seam may.
 if grep -n 'xmlac/internal/cam\|BuildAnnotationQuery\|AnnotationQuery\|ApplySigns\|xmltree\.Sign\|Reannotat\|\.Sign\b' \
-	internal/core/rewriter.go internal/core/planner.go internal/core/region.go internal/xpath/rewrite.go; then
+	internal/core/rewriter.go internal/core/planner.go internal/core/region.go internal/core/decisions.go internal/xpath/rewrite.go; then
 	echo "check.sh: the rewriting enforcement layer must not reference sign internals" >&2
 	exit 1
 fi
@@ -45,10 +45,11 @@ go test -race ./...
 # byte-identically to the materialized signs pipeline on every backend,
 # every Table 2 semantics and both fixtures — the refactor's safety net.
 # Both modes maintain their state over each write's region: the patched
-# scope sets must equal a fresh rebuild, and the maintained signs a fresh
-# annotation. `go test ./...` above runs it; this standalone form is what
-# CI's blocking cross-mode job calls.
-go test -run 'TestCrossModeEquivalence|TestRecursiveSchemaOnlyRewrite|TestStaticDenyFastPath|TestRewriteScopePatchDifferential|TestSignPatchDifferential|TestAuctionPairGolden' ./internal/core
+# decision set must equal a fresh rebuild and serve the next read without
+# one, and the maintained signs must equal a fresh annotation. `go test
+# ./...` above runs it; this standalone form is what CI's blocking
+# cross-mode job calls.
+go test -run 'TestCrossModeEquivalence|TestRecursiveSchemaOnlyRewrite|TestStaticDenyFastPath|TestRewriteScopePatchDifferential|TestWritesKeepDecisionSetCurrent|TestSignPatchDifferential|TestAuctionPairGolden' ./internal/core
 
 # Differential fuzzing: replay generated statement scripts against the row,
 # column and vectorized engines and require identical results and errors;
@@ -89,7 +90,7 @@ if command -v curl >/dev/null 2>&1; then
 		sleep 0.1
 	done
 	[ -n "$ok" ] || { echo "check.sh: /healthz never became ready" >&2; exit 1; }
-	curl -sf "http://127.0.0.1:$serve_port/metrics" | grep -q 'core_qcache' \
+	curl -sf "http://127.0.0.1:$serve_port/metrics" | grep -q 'core_rewrite_scope_rebuilds_total' \
 		|| { echo "check.sh: /metrics missing expected counters" >&2; exit 1; }
 	curl -sf "http://127.0.0.1:$serve_port/dashboard" | grep -q 'Request latency' \
 		|| { echo "check.sh: /dashboard did not render" >&2; exit 1; }

@@ -1,10 +1,12 @@
 package xmlac_test
 
-// Golden equivalence tests for the query-path optimizations: the optimized
-// relational request paths (sign-predicate pushdown, id→table routing, the
-// CAM-backed query cache) must be result-identical — grant-or-deny, exact
-// error text, returned ids and Checked — to the unoptimized reference path
-// on both documents and under all four policy semantics.
+// Golden equivalence tests for the query path: the default relational
+// request paths (id→table routed sign probes, or the sign predicate folded
+// into the query on monetcol) and the query cache's decision set must be
+// result-identical — grant-or-deny, exact error text, returned ids and
+// Checked — to the reference, a default system whose owner index was
+// emptied so that every sign probe falls back to probing every table, on
+// both documents and under all four policy semantics.
 
 import (
 	"slices"
@@ -13,6 +15,7 @@ import (
 	"xmlac"
 	"xmlac/internal/bench"
 	"xmlac/internal/hospital"
+	"xmlac/internal/store"
 	"xmlac/internal/xmark"
 )
 
@@ -122,25 +125,38 @@ func buildRequestSystem(t *testing.T, fx requestFixture, def, conflict xmlac.Eff
 	return sys
 }
 
+// forgetOwners empties a relational system's owner index: every sign
+// probe then takes the probe-every-table fallback.
+func forgetOwners(t *testing.T, sys *xmlac.System) {
+	t.Helper()
+	var ids []int64
+	for _, n := range sys.Document().Elements() {
+		ids = append(ids, n.ID)
+	}
+	m := sys.Engine().(store.Relational).Mapping()
+	m.ForgetOwner(ids...)
+	if owned, _ := m.GroupByOwner(ids); len(owned) != 0 {
+		t.Fatalf("owner index still routes %d tables", len(owned))
+	}
+}
+
 // TestOptimizedRequestPathsMatchReference is the golden matrix: document ×
-// semantics × relational backend × optimization mode, every outcome
-// byte-identical to the all-tables, no-pushdown reference.
+// semantics × relational backend × request path, every outcome
+// byte-identical to the emptied-owner-index reference.
 func TestOptimizedRequestPathsMatchReference(t *testing.T) {
 	modes := []struct {
 		name string
 		mod  func(*xmlac.Config)
 	}{
 		{"routed", nil},
-		{"pushdown", func(c *xmlac.Config) { c.PushdownSigns = true }},
 		{"qcache", func(c *xmlac.Config) { c.QueryCache = true }},
-		{"all-on", func(c *xmlac.Config) { c.PushdownSigns = true; c.QueryCache = true }},
 	}
 	for _, fx := range requestFixtures() {
 		for _, sem := range semantics {
 			for _, b := range []xmlac.Backend{xmlac.BackendColumn, xmlac.BackendVector, xmlac.BackendRow} {
 				t.Run(fx.name+"/"+sem.name+"/"+b.String(), func(t *testing.T) {
-					ref := buildRequestSystem(t, fx, sem.def, sem.conflict, b,
-						func(c *xmlac.Config) { c.NoIDRouting = true })
+					ref := buildRequestSystem(t, fx, sem.def, sem.conflict, b, nil)
+					forgetOwners(t, ref)
 					want := make([]requestOutcome, len(fx.queries))
 					granted := 0
 					for i, q := range fx.queries {
