@@ -1,7 +1,7 @@
 // Command guarded demonstrates the reproduction's extensions working
-// together on the hospital data: write rules guarding updates, schema-aware
-// triggering, security views, filtering requests, and a compressed
-// accessibility map of the final annotation.
+// together on the hospital data: write rules guarding updates, security
+// views, filtering requests, and a compressed accessibility map of the
+// final annotation.
 //
 //	go run ./examples/guarded
 package main
@@ -44,7 +44,6 @@ func main() {
 		Policy:       pol,
 		Backend:      xmlac.BackendNative,
 		Optimize:     true,
-		SchemaAware:  true, // schema-aware containment everywhere
 		EnforceWrite: true, // write rules gate updates
 	})
 	if err != nil {

@@ -98,8 +98,20 @@ func (m *Map) Accessible(n *xmltree.Node) bool {
 // Size returns the number of stored marks — the compression metric.
 func (m *Map) Size() int { return len(m.marks) }
 
-// Default returns the root-inherited accessibility.
-func (m *Map) Default() bool { return m.def }
+// Forget drops the marks of the given ids, the elements a delete removed,
+// and reports how many it dropped. The other marks are kept, so the map
+// stays minimal as long as no remaining node's accessibility changed: a
+// node's mark depends only on its own and its parent's accessibility.
+func (m *Map) Forget(ids []int64) int {
+	dropped := 0
+	for _, id := range ids {
+		if _, ok := m.marks[id]; ok {
+			delete(m.marks, id)
+			dropped++
+		}
+	}
+	return dropped
+}
 
 // Apply materializes the map back onto the document's sign annotations
 // (every element gets an explicit sign), for verification and export.

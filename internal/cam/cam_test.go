@@ -177,3 +177,37 @@ func TestQuickCamRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestForgetMatchesFreshBuild: when a delete leaves every remaining
+// node's accessibility alone, forgetting the deleted ids leaves exactly
+// the map a fresh build of the updated document holds, and Forget reports
+// how many marks it dropped.
+func TestForgetMatchesFreshBuild(t *testing.T) {
+	doc, acc := annotatedHospital(t)
+	m := cam.Build(doc, acc, false)
+	before := m.Size()
+	var gone []int64
+	for _, n := range doc.ElementsByLabel("regular") {
+		n.Walk(func(d *xmltree.Node) bool {
+			if d.IsElement() {
+				gone = append(gone, d.ID)
+			}
+			return true
+		})
+		if err := doc.DeleteSubtree(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dropped := m.Forget(gone)
+	if dropped == 0 {
+		t.Fatal("test premise broken: no deleted element carried a mark")
+	}
+	if fresh := cam.Build(doc, acc, false).Size(); m.Size() != fresh || before-dropped != m.Size() {
+		t.Fatalf("after Forget: %d marks (%d of %d dropped), fresh build %d", m.Size(), dropped, before, fresh)
+	}
+	for _, n := range doc.Elements() {
+		if m.Accessible(n) != acc[n.ID] {
+			t.Fatalf("after Forget: node %d (%s) accessible %v, want %v", n.ID, n.Label, m.Accessible(n), acc[n.ID])
+		}
+	}
+}

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"xmlac/internal/cam"
 	"xmlac/internal/hospital"
 	"xmlac/internal/obs"
 	"xmlac/internal/policy"
@@ -484,5 +486,147 @@ func TestCohortChurnHammer(t *testing.T) {
 	}
 	if st.Cohorts > st.Users {
 		t.Fatalf("more cohorts (%d) than users (%d)", st.Cohorts, st.Users)
+	}
+}
+
+// cohortOraclePaths are the rule resources TestCohortOracle draws from:
+// every path carries a qualifier, so a delete below a qualified step can
+// change a decision far above the deleted subtree.
+var cohortOraclePaths = []string{
+	"//dept[.//experimental]",
+	"/hospital/dept[.//experimental]//name",
+	"//dept[staffinfo/staff/doctor]//patient",
+	"//patients[patient/treatment]//psn",
+	"//patient[treatment]",
+	"//patient[.//experimental]",
+	"//patient[treatment]/name",
+	"//patient[treatment/regular or .//experimental]",
+	"//patient[.//bill > 1000]//bill",
+	"//treatment[experimental]",
+	"//treatment[regular]//*",
+	"//regular[bill > 1000]",
+	`//regular[med = "celecoxib"]`,
+	"//staffinfo[staff/nurse]",
+	"//staff[doctor]/*",
+	"/hospital[.//nurse]//phone",
+	"//*[experimental]",
+}
+
+// cohortOracleDeletes are the shared deletes TestCohortOracle applies.
+var cohortOracleDeletes = []string{
+	"//experimental",
+	"//patient[treatment]",
+	"//staff[nurse]",
+	"//regular",
+	"//treatment",
+	"//patient[.//experimental]",
+	"//regular[bill > 1000]",
+	"//staff",
+}
+
+// TestCohortOracle checks cohort maintenance against the brute-force
+// Table 2 evaluator under random policies and random deletes. Each seed
+// registers two users with 1–4 rules drawn from cohortOraclePaths under
+// random semantics on a generated hospital document, then applies three
+// random deletes. After every delete each user's accessible set must
+// equal policy.Semantics and their map must be exactly as large as a
+// fresh cam.Build of the updated document, and the marks total must be
+// the sum of the live maps.
+func TestCohortOracle(t *testing.T) {
+	// The pinned over-grant: the dept loses its last experimental
+	// treatment, but the delete never names the rule's own label.
+	t.Run("golden", func(t *testing.T) {
+		m, err := NewMultiUser(hospital.Schema(), hospital.Generate(hospital.GenOptions{Seed: 1, Departments: 3, PatientsPerDept: 6, StaffPerDept: 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AddUser("u", policy.MustParse("default deny\nconflict allow\nrule R allow //dept[.//experimental]\n")); err != nil {
+			t.Fatal(err)
+		}
+		if ids, _ := m.AccessibleIDs("u"); len(ids) == 0 {
+			t.Fatal("test premise broken: no dept holds an experimental treatment")
+		}
+		if _, err := m.Delete(xpath.MustParse("//patient[treatment]")); err != nil {
+			t.Fatal(err)
+		}
+		if ids, _ := m.AccessibleIDs("u"); len(ids) != 0 {
+			t.Fatalf("%d elements granted after the last experimental treatment was deleted, policy.Semantics grants 0", len(ids))
+		}
+		if size, _ := m.MapSize("u"); size != 0 {
+			t.Fatalf("map holds %d marks, a fresh build holds 0", size)
+		}
+	})
+
+	const seeds, writes = 300, 3
+	effects := []string{"allow", "deny"}
+	var checks, wrongSets, wrongSizes, wrongTotals int
+	totals := seeds * writes
+	for seed := int64(1); seed <= seeds; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		doc := hospital.Generate(hospital.GenOptions{Seed: uint64(seed), Departments: 1 + r.Intn(3), PatientsPerDept: 2 + r.Intn(6), StaffPerDept: r.Intn(4)})
+		m, err := NewMultiUser(hospital.Schema(), doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pols := map[string]*policy.Policy{}
+		for _, user := range []string{"a", "b"} {
+			text := fmt.Sprintf("default %s\nconflict %s\n", effects[r.Intn(2)], effects[r.Intn(2)])
+			for i, n := 0, 1+r.Intn(4); i < n; i++ {
+				text += fmt.Sprintf("rule R%d %s %s\n", i, effects[r.Intn(2)], cohortOraclePaths[r.Intn(len(cohortOraclePaths))])
+			}
+			pols[user] = policy.MustParse(text)
+			if err := m.AddUser(user, pols[user]); err != nil {
+				t.Fatalf("seed %d: AddUser(%s): %v", seed, user, err)
+			}
+		}
+		for w := 0; w < writes; w++ {
+			u := cohortOracleDeletes[r.Intn(len(cohortOracleDeletes))]
+			if _, err := m.Delete(xpath.MustParse(u)); err != nil {
+				t.Fatalf("seed %d: Delete(%s): %v", seed, u, err)
+			}
+			marks := map[string]int{}
+			for user, pol := range pols {
+				checks++
+				want, err := pol.Semantics(m.Document())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := m.AccessibleIDs(user)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					if wrongSets++; wrongSets <= 3 {
+						t.Errorf("seed %d delete %d (%s): user %s has %d accessible, policy.Semantics %d\n%s",
+							seed, w, u, user, len(got), len(want), pol)
+					}
+				}
+				size, err := m.MapSize(user)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fresh := cam.Build(m.Document(), want, pol.Default == policy.Allow).Size(); size != fresh {
+					if wrongSizes++; wrongSizes <= 3 {
+						t.Errorf("seed %d delete %d (%s): user %s map holds %d marks, a fresh build %d",
+							seed, w, u, user, size, fresh)
+					}
+				}
+				id, _ := m.CohortOf(user)
+				marks[id] = size
+			}
+			sum := 0
+			for _, n := range marks {
+				sum += n
+			}
+			if total := m.Stats().TotalMarks; total != sum {
+				if wrongTotals++; wrongTotals <= 3 {
+					t.Errorf("seed %d delete %d (%s): total marks %d, the live maps hold %d", seed, w, u, total, sum)
+				}
+			}
+		}
+	}
+	if wrongSets+wrongSizes+wrongTotals > 0 {
+		t.Errorf("%d of %d accessible sets wrong, %d of %d maps over- or under-sized, %d of %d mark totals off",
+			wrongSets, checks, wrongSizes, checks, wrongTotals, totals)
 	}
 }

@@ -34,8 +34,7 @@ func BuildDependencyGraph(p *policy.Policy) *DependencyGraph {
 // BuildDependencyGraphWith builds the dependency graph under a custom
 // containment test. The schema-aware test discovers edges the plain test
 // cannot (e.g. deny //treatment[experimental] vs allow //patient/treatment
-// under the hospital DTD), which makes re-annotation correct for policies
-// whose rules only interact modulo the schema.
+// under the hospital DTD); the ablation experiment counts them.
 func BuildDependencyGraphWith(p *policy.Policy, contains ContainFunc) *DependencyGraph {
 	n := len(p.Rules)
 	g := &DependencyGraph{

@@ -116,11 +116,11 @@ type Enforcer interface {
 // newEnforcer builds the strategy of the given (resolved) mode. Only the
 // materialized pipeline needs the reannotator, whose schema-aware
 // expansion rejects recursive DTDs, so only it builds one, as s.reann.
-func newEnforcer(s *System, mode EnforceMode, contains ContainFunc) (Enforcer, error) {
+func newEnforcer(s *System, mode EnforceMode) (Enforcer, error) {
 	if mode == EnforceRewrite {
 		return &rewriteEnforcer{s: s}, nil
 	}
-	reann, err := NewReannotatorWith(s.policy, s.cfg.Schema, contains)
+	reann, err := NewReannotator(s.policy, s.cfg.Schema)
 	if err != nil {
 		return nil, err
 	}

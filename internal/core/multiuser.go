@@ -33,14 +33,17 @@ import (
 // policy's fragmentation, not the document. On top of that, subjects are
 // compressed into policy-equivalence cohorts: real deployments hand the
 // same policy (a role) to many users, so the expensive state — the
-// optimized policy, the Reannotator dependency graph, and the accessibility
-// map — is kept once per distinct policy with a reference count, not once
-// per user. Equality is decided first by a canonical fingerprint of the
-// policy and, when fingerprints differ, by schema-aware mutual containment
-// of the rule sets (pattern.ContainsUnderSchema), so /hospital//patient and
-// //patient land in the same cohort on a schema where those paths coincide.
-// Memory per user is then O(1) amortized, and a shared update re-annotates
-// once per affected cohort instead of once per affected user.
+// optimized policy, its write region, and the accessibility map — is kept
+// once per distinct policy with a reference count, not once per user.
+// Equality is decided first by a canonical fingerprint of the policy and,
+// when fingerprints differ, by schema-aware mutual containment of the rule
+// sets (pattern.ContainsUnderSchema), so /hospital//patient and //patient
+// land in the same cohort on a schema where those paths coincide. Memory
+// per user is then O(1) amortized. A shared delete keeps the maps current
+// by the rule the System keeps its own decisions by (region.go): a cohort's
+// map is rebuilt when the delete's write region under the cohort's policy
+// is non-empty — once per such cohort, not once per user — and every other
+// cohort only drops the marks of the deleted elements.
 
 // MultiUser manages per-requester policies over one document. All methods
 // are safe for concurrent use: requests share a read lock, registration and
@@ -86,13 +89,13 @@ type MultiUser struct {
 }
 
 // cohort is one policy-equivalence class: the shared optimized policy, its
-// re-annotation machinery, the shared accessibility map, and the number of
-// registered users it serves.
+// write region, the shared accessibility map, and the number of registered
+// users it serves.
 type cohort struct {
 	key     string   // canonical fingerprint of the optimized read policy
 	rawKeys []string // raw fingerprints bound to this cohort (for eviction)
 	pol     *policy.Policy
-	reann   *Reannotator
+	region  *writeRegion
 	acc     *cam.Map
 	refs    int
 }
@@ -250,7 +253,7 @@ func (m *MultiUser) coveredBy(a, b []policy.Rule) bool {
 }
 
 // place resolves the cohort a policy belongs to, creating one (optimized
-// policy, Reannotator, accessibility map) on first sight. Caller holds the
+// policy, write region, accessibility map) on first sight. Caller holds the
 // write lock; the returned cohort's refcount is NOT yet incremented.
 //
 // Resolution order: raw fingerprint (no optimizer run), then the canonical
@@ -262,17 +265,8 @@ func (m *MultiUser) place(name string, pol *policy.Policy) (*cohort, error) {
 	}
 	if !m.share {
 		read, _ := RemoveRedundant(pol.ForAction(policy.ActionRead))
-		reann, err := NewReannotator(read, m.schema)
-		if err != nil {
-			return nil, err
-		}
 		m.seq++
-		c := &cohort{key: fmt.Sprintf("!user:%s#%d", name, m.seq), pol: read, reann: reann}
-		if err := m.rebuild(c); err != nil {
-			return nil, err
-		}
-		m.cohorts[c.key] = c
-		return c, nil
+		return m.addCohort(fmt.Sprintf("!user:%s#%d", name, m.seq), read)
 	}
 	raw := PolicyFingerprint(pol)
 	if c := m.byRaw[raw]; c != nil {
@@ -301,16 +295,22 @@ func (m *MultiUser) place(name string, pol *policy.Policy) (*cohort, error) {
 			return c, nil
 		}
 	}
-	reann, err := NewReannotator(read, m.schema)
+	c, err := m.addCohort(key, read)
 	if err != nil {
 		return nil, err
 	}
-	c := &cohort{key: key, pol: read, reann: reann}
+	m.bindRaw(raw, c)
+	return c, nil
+}
+
+// addCohort builds the cohort of an optimized read policy, map included,
+// and registers it under key. Caller holds the write lock.
+func (m *MultiUser) addCohort(key string, read *policy.Policy) (*cohort, error) {
+	c := &cohort{key: key, pol: read, region: newWriteRegion(NewRewriter(read))}
 	if err := m.rebuild(c); err != nil {
 		return nil, err
 	}
 	m.cohorts[key] = c
-	m.bindRaw(raw, c)
 	return c, nil
 }
 
@@ -340,7 +340,7 @@ func (m *MultiUser) release(c *cohort) {
 }
 
 // AddUser registers a requester with their policy. The first user of a
-// policy pays for optimization, the Reannotator and the accessibility map;
+// policy pays for optimization, the write region and the accessibility map;
 // every policy-equivalent registration after that shares the cohort and
 // costs O(1) — one fingerprint and two map entries.
 func (m *MultiUser) AddUser(name string, pol *policy.Policy) error {
@@ -498,8 +498,8 @@ func (m *MultiUser) Stats() MultiUserStats {
 }
 
 // rebuild recomputes a cohort's accessibility map from its policy. Safe to
-// run concurrently for distinct cohorts (Delete fans it out on the pool):
-// it writes only the cohort's own state plus atomic counters.
+// run concurrently for distinct cohorts (Delete and RebuildAll fan it out
+// on the pool): it writes only the cohort's own state plus atomic counters.
 func (m *MultiUser) rebuild(c *cohort) error {
 	acc, err := c.pol.Semantics(m.doc)
 	if err != nil {
@@ -642,41 +642,49 @@ func (m *MultiUser) MapSize(user string) (int, error) {
 type MultiUpdateReport struct {
 	// DeletedNodes counts removed tree nodes.
 	DeletedNodes int
-	// Reannotated lists the users whose rules triggered (their cohorts'
-	// maps were recomputed); everyone else's map was provably unaffected.
+	// Reannotated lists the users whose cohort was selected: the delete's
+	// write region under the cohort's policy was non-empty, so its map was
+	// recomputed. Everyone else's decisions provably did not change.
 	Reannotated []string
-	// RebuiltCohorts is the number of accessibility-map recomputations the
-	// update actually paid for — with cohort compression, the cost scales
-	// with this, not with len(Reannotated).
+	// RebuiltCohorts is the number of selected cohorts, i.e. of
+	// accessibility-map recomputations the update actually paid for —
+	// with cohort compression, the cost scales with this, not with
+	// len(Reannotated).
 	RebuiltCohorts int
 	// Took is the total wall time.
 	Took time.Duration
 }
 
-// Delete applies a delete update to the shared document and re-annotates
-// only the cohorts whose rules the Trigger algorithm selects — the paper's
-// re-annotation optimization lifted to the user dimension, paid once per
-// policy-equivalence class instead of once per user.
+// Delete applies a delete update to the shared document and keeps every
+// cohort's map current over the delete's write region, the rule the System
+// maintains its own decisions by: a cohort whose region is non-empty (or
+// the whole document) is rebuilt, once per policy-equivalence class
+// instead of once per user, and every other cohort keeps its decisions and
+// drops the marks of the deleted elements.
 func (m *MultiUser) Delete(u *xpath.Path) (*MultiUpdateReport, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	start := time.Now()
-	rep := &MultiUpdateReport{}
-	// Decide, per cohort, whether any rule triggers — before the update, as
-	// Trigger consults only the policy and schema.
-	var affected []*cohort
-	for _, c := range m.cohorts {
-		if len(c.reann.Trigger(u)) > 0 {
-			affected = append(affected, c)
-		}
-	}
-	// Sorted key order keeps pool scheduling and first-error deterministic.
-	sort.Slice(affected, func(i, j int) bool { return affected[i].key < affected[j].key })
-	_, total, err := ApplyDeleteTree(m.doc, u)
+	matches, err := xpath.Eval(u, m.doc)
 	if err != nil {
 		return nil, err
 	}
-	rep.DeletedNodes = total
+	d, err := deleteNodes(m.doc, u, matches)
+	if err != nil {
+		return nil, err
+	}
+	var deleted []int64
+	for _, ids := range d.deleted {
+		deleted = append(deleted, ids...)
+	}
+	var affected []*cohort
+	for _, c := range m.sortedCohorts() {
+		if roots, whole := c.region.roots(m.doc, d); len(roots) > 0 || whole {
+			affected = append(affected, c)
+		} else {
+			m.totalMarks.Add(-int64(c.acc.Forget(deleted)))
+		}
+	}
 	// Each rebuild reads the shared tree and writes only its own cohort's
 	// map, so the rebuilds fan out on the pool.
 	if err := m.pool.ForEach(len(affected), func(i int) error {
@@ -684,7 +692,7 @@ func (m *MultiUser) Delete(u *xpath.Path) (*MultiUpdateReport, error) {
 	}); err != nil {
 		return nil, err
 	}
-	rep.RebuiltCohorts = len(affected)
+	rep := &MultiUpdateReport{DeletedNodes: d.removed, RebuiltCohorts: len(affected)}
 	touched := map[*cohort]bool{}
 	for _, c := range affected {
 		touched[c] = true
@@ -701,17 +709,13 @@ func (m *MultiUser) Delete(u *xpath.Path) (*MultiUpdateReport, error) {
 }
 
 // RebuildAll recomputes every cohort's accessibility map, fanned out on the
-// pool — the worst-case update (every rule triggered), and the workload the
-// cohort benchmarks measure: its cost scales with the cohort count, not the
-// user count.
+// pool — the worst-case update (every region non-empty), and the workload
+// the cohort benchmarks measure: its cost scales with the cohort count, not
+// the user count.
 func (m *MultiUser) RebuildAll() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	all := make([]*cohort, 0, len(m.cohorts))
-	for _, c := range m.cohorts {
-		all = append(all, c)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
+	all := m.sortedCohorts()
 	if err := m.pool.ForEach(len(all), func(i int) error {
 		return m.rebuild(all[i])
 	}); err != nil {
@@ -719,6 +723,17 @@ func (m *MultiUser) RebuildAll() error {
 	}
 	m.updateGauges()
 	return nil
+}
+
+// sortedCohorts lists the live cohorts in key order, which keeps pool
+// scheduling and the first error deterministic. Caller holds the lock.
+func (m *MultiUser) sortedCohorts() []*cohort {
+	all := make([]*cohort, 0, len(m.cohorts))
+	for _, c := range m.cohorts {
+		all = append(all, c)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
+	return all
 }
 
 // ExportView materializes one requester's security view of the shared

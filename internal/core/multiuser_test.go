@@ -139,11 +139,11 @@ func TestMultiUserRequests(t *testing.T) {
 }
 
 // TestMultiUserDeleteReannotatesOnlyTriggered: deleting experimental
-// treatments triggers only the auditor, whose deny rules hinge on their
-// presence. The doctor's grants cover the deleted nodes themselves (which
-// vanish with the update, needing no re-annotation), and the receptionist
-// and staffing are untouched — so three of four users skip re-annotation
-// entirely.
+// treatments selects only the auditor's cohort, the one policy with a
+// qualifier (//patient[.//experimental]) that can look down into the
+// deleted subtrees, so its write region is non-empty. The other policies
+// have no qualifiers: their decisions of the remaining nodes cannot
+// change, so three of four users skip re-annotation entirely.
 func TestMultiUserDeleteReannotatesOnlyTriggered(t *testing.T) {
 	m := newMultiUser(t)
 	rep, err := m.Delete(xpath.MustParse("//experimental"))

@@ -44,7 +44,10 @@ func RemoveRedundant(p *policy.Policy) (*policy.Policy, []policy.Rule) {
 // RemoveRedundantWith is RemoveRedundant under a custom containment test —
 // typically SchemaContainFunc, which eliminates rules that are only
 // provably redundant on schema-valid documents (the schema-aware
-// optimization the paper's conclusion proposes).
+// optimization the paper's conclusion proposes). The System does not use
+// it: accepted writes can leave the document invalid, and there a rule
+// dropped this way still decides nodes. The ablation experiment measures
+// it.
 func RemoveRedundantWith(p *policy.Policy, contains ContainFunc) (*policy.Policy, []policy.Rule) {
 	removed := make([]bool, len(p.Rules))
 	for i := range p.Rules {

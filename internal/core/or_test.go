@@ -125,9 +125,7 @@ func TestOrPolicyReannotation(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := doc.Clone()
-			if _, _, err := ApplyDeleteTree(ref, xpath.MustParse(u)); err != nil {
-				t.Fatal(err)
-			}
+			applyDelete(t, ref, xpath.MustParse(u))
 			refSys, err := NewSystem(Config{Schema: hospital.Schema(), Policy: policy.MustParse(orPolicy), Backend: b, Optimize: true})
 			if err != nil {
 				t.Fatal(err)

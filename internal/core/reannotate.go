@@ -316,20 +316,6 @@ func (s *System) writeRegionSigns(root *obs.Span, region []decided, whole bool, 
 	})
 }
 
-// ApplyDeleteTree applies a delete update to the document: every node
-// matched by u is removed with its subtree. It returns the deleted
-// *element* ids grouped by element label (the relational engines need
-// them grouped by table) and the total number of deleted nodes including
-// text nodes.
-func ApplyDeleteTree(doc *xmltree.Document, u *xpath.Path) (map[string][]int64, int, error) {
-	matches, err := xpath.Eval(u, doc)
-	if err != nil {
-		return nil, 0, err
-	}
-	d, err := deleteNodes(doc, u, matches)
-	return d.deleted, d.removed, err
-}
-
 // deleteNodes removes the matches of the update u with their subtrees and
 // reports the change as a writeDelta, whose parents are those of the
 // removed subtree roots. An update matching the document root is refused

@@ -63,12 +63,6 @@ type Config struct {
 	// Optimize applies redundancy elimination to the policy (Section 5.1);
 	// the paper always runs it first.
 	Optimize bool
-	// SchemaAware switches the optimizer, the dependency graph and the
-	// Trigger algorithm to schema-aware containment (the optimization the
-	// paper's conclusion proposes): containments that only hold on
-	// schema-valid documents are recognized, removing more redundant rules
-	// and discovering more rule interdependencies.
-	SchemaAware bool
 	// EnforceWrite enables access control for update operations (the
 	// paper's future-work extension): before a delete or insert is applied,
 	// every targeted node (the deleted subtree roots, or the insertion
@@ -199,12 +193,8 @@ func NewSystem(cfg Config) (*System, error) {
 			s.pool.SetMetrics(cfg.Metrics)
 		}
 	}
-	contains := ContainFunc(pattern.Contains)
-	if cfg.SchemaAware {
-		contains = SchemaContainFunc(cfg.Schema)
-	}
 	if cfg.Optimize {
-		s.policy, s.removed = RemoveRedundantWith(s.policy, contains)
+		s.policy, s.removed = RemoveRedundant(s.policy)
 	}
 	eng, err := store.Open(cfg.Backend.String(), store.Options{
 		DocName: cfg.DocName,
@@ -222,7 +212,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s.region = newWriteRegion(NewRewriter(s.policy))
-	if s.enf, err = newEnforcer(s, s.plan.Mode, contains); err != nil {
+	if s.enf, err = newEnforcer(s, s.plan.Mode); err != nil {
 		return nil, err
 	}
 	s.enfRow = modeIndex(s.plan.Mode)

@@ -11,38 +11,25 @@ import (
 )
 
 // Reannotator holds the precomputed machinery of Section 5.3: the
-// dependency graph of the policy and the schema-aware expansion of every
-// rule, ready for the Trigger algorithm to consult when updates arrive.
-// Building it is a one-time cost per (policy, schema); Trigger itself runs
-// in O(n·h) containment tests, n the number of rules and h the schema
-// height, as the paper reports.
+// dependency graph of the policy and the schema-driven expansion of every
+// rule, ready for the Trigger algorithm to name the rules an update may
+// affect — for the update report and the audit trail only, as the write's
+// region decides what is re-annotated. Building it is a one-time cost per
+// (policy, schema); Trigger itself runs in O(n·h) containment tests, n the
+// number of rules and h the schema height, as the paper reports.
 type Reannotator struct {
 	Policy *policy.Policy
-	Schema *dtd.Schema
 	Graph  *DependencyGraph
 	// Expansions[i] are the linearizations of rule i's resource.
 	Expansions [][]*xpath.Path
-	// contains is the containment test used by Trigger.
-	contains ContainFunc
 }
 
-// NewReannotator precomputes the dependency graph and the rule expansions
-// using the plain containment test.
+// NewReannotator precomputes the dependency graph and the rule expansions.
 func NewReannotator(p *policy.Policy, schema *dtd.Schema) (*Reannotator, error) {
-	return NewReannotatorWith(p, schema, pattern.Contains)
-}
-
-// NewReannotatorWith precomputes the machinery under a custom containment
-// test; SchemaContainFunc makes both the dependency graph and the Trigger
-// containment checks schema-aware, capturing rule interactions (and hence
-// re-annotation correctness) that only hold modulo the schema.
-func NewReannotatorWith(p *policy.Policy, schema *dtd.Schema, contains ContainFunc) (*Reannotator, error) {
 	r := &Reannotator{
 		Policy:     p,
-		Schema:     schema,
-		Graph:      BuildDependencyGraphWith(p, contains),
+		Graph:      BuildDependencyGraph(p),
 		Expansions: make([][]*xpath.Path, len(p.Rules)),
-		contains:   contains,
 	}
 	for i, rule := range p.Rules {
 		x, err := pattern.Expand(rule.Resource, schema)
@@ -64,7 +51,7 @@ func (r *Reannotator) Trigger(u *xpath.Path) []int {
 	triggered := map[int]bool{}
 	for i := range r.Policy.Rules {
 		for _, x := range r.Expansions[i] {
-			if r.contains(x, u) || r.contains(u, x) {
+			if pattern.Contains(x, u) || pattern.Contains(u, x) {
 				triggered[i] = true
 				break
 			}

@@ -197,7 +197,7 @@ func (e *nativeEngine) AccessibleIDs() (map[int64]bool, error) {
 }
 
 // DeleteRows is a no-op: deleted subtrees leave the tree (and with it
-// this store) under the caller's ApplyDeleteTree.
+// this store) when the caller removes them.
 func (e *nativeEngine) DeleteRows(byLabel map[string][]int64) (int, error) { return 0, nil }
 
 // InsertSubtree is a no-op: inserted nodes are already on the tree.

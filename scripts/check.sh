@@ -46,10 +46,11 @@ go test -race ./...
 # every Table 2 semantics and both fixtures — the refactor's safety net.
 # Both modes maintain their state over each write's region: the patched
 # decision set must equal a fresh rebuild and serve the next read without
-# one, and the maintained signs must equal a fresh annotation. `go test
-# ./...` above runs it; this standalone form is what CI's blocking
-# cross-mode job calls.
-go test -run 'TestCrossModeEquivalence|TestRecursiveSchemaOnlyRewrite|TestStaticDenyFastPath|TestRewriteScopePatchDifferential|TestWritesKeepDecisionSetCurrent|TestSignPatchDifferential|TestAuctionPairGolden' ./internal/core
+# one, and the maintained signs must equal a fresh annotation. The cohort
+# oracle holds MultiUser's per-cohort maps to the same rule under random
+# policies and deletes. `go test ./...` above runs them; this standalone
+# form is what CI's blocking cross-mode job calls.
+go test -run 'TestCrossModeEquivalence|TestRecursiveSchemaOnlyRewrite|TestStaticDenyFastPath|TestRewriteScopePatchDifferential|TestWritesKeepDecisionSetCurrent|TestSignPatchDifferential|TestAuctionPairGolden|TestCohortOracle' ./internal/core
 
 # Differential fuzzing: replay generated statement scripts against the row,
 # column and vectorized engines and require identical results and errors;
