@@ -160,17 +160,18 @@ func requestBenchFactor() float64 {
 }
 
 // benchRequest measures the all-or-nothing request path over the 55-query
-// workload. reference is the default path, which checks the signs in the
-// store (routed probes, or the folded sign predicate on monetcol);
-// optimized answers the checks from the query cache's in-memory decision
-// set.
-func benchRequest(b *testing.B, backend xmlac.Backend, optimized bool) {
+// workload under one enforcement mode: signs checks the matches against
+// the signs in the store (routed probes, or the folded sign predicate on
+// monetcol), the engine's default read path; rewrite decides them against
+// the rewriting enforcer's decision set over the unannotated store, which
+// Annotate builds.
+func benchRequest(b *testing.B, backend xmlac.Backend, mode core.EnforceMode) {
 	cfg := core.Config{
-		Schema:     xmark.Schema(),
-		Policy:     bench.MidPolicy().Clone(),
-		Backend:    backend,
-		Optimize:   true,
-		QueryCache: optimized,
+		Schema:   xmark.Schema(),
+		Policy:   bench.MidPolicy().Clone(),
+		Backend:  backend,
+		Optimize: true,
+		Enforce:  mode,
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
@@ -192,54 +193,13 @@ func benchRequest(b *testing.B, backend xmlac.Backend, optimized bool) {
 }
 
 func benchRequestPair(b *testing.B, backend xmlac.Backend) {
-	b.Run("reference", func(b *testing.B) { benchRequest(b, backend, false) })
-	b.Run("optimized", func(b *testing.B) { benchRequest(b, backend, true) })
+	b.Run("signs", func(b *testing.B) { benchRequest(b, backend, core.EnforceSigns) })
+	b.Run("rewrite", func(b *testing.B) { benchRequest(b, backend, core.EnforceRewrite) })
 }
 
 func BenchmarkFig10_RequestMonetSQL(b *testing.B) { benchRequestPair(b, xmlac.BackendColumn) }
 func BenchmarkFig10_RequestMonetCol(b *testing.B) { benchRequestPair(b, xmlac.BackendVector) }
 func BenchmarkFig10_RequestPostgres(b *testing.B) { benchRequestPair(b, xmlac.BackendRow) }
-
-// BenchmarkFig10_RequestRewrite pits the two enforcement strategies
-// against each other on the column store: reference is the fully
-// optimized materialized path (signs + query cache, the "optimized" side
-// of the pairs above), optimized is the rewriting
-// enforcer over the *unannotated* store — no signs exist, so the system
-// never paid the annotation either (the setup cost outside the timer is
-// Load alone).
-func BenchmarkFig10_RequestRewrite(b *testing.B) {
-	run := func(b *testing.B, mode core.EnforceMode) {
-		cfg := core.Config{
-			Schema:   xmark.Schema(),
-			Policy:   bench.MidPolicy().Clone(),
-			Backend:  xmlac.BackendColumn,
-			Optimize: true,
-			Enforce:  mode,
-		}
-		cfg.QueryCache = mode == core.EnforceSigns
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		doc := xmark.Generate(xmark.Options{Factor: requestBenchFactor(), Seed: 1})
-		if err := sys.Load(doc); err != nil {
-			b.Fatal(err)
-		}
-		if mode == core.EnforceSigns {
-			if _, err := sys.Annotate(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		queries := bench.Queries()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q := queries[i%len(queries)]
-			_, _ = sys.Request(q) // denials are expected outcomes, not errors
-		}
-	}
-	b.Run("reference", func(b *testing.B) { run(b, core.EnforceSigns) })
-	b.Run("optimized", func(b *testing.B) { run(b, core.EnforceRewrite) })
-}
 
 // BenchmarkHotWrite_SignsVsRewrite measures the same read-after-write
 // cycle under each enforcement mode: one delete plus the next request, on
@@ -298,19 +258,18 @@ func BenchmarkHotWrite_SignsVsRewrite(b *testing.B) {
 }
 
 // BenchmarkRequest_AuditOverhead measures what the audit trail costs the
-// Figure 10 request path: the same optimized MonetSQL workload with no
+// Figure 10 request path: the same MonetSQL signs workload with no
 // audit log versus a ring-only log (the default deployment; the JSONL
 // sink is asynchronous and drops rather than blocks, so the ring is the
 // hot-path cost). EXPERIMENTS.md records the acceptance bound (<10%).
 func BenchmarkRequest_AuditOverhead(b *testing.B) {
 	run := func(b *testing.B, log *audit.Log) {
 		cfg := core.Config{
-			Schema:     xmark.Schema(),
-			Policy:     bench.MidPolicy().Clone(),
-			Backend:    xmlac.BackendColumn,
-			Optimize:   true,
-			QueryCache: true,
-			Audit:      log,
+			Schema:   xmark.Schema(),
+			Policy:   bench.MidPolicy().Clone(),
+			Backend:  xmlac.BackendColumn,
+			Optimize: true,
+			Audit:    log,
 		}
 		sys, err := core.NewSystem(cfg)
 		if err != nil {
@@ -352,12 +311,11 @@ func BenchmarkRequest_ObservatoryOverhead(b *testing.B) {
 			o.Attach(log)
 		}
 		cfg := core.Config{
-			Schema:     xmark.Schema(),
-			Policy:     bench.MidPolicy().Clone(),
-			Backend:    xmlac.BackendColumn,
-			Optimize:   true,
-			QueryCache: true,
-			Audit:      log,
+			Schema:   xmark.Schema(),
+			Policy:   bench.MidPolicy().Clone(),
+			Backend:  xmlac.BackendColumn,
+			Optimize: true,
+			Audit:    log,
 		}
 		sys, err := core.NewSystem(cfg)
 		if err != nil {

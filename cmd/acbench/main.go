@@ -33,11 +33,9 @@ func main() {
 		updates  = flag.Int("updates", 12, "number of delete updates for fig12 (0 = full workload)")
 		metrics  = flag.String("metrics", "", "write the run's backend metrics as JSON to this file")
 		parallel = flag.Int("parallel", 0, "annotation worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		qcache   = flag.Bool("qcache", false, "answer signs-mode request access checks from the in-memory decision set")
 	)
 	flag.Parse()
 	bench.Parallelism = *parallel
-	bench.QueryCache = *qcache
 
 	if *metrics != "" {
 		bench.Metrics = xmlac.NewMetricsRegistry()

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	xmlac [-dtd file] [-policy file] [-doc file] [-backend xquery|monetsql|monetcol|postgres]
-//	      [-trace] [-explain] [-slowquery dur] [-qcache] [-enforce auto|signs|rewrite]
+//	      [-trace] [-explain] [-slowquery dur] [-enforce auto|signs|rewrite]
 //	      [-audit file] [-audit-max-bytes n] [-audit-max-files n]
 //	      [-serve addr] [-slo spec] [-users list|demo] [-version] op...
 //
@@ -72,7 +72,6 @@ func main() {
 		explain    = flag.Bool("explain", false, "print the SQL plan before each query (relational backends)")
 		slowQuery  = flag.Duration("slowquery", 0, "log SQL statements slower than this duration to stderr (0 disables)")
 		parallel   = flag.Int("parallel", 0, "annotation worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-		qcache     = flag.Bool("qcache", false, "answer signs-mode request access checks from the in-memory decision set instead of the store")
 		enforce    = flag.String("enforce", "auto", "enforcement strategy: auto (planner decides), signs (materialized annotations) or rewrite (policy composed into each query)")
 		auditFile  = flag.String("audit", "", "append audit events as JSON lines to this file")
 		auditMaxB  = flag.Int64("audit-max-bytes", 0, "rotate the -audit file once it would exceed this size (0 = never rotate)")
@@ -106,20 +105,6 @@ func main() {
 		docText = readFile(*docFile)
 	}
 
-	var be xmlac.Backend
-	switch *backend {
-	case "xquery":
-		be = xmlac.BackendNative
-	case "monetsql":
-		be = xmlac.BackendColumn
-	case "monetcol":
-		be = xmlac.BackendVector
-	case "postgres":
-		be = xmlac.BackendRow
-	default:
-		fail(fmt.Errorf("unknown backend %q", *backend))
-	}
-
 	schema, err := xmlac.ParseDTD(schemaText)
 	if err != nil {
 		fail(err)
@@ -133,8 +118,8 @@ func main() {
 		fail(err)
 	}
 	cfg := xmlac.Config{
-		Schema: schema, Policy: pol, Backend: be, Optimize: *optimize,
-		QueryCache: *qcache, Enforce: mode,
+		Schema: schema, Policy: pol, Backend: xmlac.Backend(*backend), Optimize: *optimize,
+		Enforce: mode,
 	}.WithParallelism(*parallel)
 	reg := xmlac.NewMetricsRegistry()
 	cfg.Metrics = reg

@@ -126,8 +126,7 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := readAll(t, res)
-	if !strings.Contains(body, "core_requests_total") && !strings.Contains(body, "core_qcache") &&
-		!strings.Contains(body, "# TYPE") {
+	if !strings.Contains(body, "core_requests_total") && !strings.Contains(body, "# TYPE") {
 		t.Fatalf("metrics body = %q", body)
 	}
 

@@ -70,8 +70,8 @@ type Event struct {
 	// Updated and Reset carry annotation-run statistics.
 	Updated int `json:"updated,omitempty"`
 	Reset   int `json:"reset,omitempty"`
-	// CacheHit reports whether the decision was served from the
-	// CAM-backed query cache.
+	// CacheHit reports whether the decision was served from a current
+	// decision set (rewriting enforcement) rather than rebuilding it.
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// Mode names the enforcement strategy that produced a request
 	// decision: "signs" (materialized annotations), "rewrite" (policy

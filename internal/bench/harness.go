@@ -429,18 +429,13 @@ var Metrics *obs.Registry
 // -parallel, scripts/bench.sh's before/after comparison).
 var Parallelism int
 
-// QueryCache switches the query cache on for every system the harness
-// builds (cmd/acbench -qcache).
-var QueryCache bool
-
 func newSystem(b core.Backend, pol *policy.Policy) (*core.System, error) {
 	return core.NewSystem(core.Config{
-		Schema:     xmark.Schema(),
-		Policy:     pol.Clone(),
-		Backend:    b,
-		Optimize:   true,
-		Metrics:    Metrics,
-		QueryCache: QueryCache,
+		Schema:   xmark.Schema(),
+		Policy:   pol.Clone(),
+		Backend:  b,
+		Optimize: true,
+		Metrics:  Metrics,
 	}.WithParallelism(Parallelism))
 }
 

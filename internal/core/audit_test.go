@@ -114,12 +114,12 @@ func TestAuditTypedDenial(t *testing.T) {
 	}
 }
 
-// TestAuditCacheHitFlag: with the query cache on, Annotate builds the
+// TestAuditCacheHitFlag: under rewriting enforcement, Annotate builds the
 // decision set, so the first request is already served from it (a hit),
 // and a delete whose region is bounded patches it, so the request after
 // the delete is a hit too.
 func TestAuditCacheHitFlag(t *testing.T) {
-	sys, log := auditedSystem(t, Config{Backend: BackendColumn, QueryCache: true, Optimize: true})
+	sys, log := auditedSystem(t, Config{Backend: BackendColumn, Enforce: EnforceRewrite, Optimize: true})
 	q := xpath.MustParse("//patient/name")
 	for i := 0; i < 2; i++ {
 		if _, err := sys.Request(q); err != nil {

@@ -17,11 +17,11 @@ import (
 // views, Mahfoud–Imine's rewriting over recursive views) instead
 // composes the policy into the query and evaluates it over the
 // unannotated store. Both are strategies behind one interface, and each
-// System is built with exactly one of them: the System owns locking,
-// spans, metrics, auditing and the in-memory decision set (decisions.go),
-// and its Enforcer owns how requests are checked and how the store's own
-// decisions, if any, are kept — the signs' full build and per-write
-// maintenance.
+// System is built with exactly one of them. The System owns locking,
+// spans, metrics, auditing and the write region; its Enforcer owns where
+// decisions live and how requests read them — the signs in the store,
+// with their full build and per-write maintenance, or the rewriting
+// enforcer's in-memory decision set (rewriter.go).
 
 // EnforceMode selects the enforcement strategy of a System.
 type EnforceMode uint8
@@ -89,8 +89,8 @@ func ParseEnforceMode(s string) (EnforceMode, error) {
 // set, building its state over the whole document, and keeping that
 // state current across writes. The System holds its lock around every
 // call — at least the read lock for Request and AccessibleIDs, the
-// exclusive lock for Annotate and Maintain — and owns spans, metrics,
-// auditing and the decision set.
+// exclusive lock for Annotate and Maintain — and owns spans, metrics and
+// auditing.
 type Enforcer interface {
 	// Mode identifies the strategy (EnforceSigns or EnforceRewrite).
 	Mode() EnforceMode
@@ -103,59 +103,53 @@ type Enforcer interface {
 	// Annotate builds the strategy's state over the whole document at the
 	// current version. A span in ctx parents its stages.
 	Annotate(ctx context.Context) (AnnotateStats, error)
-	// Maintain brings the strategy's state up to date after a write that
-	// the tree and the engine already hold and whose version bump has
-	// just happened. region is the write's region as the System
-	// re-decided it; whole is set instead when the region is the whole
-	// document (region is then nil). locators yields the write's update
-	// expressions, for the rules the report names; root parents the
-	// stages, and rep receives their statistics.
-	Maintain(root *obs.Span, rep *UpdateReport, region []decided, whole bool, locators func() []*xpath.Path) error
+	// Maintain brings the strategy's state up to date after the write d,
+	// which the tree and the engine already hold and whose version bump
+	// has just happened. It re-decides the write's region through
+	// System.decideRegion, at most once, when its state needs it.
+	// locators yields the write's update expressions, for the rules the
+	// report names; root parents the stages, and rep receives their
+	// statistics.
+	Maintain(root *obs.Span, rep *UpdateReport, d writeDelta, locators func() []*xpath.Path) error
 }
 
 // newEnforcer builds the strategy of the given (resolved) mode. Only the
 // materialized pipeline needs the reannotator, whose schema-aware
-// expansion rejects recursive DTDs, so only it builds one, as s.reann.
+// expansion rejects recursive DTDs, so only it builds one.
 func newEnforcer(s *System, mode EnforceMode) (Enforcer, error) {
 	if mode == EnforceRewrite {
-		return &rewriteEnforcer{s: s}, nil
+		e := &rewriteEnforcer{s: s}
+		if s.cfg.Metrics != nil {
+			e.rebuilds = s.cfg.Metrics.Counter("core_rewrite_scope_rebuilds_total")
+		}
+		return e, nil
 	}
 	reann, err := NewReannotator(s.policy, s.cfg.Schema)
 	if err != nil {
 		return nil, err
 	}
-	s.reann = reann
-	return &materializedEnforcer{s: s}, nil
+	return &materializedEnforcer{s: s, reann: reann}, nil
 }
 
 // materializedEnforcer is the paper's pipeline behind the seam: annotation
 // writes '+'/'−' signs into the engine, the engine checks each query
-// against them (or, with the query cache on, the System decides it
-// against its decision set), and each write rewrites the signs of its
-// re-decided region.
+// against them, and each write rewrites the signs of its re-decided
+// region.
 type materializedEnforcer struct {
-	s *System
+	s     *System
+	reann *Reannotator
 }
 
 func (m *materializedEnforcer) Mode() EnforceMode { return EnforceSigns }
 
-// Request checks q against the signs in the engine or, with the query
-// cache on, evaluates it on the tree and checks every match against the
-// decision set — no store probe at all.
+// Request checks q against the signs in the engine.
 func (m *materializedEnforcer) Request(ctx context.Context, q *xpath.Path, sp *obs.Span) (*RequestResult, bool, error) {
-	if !m.s.cfg.QueryCache {
-		res, err := m.s.engine.Request(obs.ContextWithSpan(ctx, sp), q)
-		return res, false, err
-	}
-	return m.s.requestDecided(sp, "qcache", func() (*RequestResult, error) { return m.s.treeQuery(q, sp) })
+	res, err := m.s.engine.Request(obs.ContextWithSpan(ctx, sp), q)
+	return res, false, err
 }
 
-// AccessibleIDs reads the signs back or, with the query cache on, derives
-// the set from the decision set, which the signs agree with.
+// AccessibleIDs reads the signs back.
 func (m *materializedEnforcer) AccessibleIDs() (map[int64]bool, error) {
-	if m.s.cfg.QueryCache {
-		return m.s.decidedAccessibleIDs()
-	}
 	return m.s.engine.AccessibleIDs()
 }
 
@@ -164,15 +158,16 @@ func (m *materializedEnforcer) Annotate(ctx context.Context) (AnnotateStats, err
 	return m.s.engine.Annotate(ctx, BuildAnnotationQuery(m.s.policy))
 }
 
-// Maintain names the rules the Trigger algorithm selects (the report's
-// prepare time) and rewrites the signs of the write's region (part of
-// its re-annotation time).
-func (m *materializedEnforcer) Maintain(root *obs.Span, rep *UpdateReport, region []decided, whole bool, locators func() []*xpath.Path) error {
+// Maintain re-decides the write's region, names the rules the Trigger
+// algorithm selects (the report's prepare time) and rewrites the signs of
+// the region.
+func (m *materializedEnforcer) Maintain(root *obs.Span, rep *UpdateReport, d writeDelta, locators func() []*xpath.Path) error {
+	region, whole := m.s.decideRegion(root, rep, d)
 	start := time.Now()
-	m.s.trigger(root, rep, locators()...)
+	_ = stage(root, &rep.Stats.Phases, "trigger-selection", func() error {
+		rep.Triggered = m.reann.RuleNames(m.reann.TriggerAll(locators()))
+		return nil
+	})
 	rep.PrepareTime = time.Since(start)
-	start = time.Now()
-	err := m.s.writeRegionSigns(root, region, whole, &rep.Stats)
-	rep.ReannotateTime += time.Since(start)
-	return err
+	return m.s.writeRegionSigns(root, region, whole, &rep.Stats)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"xmlac/internal/hospital"
 	"xmlac/internal/obs"
@@ -112,6 +113,43 @@ func TestAnnotatePhasesRelational(t *testing.T) {
 				t.Errorf("sqldb_exec_seconds missing or empty: %+v", h)
 			}
 		})
+	}
+}
+
+// TestPreparedStatementsObserved: a relational request's sign probe and a
+// write's batched delete and sign updates run as prepared IN-list
+// statements, and they reach the SQL telemetry like every other
+// statement — store_queries_total, sqldb_exec_seconds and the slow-query
+// log, which names the template and the number of ids bound into it.
+func TestPreparedStatementsObserved(t *testing.T) {
+	sys, _, reg := newTracedSystem(t, BackendColumn)
+	if _, err := sys.Annotate(); err != nil {
+		t.Fatal(err)
+	}
+	var slow strings.Builder
+	sys.SetSlowQueryLog(&slow, time.Nanosecond)
+	queries := reg.Counter(`store_queries_total{engine="column"}`)
+	execs := func() int64 { return int64(reg.Snapshot().Histograms["sqldb_exec_seconds"].Count) }
+	q0, e0 := queries.Value(), execs()
+	if _, err := sys.Request(xpath.MustParse("//patient/name")); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(slow.String()), "\n")
+	if n, e := queries.Value()-q0, execs()-e0; n != 2 || e != 2 || len(lines) != 2 {
+		t.Fatalf("a granted request: %d statements counted, %d timed, %d logged; want 2 of each, the translated SELECT and one sign probe:\n%s",
+			n, e, len(lines), slow.String())
+	}
+	if !strings.Contains(lines[1], `AND id IN (?)" batch=`) {
+		t.Errorf("the sign probe's log line does not name its template and batch size: %s", lines[1])
+	}
+	slow.Reset()
+	if _, err := sys.DeleteAndReannotate(xpath.MustParse("//patient/treatment")); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`stmt="DELETE FROM `, `stmt="UPDATE `} {
+		if !strings.Contains(slow.String(), want) || !strings.Contains(slow.String(), `WHERE id IN (?)" batch=`) {
+			t.Errorf("the delete's slow-query log has no %s… IN (?) batch line:\n%s", want, slow.String())
+		}
 	}
 }
 

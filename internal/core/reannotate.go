@@ -111,7 +111,7 @@ type writeOp struct {
 // the change inside one engine transaction, bumps the version, has the
 // enforcer bring its state up to date, and commits. A write that is
 // denied, or fails before it changes the tree, leaves the version — and
-// with it the decision set — alone. The round trip is audited.
+// with it the enforcer's state — alone. The round trip is audited.
 func (s *System) update(op writeOp) (*UpdateReport, error) {
 	start := time.Now()
 	rep, err := s.runUpdate(op)
@@ -161,10 +161,14 @@ func (s *System) runUpdate(op writeOp) (*UpdateReport, error) {
 	if op.full {
 		// The full annotation runs as a child of this round trip's root,
 		// so the baseline renders as one tree too.
-		rep.Stats, err = s.annotateLocked(obs.ContextWithSpan(context.Background(), root), false)
+		rep.Stats, err = s.annotateLocked(obs.ContextWithSpan(context.Background(), root))
 		rep.ReannotateTime = rep.Stats.Duration
 	} else {
-		err = s.maintain(root, rep, d, op.locators)
+		// The enforcer's maintenance is re-annotation time, except the
+		// trigger selection it reports as PrepareTime.
+		start = time.Now()
+		err = s.enf.Maintain(root, rep, d, op.locators)
+		rep.ReannotateTime = time.Since(start) - rep.PrepareTime
 	}
 	if err != nil {
 		return nil, s.abortEngine(err)
@@ -241,47 +245,25 @@ func (s *System) auditUpdate(query string, rep *UpdateReport, d time.Duration, e
 	s.auditRecord(e)
 }
 
-// trigger records, as the trigger-selection phase, the names of the rules
-// the Trigger algorithm selects for the update expressions. Callers hold
-// s.mu exclusively.
-func (s *System) trigger(root *obs.Span, rep *UpdateReport, us ...*xpath.Path) {
-	_ = stage(root, &rep.Stats.Phases, "trigger-selection", func() error {
-		rep.Triggered = s.reann.RuleNames(s.reann.TriggerAll(us))
+// decideRegion computes the region of the write d, which the tree and
+// the engine already hold, and re-decides every element in it once; whole
+// is set instead, and nothing is walked, when the region is the whole
+// document. Callers hold s.mu exclusively, inside the engine transaction
+// of the write.
+func (s *System) decideRegion(root *obs.Span, rep *UpdateReport, d writeDelta) (region []decided, whole bool) {
+	var roots []*xmltree.Node
+	_ = stage(root, &rep.Stats.Phases, "write-region", func() error {
+		roots, whole = s.region.roots(s.doc, d)
 		return nil
 	})
-}
-
-// maintain brings the System's decisions up to date after the write d,
-// which the tree and the engine already hold: the write's region is
-// computed and re-decided once, and the same membership patches the
-// decision set, when it was current before the write, and feeds the
-// enforcer, which rewrites the region's signs under signs enforcement. A
-// region that is the whole document is not walked: the decision set is
-// left stale and the signs are annotated in full. Callers hold s.mu
-// exclusively, inside the engine transaction of the write.
-func (s *System) maintain(root *obs.Span, rep *UpdateReport, d writeDelta, locators func() []*xpath.Path) error {
-	set := s.currentBeforeWrite()
-	var region []decided
-	var whole bool
-	if set != nil || s.enf.Mode() == EnforceSigns {
-		start := time.Now()
-		var roots []*xmltree.Node
-		_ = stage(root, &rep.Stats.Phases, "write-region", func() error {
-			roots, whole = s.region.roots(s.doc, d)
-			return nil
-		})
-		if !whole {
-			_ = stage(root, &rep.Stats.Phases, "decide-region", func() error {
-				region = s.region.decide(roots)
-				return nil
-			})
-			if set != nil {
-				s.patchDecisions(set, d, region)
-			}
-		}
-		rep.ReannotateTime = time.Since(start)
+	if whole {
+		return nil, true
 	}
-	return s.enf.Maintain(root, rep, region, whole, locators)
+	_ = stage(root, &rep.Stats.Phases, "decide-region", func() error {
+		region = s.region.decide(roots)
+		return nil
+	})
+	return region, false
 }
 
 // writeRegionSigns rewrites the signs of a write's re-decided region, the
@@ -292,7 +274,7 @@ func (s *System) maintain(root *obs.Span, rep *UpdateReport, d writeDelta, locat
 // of the write.
 func (s *System) writeRegionSigns(root *obs.Span, region []decided, whole bool, stats *AnnotateStats) error {
 	if whole {
-		full, err := s.annotateLocked(obs.ContextWithSpan(context.Background(), root), false)
+		full, err := s.annotateLocked(obs.ContextWithSpan(context.Background(), root))
 		stats.Updated, stats.Reset = full.Updated, full.Reset
 		stats.Phases = append(stats.Phases, full.Phases...)
 		return err

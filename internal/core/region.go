@@ -6,9 +6,10 @@ import (
 )
 
 // writeRegion bounds what one write can change in the policy's decisions,
-// so the System keeps them current by re-deciding only the write's
-// region, once per write: the same membership patches the decision set
-// and feeds the signs enforcer's sign write.
+// so the enforcer keeps them current by re-deciding only the write's
+// region, at most once per write (System.decideRegion): the membership
+// feeds the signs enforcer's sign write, or patches the rewriting
+// enforcer's decision set.
 //
 // The region is sound for XP(/,//,*,[]): qualifiers only look downward,
 // so a write can change a qualifier's truth only at an ancestor-or-self

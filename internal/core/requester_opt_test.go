@@ -165,13 +165,9 @@ default allow
 conflict allow
 rule R1 allow //r
 `
-	build := func(t *testing.T, b Backend, mod func(*Config)) *System {
+	build := func(t *testing.T, b Backend) *System {
 		t.Helper()
-		cfg := Config{Schema: schema, Policy: policy.MustParse(pol), Backend: b, Optimize: true}
-		if mod != nil {
-			mod(&cfg)
-		}
-		sys, err := NewSystem(cfg)
+		sys, err := NewSystem(Config{Schema: schema, Policy: policy.MustParse(pol), Backend: b, Optimize: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +185,7 @@ rule R1 allow //r
 	}
 	q := xpath.MustParse("//p[t]")
 
-	native := build(t, BackendNative, nil)
+	native := build(t, BackendNative)
 	nres, err := native.Request(q)
 	if err != nil {
 		t.Fatal(err)
@@ -198,15 +194,10 @@ rule R1 allow //r
 		t.Fatalf("native Checked = %d, len(Nodes) = %d, want 3", nres.Checked, len(nres.Nodes))
 	}
 
-	modes := map[string]func(*Config){
-		"reference": nil,
-		"routed":    nil,
-		"qcache":    func(c *Config) { c.QueryCache = true },
-	}
 	for _, b := range []Backend{BackendColumn, BackendVector, BackendRow} {
-		for name, mod := range modes {
+		for _, name := range []string{"reference", "routed"} {
 			t.Run(b.String()+"/"+name, func(t *testing.T) {
-				sys := build(t, b, mod)
+				sys := build(t, b)
 				if name == "reference" {
 					forgetOwners(t, sys)
 				}
@@ -255,7 +246,6 @@ func TestRequestSpanOutcomesAndModes(t *testing.T) {
 		{"reference", nil, "routed"},
 		{"routed", nil, "routed"},
 		{"pushdown", func(c *Config) { c.Backend = BackendVector }, "pushdown"},
-		{"qcache", func(c *Config) { c.QueryCache = true }, "qcache"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

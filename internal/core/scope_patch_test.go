@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -18,12 +19,11 @@ import (
 	"xmlac/internal/xpath"
 )
 
-// The write-sequence differential for the decision set's patching, under
-// rewriting enforcement and under signs with the query cache: after every
-// insert or delete, the allow/deny sets the write patched must equal a
-// fresh EvalScope rebuild over the engine, without the rebuild counter
-// moving, and the accessible set must equal the brute-force Table 2
-// semantics of the updated document. Policies with a predicate on the
+// The write-sequence differential for the decision set's patching under
+// rewriting enforcement: after every insert or delete, the allow/deny
+// sets the write patched must equal a fresh EvalScope rebuild over the
+// engine, without the rebuild counter moving, and the accessible set must
+// equal the brute-force Table 2 semantics of the updated document. Policies with a predicate on the
 // root (or on a * step) put every write's region at the whole document;
 // there the sets must be left stale and rebuilt by the next read instead.
 
@@ -148,29 +148,26 @@ func sameSet(a, b map[int64]bool) bool {
 }
 
 func TestRewriteScopePatchDifferential(t *testing.T) {
-	// signs reports whether signs enforcement can serve the fixture (its
-	// schema is not recursive).
 	fixtures := []struct {
 		name     string
 		schema   *dtd.Schema
 		doc      func() *xmltree.Document
 		pol      string
 		backends []Backend
-		signs    bool
 	}{
 		{"hospital", hospital.Schema(), func() *xmltree.Document {
 			return hospital.Generate(hospital.GenOptions{Seed: 5, Departments: 2, PatientsPerDept: 8, StaffPerDept: 3})
-		}, table1Policy, allBackends, true},
+		}, table1Policy, allBackends},
 		{"xmark", xmark.Schema(), func() *xmltree.Document {
 			return xmark.Generate(xmark.Options{Factor: 0.002, Seed: 9})
-		}, xmarkTestPolicy, allBackends, true},
+		}, xmarkTestPolicy, allBackends},
 		{"parts", dtd.MustParse(partsDTD), func() *xmltree.Document {
 			d, err := xmltree.ParseString(partsDoc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return d
-		}, partsPolicy, []Backend{BackendNative}, false},
+		}, partsPolicy, []Backend{BackendNative}},
 	}
 	// The fallback variants add one rule whose predicated step matches
 	// the root element: by its label, or by a * test.
@@ -187,25 +184,14 @@ func TestRewriteScopePatchDifferential(t *testing.T) {
 	if testing.Short() {
 		writes = 10
 	}
-	// The signs input runs signs enforcement with the query cache, named
-	// by a /signs-qcache suffix.
 	for fi, fx := range fixtures {
 		for vi, v := range variants {
 			for _, b := range fx.backends {
-				for _, mode := range []EnforceMode{EnforceRewrite, EnforceSigns} {
-					if mode == EnforceSigns && !fx.signs {
-						continue
-					}
-					name := fmt.Sprintf("%s/%s/%v", fx.name, v.name, b)
-					if mode == EnforceSigns {
-						name += "/signs-qcache"
-					}
-					t.Run(name, func(t *testing.T) {
-						doc := fx.doc()
-						checkScopePatches(t, fx.schema, doc, fx.pol+v.rule(doc.Root().Label), mode, b, v.fallback,
-							rand.New(rand.NewSource(int64(100*fi+10*vi+int(b)))), writes)
-					})
-				}
+				t.Run(fmt.Sprintf("%s/%s/%v", fx.name, v.name, b), func(t *testing.T) {
+					doc := fx.doc()
+					checkScopePatches(t, fx.schema, doc, fx.pol+v.rule(doc.Root().Label), b, v.fallback,
+						rand.New(rand.NewSource(int64(100*fi+10*vi+slices.Index(allBackends, b)))), writes)
+				})
 			}
 		}
 	}
@@ -214,12 +200,12 @@ func TestRewriteScopePatchDifferential(t *testing.T) {
 // checkScopePatches runs one TestRewriteScopePatchDifferential case;
 // fallback marks a policy that puts every write's region at the whole
 // document.
-func checkScopePatches(t *testing.T, schema *dtd.Schema, doc *xmltree.Document, pol string, mode EnforceMode, b Backend,
+func checkScopePatches(t *testing.T, schema *dtd.Schema, doc *xmltree.Document, pol string, b Backend,
 	fallback bool, r *rand.Rand, writes int) {
 	reg := obs.NewRegistry()
 	sys, err := NewSystem(Config{
 		Schema: schema, Policy: policy.MustParse(pol),
-		Backend: b, Optimize: true, Enforce: mode, QueryCache: mode == EnforceSigns, Metrics: reg,
+		Backend: b, Optimize: true, Enforce: EnforceRewrite, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +224,7 @@ func checkScopePatches(t *testing.T, schema *dtd.Schema, doc *xmltree.Document, 
 	for i := 0; i < writes; i++ {
 		before := rebuilds.Value()
 		w := applyRandomWrite(t, r, sys)
-		c := sys.dec.cur.Load()
+		c := sys.enf.(*rewriteEnforcer).cur.Load()
 		if patched := c.built == sys.version; patched == fallback {
 			t.Fatalf("write %d (%s): sets patched = %v, want %v", i, w, patched, !fallback)
 		}
@@ -396,7 +382,7 @@ func TestSignPatchDifferential(t *testing.T) {
 					if fallback := sys.region.predAny || sys.region.predLabels[doc.Root().Label]; fallback != v.fallback {
 						t.Fatalf("policy falls back = %v, want %v", fallback, v.fallback)
 					}
-					r := rand.New(rand.NewSource(int64(100*fi + 10*vi + int(b))))
+					r := rand.New(rand.NewSource(int64(100*fi + 10*vi + slices.Index(allBackends, b))))
 					for i := 0; i < writes; i++ {
 						// The counter hides the engine's optional interfaces,
 						// so it wraps the engine for the write only.

@@ -20,37 +20,25 @@ import (
 	"xmlac/internal/xpath"
 )
 
-// Backend selects where a System materializes annotations.
-type Backend uint8
+// Backend names the store a System materializes annotations in: a
+// store-registry name, which NewSystem hands to store.Open unchanged.
+type Backend string
 
 const (
 	// BackendNative is the native XML store (the MonetDB/XQuery role).
-	BackendNative Backend = iota
+	BackendNative Backend = "xquery"
 	// BackendRow is the relational row store (the PostgreSQL role).
-	BackendRow
+	BackendRow Backend = "postgres"
 	// BackendColumn is the relational column store (the MonetDB/SQL role).
-	BackendColumn
+	BackendColumn Backend = "monetsql"
 	// BackendVector is the relational column store driven by the
 	// vectorized batch executor (the real-MonetDB role; see
 	// internal/sqldb/vector.go).
-	BackendVector
+	BackendVector Backend = "monetcol"
 )
 
-// String names the backend as the evaluation figures label the series.
-// The names double as store-registry keys: store.Open resolves them
-// directly ("xquery" is a registered alias of the native engine).
-func (b Backend) String() string {
-	switch b {
-	case BackendNative:
-		return "xquery"
-	case BackendColumn:
-		return "monetsql"
-	case BackendVector:
-		return "monetcol"
-	default:
-		return "postgres"
-	}
-}
+// String returns the registry name.
+func (b Backend) String() string { return string(b) }
 
 // Config assembles a System.
 type Config struct {
@@ -58,7 +46,7 @@ type Config struct {
 	Schema *dtd.Schema
 	// Policy is the access-control policy; required.
 	Policy *policy.Policy
-	// Backend selects the annotation store.
+	// Backend selects the annotation store; defaults to BackendNative.
 	Backend Backend
 	// Optimize applies redundancy elimination to the policy (Section 5.1);
 	// the paper always runs it first.
@@ -84,13 +72,6 @@ type Config struct {
 	// ones). 0 selects GOMAXPROCS; 1 forces the sequential reference path,
 	// which produces byte-identical sign columns.
 	Parallelism int
-	// QueryCache answers the access checks of signs-mode requests from
-	// the System's decision set (decisions.go) instead of the signs in the
-	// store: the query is evaluated on the tree and each match is decided
-	// in memory, on every backend. Annotate builds the set and every write
-	// keeps it current over its region. Result-identical to the store's
-	// check; rewriting enforcement always answers from the set.
-	QueryCache bool
 	// Enforce selects the enforcement strategy, once for the System's
 	// life: signs is the paper's materialized pipeline, rewrite composes
 	// the policy into each query over the unannotated store, and auto (the
@@ -125,7 +106,6 @@ type System struct {
 	policy  *policy.Policy // optimized read policy (drives annotation)
 	write   *policy.Policy // write rules (drive update checks)
 	removed []policy.Rule
-	reann   *Reannotator      // built by newEnforcer under signs only
 	doc     *xmltree.Document // installed by Load
 	engine  store.Engine
 	tracer  *obs.Tracer // nil when tracing is off
@@ -133,9 +113,8 @@ type System struct {
 	loaded  bool
 	// version stamps the store's accessibility state: bumped (under the
 	// exclusive lock) by every load, annotation and applied update. The
-	// decision set dec is the only state stamped with it.
+	// rewriting enforcer's decision set is the only state stamped with it.
 	version uint64
-	dec     decisions
 	aud     *audit.Log // nil when auditing is off
 	// reqHist (indexed grant/deny/error) and annHist are the RED latency
 	// histograms behind store_request_seconds{engine,outcome} and
@@ -149,7 +128,7 @@ type System struct {
 	enf    Enforcer
 	static *staticChecker
 	// region bounds each write's effect on the read policy's decisions;
-	// the decision set and the signs are maintained over it at write time.
+	// the enforcer's state is maintained over it at write time.
 	region *writeRegion
 	// enfCounts mirror core_enforcer_requests_total{mode,outcome} for the
 	// planner-decision coverage report (live even without metrics); enfRow
@@ -177,6 +156,9 @@ func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Policy.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Backend == "" {
+		cfg.Backend = BackendNative
+	}
 	if cfg.DocName == "" {
 		cfg.DocName = "doc"
 	}
@@ -196,7 +178,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Optimize {
 		s.policy, s.removed = RemoveRedundant(s.policy)
 	}
-	eng, err := store.Open(cfg.Backend.String(), store.Options{
+	eng, err := store.Open(string(cfg.Backend), store.Options{
 		DocName: cfg.DocName,
 		Schema:  cfg.Schema,
 		Default: defaultSign(s.policy),
@@ -224,7 +206,6 @@ func NewSystem(cfg Config) (*System, error) {
 				fmt.Sprintf("store_request_seconds{engine=%q,outcome=%q}", lbl, outcome))
 		}
 		s.annHist = cfg.Metrics.Histogram(fmt.Sprintf("store_annotate_seconds{engine=%q}", lbl))
-		s.dec.rebuilds = cfg.Metrics.Counter("core_rewrite_scope_rebuilds_total")
 		for m := 0; m < encModes; m++ {
 			for o, outcome := range encOutcomeNames {
 				s.enfCounters[m][o] = cfg.Metrics.Counter(
@@ -346,7 +327,12 @@ func (s *System) Loaded() bool {
 
 // Reannotator exposes the re-annotation machinery (for inspection and the
 // benchmark harness); nil under rewriting enforcement.
-func (s *System) Reannotator() *Reannotator { return s.reann }
+func (s *System) Reannotator() *Reannotator {
+	if m, ok := s.enf.(*materializedEnforcer); ok {
+		return m.reann
+	}
+	return nil
+}
 
 // Load installs the document: it is validated against the schema and
 // handed to the engine — kept as the annotated tree on the native
@@ -388,7 +374,7 @@ func (s *System) Annotate() (AnnotateStats, error) {
 func (s *System) AnnotateCtx(ctx context.Context) (AnnotateStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.annotateLocked(ctx, s.servesFromSet())
+	return s.annotateLocked(ctx)
 }
 
 // startSpan begins the named span as a child of the context's span when
@@ -402,20 +388,15 @@ func (s *System) startSpan(ctx context.Context, name string) *obs.Span {
 	return s.tracer.Start(name)
 }
 
-// annotateLocked is AnnotateCtx for callers already holding s.mu; withSet
-// also builds the decision set, which the writes that annotate in full
-// leave stale instead.
-func (s *System) annotateLocked(ctx context.Context, withSet bool) (AnnotateStats, error) {
+// annotateLocked is AnnotateCtx for callers already holding s.mu.
+func (s *System) annotateLocked(ctx context.Context) (AnnotateStats, error) {
 	if !s.loaded {
 		return AnnotateStats{}, fmt.Errorf("core: no document loaded")
 	}
-	s.version++ // the enforcer's state is about to be rebuilt; the decision set goes stale
+	s.version++ // the enforcer's state is about to be rebuilt
 	sp := s.startSpan(ctx, "annotate").SetAttr("backend", s.cfg.Backend.String())
 	start := time.Now()
 	stats, err := s.enf.Annotate(obs.ContextWithSpan(ctx, sp))
-	if err == nil && withSet {
-		_, _, err = s.decisionSet()
-	}
 	stats.Duration = time.Since(start)
 	sp.SetAttr("updated", stats.Updated).SetAttr("reset", stats.Reset)
 	sp.Finish()

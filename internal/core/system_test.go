@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"xmlac/internal/hospital"
@@ -404,12 +405,27 @@ func TestSystemRejectsRootDeletion(t *testing.T) {
 	}
 }
 
+// TestBackendNames: the backends are the store registry's names, the
+// empty name selects the native store, and an unknown name fails in
+// store.Open with the registered engines listed.
 func TestBackendNames(t *testing.T) {
 	names := map[Backend]string{BackendNative: "xquery", BackendRow: "postgres", BackendColumn: "monetsql", BackendVector: "monetcol"}
 	for b, want := range names {
 		if b.String() != want {
-			t.Errorf("%d.String() = %q, want %q", b, b.String(), want)
+			t.Errorf("%q.String() = %q, want %q", string(b), b.String(), want)
 		}
+	}
+	cfg := Config{Schema: hospital.Schema(), Policy: policy.MustParse(table1Policy)}
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Backend() != BackendNative || sys.Engine().Name() != "native" {
+		t.Errorf("default backend = %q (engine %s), want %q", sys.Backend(), sys.Engine().Name(), BackendNative)
+	}
+	cfg.Backend = "oracle"
+	if _, err := NewSystem(cfg); err == nil || !strings.Contains(err.Error(), `unknown engine "oracle" (registered: `) {
+		t.Errorf("unknown backend: err = %v", err)
 	}
 }
 

@@ -149,9 +149,9 @@ func TestInsertWriteCheckOnParents(t *testing.T) {
 }
 
 // TestRejectedWriteKeepsCaches: a write that is denied, or fails before it
-// changes the tree, leaves the version alone, so the next read is served
-// from the decision set the last read used — under rewrite, and under
-// signs with the query cache — instead of rebuilding it.
+// changes the tree, leaves the version alone — under signs and under
+// rewrite — so under rewrite the next read is served from the decision
+// set the last read used instead of rebuilding it.
 func TestRejectedWriteKeepsCaches(t *testing.T) {
 	staff := xmltree.NewSubtree("staff")
 	nurse := xmltree.AddTemplateChild(staff, "nurse")
@@ -164,7 +164,7 @@ func TestRejectedWriteKeepsCaches(t *testing.T) {
 				reg := obs.NewRegistry()
 				sys, err := NewSystem(Config{
 					Schema: hospital.Schema(), Policy: policy.MustParse(writePolicy),
-					Backend: b, Optimize: true, EnforceWrite: true, QueryCache: true,
+					Backend: b, Optimize: true, EnforceWrite: true,
 					Enforce: mode, Metrics: reg,
 				})
 				if err != nil {
@@ -199,7 +199,7 @@ func TestRejectedWriteKeepsCaches(t *testing.T) {
 					t.Fatalf("version %d -> %d across rejected writes", version, v)
 				}
 				read()
-				if r := rebuilds.Value(); r != r0 {
+				if r := rebuilds.Value(); mode == EnforceRewrite && r != r0 {
 					t.Fatalf("scope rebuilds %d -> %d after rejected writes", r0, r)
 				}
 			})
@@ -207,13 +207,12 @@ func TestRejectedWriteKeepsCaches(t *testing.T) {
 	}
 }
 
-// TestWritesKeepDecisionSetCurrent: an accepted insert and an accepted
-// delete patch the decision set under both configurations that read it —
-// signs with the query cache, and rewrite — so the next request is served
-// from it without a rebuild and answers as the store's check of a
-// default system that saw the same writes. With a predicate on the root
-// every write's region is the whole document: the set is then rebuilt
-// exactly once per write.
+// TestWritesKeepDecisionSetCurrent: under rewriting enforcement, an
+// accepted insert and an accepted delete patch the decision set, so the
+// next request is served from it without a rebuild and answers as the
+// store's check of a signs system that saw the same writes. With a
+// predicate on the root every write's region is the whole document: the
+// set is then rebuilt exactly once per write.
 func TestWritesKeepDecisionSetCurrent(t *testing.T) {
 	queries := []string{"//patient", "//patient/name", "//regular", "//treatment", "//experimental", "//psn"}
 	tmpl := xmltree.NewSubtree("treatment")
@@ -240,39 +239,37 @@ func TestWritesKeepDecisionSetCurrent(t *testing.T) {
 		{"root-predicate", "rule F1 deny /hospital[*]//name\n", 1},
 	}
 	for _, v := range variants {
-		for _, mode := range []EnforceMode{EnforceSigns, EnforceRewrite} {
-			for _, b := range []Backend{BackendNative, BackendColumn} {
-				t.Run(fmt.Sprintf("%s/%v/%v", v.name, mode, b), func(t *testing.T) {
-					reg := obs.NewRegistry()
-					sys, log := auditedSystem(t, Config{Policy: policy.MustParse(table1Policy + v.rule),
-						Backend: b, Optimize: true, Enforce: mode, QueryCache: true, Metrics: reg})
-					ref, _ := auditedSystem(t, Config{Policy: policy.MustParse(table1Policy + v.rule),
-						Backend: b, Optimize: true, Enforce: EnforceSigns})
-					rebuilds := reg.Counter("core_rewrite_scope_rebuilds_total")
-					for _, w := range writes {
-						before := rebuilds.Value()
-						if err := w.apply(sys); err != nil {
-							t.Fatalf("%s: %v", w.name, err)
+		for _, b := range []Backend{BackendNative, BackendColumn} {
+			t.Run(fmt.Sprintf("%s/rewrite/%v", v.name, b), func(t *testing.T) {
+				reg := obs.NewRegistry()
+				sys, log := auditedSystem(t, Config{Policy: policy.MustParse(table1Policy + v.rule),
+					Backend: b, Optimize: true, Enforce: EnforceRewrite, Metrics: reg})
+				ref, _ := auditedSystem(t, Config{Policy: policy.MustParse(table1Policy + v.rule),
+					Backend: b, Optimize: true, Enforce: EnforceSigns})
+				rebuilds := reg.Counter("core_rewrite_scope_rebuilds_total")
+				for _, w := range writes {
+					before := rebuilds.Value()
+					if err := w.apply(sys); err != nil {
+						t.Fatalf("%s: %v", w.name, err)
+					}
+					if err := w.apply(ref); err != nil {
+						t.Fatalf("%s on the reference: %v", w.name, err)
+					}
+					for i, qs := range queries {
+						q := xpath.MustParse(qs)
+						got, want := renderDecision(sys.Request(q)), renderDecision(ref.Request(q))
+						if got != want {
+							t.Errorf("after %s, %s: %s, the store's check gives %s", w.name, qs, got, want)
 						}
-						if err := w.apply(ref); err != nil {
-							t.Fatalf("%s on the reference: %v", w.name, err)
-						}
-						for i, qs := range queries {
-							q := xpath.MustParse(qs)
-							got, want := renderDecision(sys.Request(q)), renderDecision(ref.Request(q))
-							if got != want {
-								t.Errorf("after %s, %s: %s, the store's check gives %s", w.name, qs, got, want)
-							}
-							if hit := lastEvent(t, log).CacheHit; i == 0 && hit != (v.rebuilds == 0) {
-								t.Errorf("after %s: the first request's CacheHit = %v", w.name, hit)
-							}
-						}
-						if n := rebuilds.Value() - before; n != v.rebuilds {
-							t.Errorf("%s and %d requests rebuilt the set %d times, want %d", w.name, len(queries), n, v.rebuilds)
+						if hit := lastEvent(t, log).CacheHit; i == 0 && hit != (v.rebuilds == 0) {
+							t.Errorf("after %s: the first request's CacheHit = %v", w.name, hit)
 						}
 					}
-				})
-			}
+					if n := rebuilds.Value() - before; n != v.rebuilds {
+						t.Errorf("%s and %d requests rebuilt the set %d times, want %d", w.name, len(queries), n, v.rebuilds)
+					}
+				}
+			})
 		}
 	}
 }

@@ -36,7 +36,7 @@ func (db *Database) Exec(src string) (*Result, error) {
 	st, hit, err := db.parseCached(cache, src)
 	parseD := time.Since(parseStart)
 	if err != nil {
-		db.observeStatement(m, slowLog, slowThresh, src, nil, parseD, 0, err)
+		db.observeStatement(m, slowLog, slowThresh, src, -1, nil, parseD, 0, err)
 		return nil, err
 	}
 	if m != nil && cache != nil {
@@ -49,37 +49,22 @@ func (db *Database) Exec(src string) (*Result, error) {
 	}
 	execStart := time.Now()
 	res, err := db.ExecStmt(st)
-	db.observeStatement(m, slowLog, slowThresh, src, res, parseD, time.Since(execStart), err)
+	db.observeStatement(m, slowLog, slowThresh, src, -1, res, parseD, time.Since(execStart), err)
 	return res, err
 }
 
 // parseCached resolves SQL text to an executable statement through the plan
-// cache. Statements ending in an integer IN list are auto-parameterized:
-// the cache key replaces the list with "?" so batched probes differing only
-// in their ids share one cached plan, and a hit binds the fresh id list
-// into a shallow clone of the template (cached ASTs are shared across
-// executions and never mutated in place).
+// cache; hit reports a cached statement.
 func (db *Database) parseCached(cache *planCache, src string) (Statement, bool, error) {
-	key := src
-	var ids []Value
-	if k, vals, ok := autoParam(src); ok {
-		key, ids = k, vals
-	}
-	if st, hit := cache.get(key); hit {
-		if ids == nil {
-			return st, true, nil
-		}
-		if bound, ok := bindInParam(st, ids); ok {
-			return bound, true, nil
-		}
-		// A template shape we cannot rebind: re-parse the original text.
+	if st, hit := cache.get(src); hit {
+		return st, true, nil
 	}
 	st, err := ParseStatement(src)
 	if err != nil {
 		return nil, false, err
 	}
 	if cacheable(st) {
-		cache.put(key, st)
+		cache.put(src, st)
 	}
 	return st, false, nil
 }

@@ -99,10 +99,12 @@ func (db *Database) SetSlowQueryLog(w io.Writer, threshold time.Duration) {
 //
 //	slow-query dur=1.21ms parse=8µs exec=1.2ms rows=42 affected=0 stmt="SELECT …"
 //
-// The observer attachments arrive as the snapshot Exec took under the read
-// lock, keeping this path race-free against SetMetrics/SetSlowQueryLog.
+// A prepared template's execution (batch >= 0) logs the template text and
+// the number of ids bound into it, as batch=N after the statement. The
+// observer attachments arrive as a snapshot taken under the read lock,
+// keeping this path race-free against SetMetrics/SetSlowQueryLog.
 func (db *Database) observeStatement(m *dbMetrics, slowLog io.Writer, slowThresh time.Duration,
-	src string, res *Result, parseD, execD time.Duration, err error) {
+	src string, batch int, res *Result, parseD, execD time.Duration, err error) {
 	if m != nil {
 		m.statements.Inc()
 		m.parseSeconds.ObserveDuration(parseD)
@@ -122,12 +124,15 @@ func (db *Database) observeStatement(m *dbMetrics, slowLog io.Writer, slowThresh
 	if res != nil {
 		rows, affected = len(res.Rows), res.Affected
 	}
-	status := ""
+	status, bound := "", ""
 	if err != nil {
 		status = " error=" + fmt.Sprintf("%q", err.Error())
 	}
-	fmt.Fprintf(slowLog, "slow-query dur=%v parse=%v exec=%v rows=%d affected=%d%s stmt=%q\n",
-		total, parseD, execD, rows, affected, status, truncate(strings.Join(strings.Fields(src), " "), 200))
+	if batch >= 0 {
+		bound = fmt.Sprintf(" batch=%d", batch)
+	}
+	fmt.Fprintf(slowLog, "slow-query dur=%v parse=%v exec=%v rows=%d affected=%d%s stmt=%q%s\n",
+		total, parseD, execD, rows, affected, status, truncate(strings.Join(strings.Fields(src), " "), 200), bound)
 }
 
 // ExplainStmt is EXPLAIN <statement>: execute the inner query with the

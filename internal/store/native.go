@@ -149,33 +149,22 @@ func (e *nativeEngine) accessible(n *xmltree.Node) bool {
 	}
 }
 
-// Request evaluates a query against the annotated tree; the policy
-// default decides unannotated nodes.
+// Request evaluates a query against the annotated tree and checks the
+// matches' signs; the policy default decides unannotated nodes.
 func (e *nativeEngine) Request(ctx context.Context, q *xpath.Path) (*RequestResult, error) {
-	parent := obs.FromContext(ctx)
-	sp := obs.Start(parent, "eval-query")
-	nodes, err := xpath.Eval(q, e.doc)
-	sp.SetAttr("matched", len(nodes)).Finish()
+	res, err := e.RawQuery(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	sp = obs.Start(parent, "check-access")
+	sp := obs.Start(obs.FromContext(ctx), "check-access")
 	defer sp.Finish()
-	for _, n := range nodes {
-		if !e.accessible(n) {
-			sp.SetAttr("outcome", "denied")
-			return nil, &DeniedError{ID: n.ID, Label: n.Label}
-		}
-	}
-	sp.SetAttr("outcome", "granted")
-	return &RequestResult{Nodes: nodes, Checked: len(nodes)}, nil
+	return CheckMatches(sp, res, func(_ int64, n *xmltree.Node) bool { return e.accessible(n) })
 }
 
 // RawQuery evaluates a query over the tree with no access checking —
 // the rewriting enforcer's matched-set probe (store.RawQuerier).
 func (e *nativeEngine) RawQuery(ctx context.Context, q *xpath.Path) (*RequestResult, error) {
-	parent := obs.FromContext(ctx)
-	sp := obs.Start(parent, "eval-query")
+	sp := obs.Start(obs.FromContext(ctx), "eval-query")
 	nodes, err := xpath.Eval(q, e.doc)
 	sp.SetAttr("matched", len(nodes)).Finish()
 	if err != nil {

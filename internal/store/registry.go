@@ -52,14 +52,6 @@ func Open(name string, o Options) (Engine, error) {
 	return op(o.withDefaults())
 }
 
-// Canonical resolves a registered name or alias to its canonical engine
-// name; the empty string when unknown.
-func Canonical(name string) string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return canonicalName[name]
-}
-
 // Engines lists the canonical registered engine names, sorted — the
 // iteration domain of the cross-backend equivalence suite.
 func Engines() []string {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 	"time"
 
 	"xmlac/internal/obs"
@@ -17,12 +16,12 @@ import (
 )
 
 func init() {
-	Register("postgres", openerFor(sqldb.EngineRow))
-	Register("monetsql", openerFor(sqldb.EngineColumn))
+	Register("postgres", openerFor("postgres", sqldb.EngineRow))
+	Register("monetsql", openerFor("monetsql", sqldb.EngineColumn))
 	// monetcol was an alias of monetsql while the two differed only in
 	// physical layout; with the vectorized executor it is its own backend
 	// (the "real MonetDB" role — typed vectors plus batch operators).
-	Register("monetcol", openerFor(sqldb.EngineColumnVector))
+	Register("monetcol", openerFor("monetcol", sqldb.EngineColumnVector))
 }
 
 // relationalEngine shreds the document ShreX-style into one table per
@@ -45,7 +44,9 @@ var (
 	_ Relational = (*relationalEngine)(nil)
 )
 
-func openerFor(kind sqldb.Engine) Opener {
+// openerFor builds the relational engine registered as name over the
+// given executor.
+func openerFor(name string, kind sqldb.Engine) Opener {
 	return func(o Options) (Engine, error) {
 		if o.Schema == nil {
 			return nil, fmt.Errorf("store: relational engines require a schema to shred by")
@@ -53,13 +54,6 @@ func openerFor(kind sqldb.Engine) Opener {
 		m, err := shred.BuildMapping(o.Schema)
 		if err != nil {
 			return nil, err
-		}
-		name := "postgres"
-		switch kind {
-		case sqldb.EngineColumn:
-			name = "monetsql"
-		case sqldb.EngineColumnVector:
-			name = "monetcol"
 		}
 		e := &relationalEngine{
 			name: name, db: sqldb.Open(kind), m: m, def: o.Default, pl: o.Pool,
@@ -275,24 +269,32 @@ func (e *relationalEngine) updateSigns(ids map[int64]bool, sign xmltree.Sign) (i
 // batched UPDATE … WHERE id IN (…) statements, replacing the former
 // one-UPDATE-per-tuple loop (the classic N+1 round-trip pattern).
 func (e *relationalEngine) bulkUpdateSigns(table, signLit string, ids []int64) (int, error) {
-	const batch = 256
 	total := 0
-	probe, err := e.db.PrepareIn("UPDATE " + table + " SET " + shred.SignColumn + " = " + signLit + " WHERE id IN (?)")
+	err := e.execBatches("UPDATE "+table+" SET "+shred.SignColumn+" = "+signLit+" WHERE id IN (?)", ids,
+		func(res *sqldb.Result) { total += res.Affected })
+	return total, err
+}
+
+// execBatches runs a template ending in "id IN (?)" over ids, 256 at a
+// time, handing each batch's result to each. The template is prepared
+// once; no ids, no statement.
+func (e *relationalEngine) execBatches(template string, ids []int64, each func(*sqldb.Result)) error {
+	const batch = 256
+	if len(ids) == 0 {
+		return nil
+	}
+	stmt, err := e.db.PrepareIn(template)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	for start := 0; start < len(ids); start += batch {
-		end := start + batch
-		if end > len(ids) {
-			end = len(ids)
-		}
-		res, err := probe.ExecInts(ids[start:end])
+		res, err := stmt.ExecInts(ids[start:min(start+batch, len(ids))])
 		if err != nil {
-			return total, err
+			return err
 		}
-		total += res.Affected
+		each(res)
 	}
-	return total, nil
+	return nil
 }
 
 func truncateSQL(s string) string {
@@ -390,63 +392,37 @@ func (e *relationalEngine) scanOwners(ids []int64, owned map[string][]int64) err
 	return nil
 }
 
-// Request evaluates a query against the annotated store: the query is
-// translated to SQL, and every returned tuple's sign is checked — probed
-// in the tuple's owning table, or, on the vectorized executor, by a second
-// translation with the sign predicate folded in (shred.TranslateAccessible).
-// Both checks are result-identical.
+// Request evaluates a query against the annotated store: RawQuery's
+// translated SQL finds the matches, and every matched tuple's sign is
+// checked — probed in the tuple's owning table, or, on the vectorized
+// executor, by a second translation with the sign predicate folded in
+// (shred.TranslateAccessible). Both checks are result-identical.
 //
 // Note that the relational store materializes all signs at annotation
 // time (Figure 6 initializes every tuple to the default), so unlike the
 // native store no default needs consulting here.
 func (e *relationalEngine) Request(ctx context.Context, q *xpath.Path) (*RequestResult, error) {
-	parent := obs.FromContext(ctx)
-	sp := obs.Start(parent, "translate-sql")
-	sqlText, err := shred.Translate(e.m, q)
-	sp.Finish()
+	res, err := e.RawQuery(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	sp = obs.Start(parent, "eval-query")
-	ids, err := e.queryIDs(sqlText)
-	sp.SetAttr("matched", len(ids)).Finish()
-	if err != nil {
-		return nil, err
-	}
-	idList := make([]int64, 0, len(ids))
-	for id := range ids {
-		idList = append(idList, id)
-	}
-	slices.Sort(idList)
-
-	sp = obs.Start(parent, "check-access")
+	sp := obs.Start(obs.FromContext(ctx), "check-access")
 	defer sp.Finish()
 	var accessible map[int64]bool
 	if e.pushdown {
 		sp.SetAttr("mode", "pushdown")
-		signedSQL, err := shred.TranslateAccessible(e.m, q)
-		if err != nil {
-			return nil, err
-		}
-		accessible, err = e.queryIDs(signedSQL)
-		if err != nil {
-			return nil, err
+		var signedSQL string
+		if signedSQL, err = shred.TranslateAccessible(e.m, q); err == nil {
+			accessible, err = e.queryIDs(signedSQL)
 		}
 	} else {
 		sp.SetAttr("mode", "routed")
-		accessible, err = e.probeSigns(idList)
-		if err != nil {
-			return nil, err
-		}
+		accessible, err = e.probeSigns(res.IDs)
 	}
-	for _, id := range idList {
-		if !accessible[id] {
-			sp.SetAttr("outcome", "denied")
-			return nil, &DeniedError{ID: id}
-		}
+	if err != nil {
+		return nil, err
 	}
-	sp.SetAttr("outcome", "granted")
-	return &RequestResult{IDs: idList, Checked: len(ids)}, nil
+	return CheckMatches(sp, res, func(id int64, _ *xmltree.Node) bool { return accessible[id] })
 }
 
 // RawQuery evaluates a query against the shredded tables with no sign
@@ -506,25 +482,12 @@ func (e *relationalEngine) probeSigns(idList []int64) (map[int64]bool, error) {
 // probeSignsTable issues the batched sign probes for one table, adding the
 // accessible ids to the shared set.
 func (e *relationalEngine) probeSignsTable(table string, idList []int64, accessible map[int64]bool) error {
-	const batch = 256
-	probe, err := e.db.PrepareIn("SELECT id FROM " + table + " WHERE " + shred.SignColumn + " = '+' AND id IN (?)")
-	if err != nil {
-		return err
-	}
-	for start := 0; start < len(idList); start += batch {
-		end := start + batch
-		if end > len(idList) {
-			end = len(idList)
-		}
-		res, err := probe.ExecInts(idList[start:end])
-		if err != nil {
-			return err
-		}
-		for _, row := range res.Rows {
-			accessible[row[0].I] = true
-		}
-	}
-	return nil
+	return e.execBatches("SELECT id FROM "+table+" WHERE "+shred.SignColumn+" = '+' AND id IN (?)", idList,
+		func(res *sqldb.Result) {
+			for _, row := range res.Rows {
+				accessible[row[0].I] = true
+			}
+		})
 }
 
 // AccessibleIDs lists the accessible tuple ids of the annotated store
@@ -545,32 +508,15 @@ func (e *relationalEngine) AccessibleIDs() (map[int64]bool, error) {
 
 // DeleteRows removes the tuples of deleted nodes, batching ids per table.
 func (e *relationalEngine) DeleteRows(byLabel map[string][]int64) (int, error) {
-	const batch = 256
 	total := 0
 	for label, ids := range byLabel {
 		ti := e.m.TableFor(label)
 		if ti == nil {
 			return total, fmt.Errorf("core: no table for element %q", label)
 		}
-		for start := 0; start < len(ids); start += batch {
-			end := start + batch
-			if end > len(ids) {
-				end = len(ids)
-			}
-			var b strings.Builder
-			fmt.Fprintf(&b, "DELETE FROM %s WHERE id IN (", ti.Table)
-			for i, id := range ids[start:end] {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				fmt.Fprintf(&b, "%d", id)
-			}
-			b.WriteString(")")
-			res, err := e.db.Exec(b.String())
-			if err != nil {
-				return total, err
-			}
-			total += res.Affected
+		if err := e.execBatches("DELETE FROM "+ti.Table+" WHERE id IN (?)", ids,
+			func(res *sqldb.Result) { total += res.Affected }); err != nil {
+			return total, err
 		}
 		// Keep the id→table routing index in sync. Dropping an id is always
 		// safe: an unknown id simply falls back to probing every table.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"xmlac/internal/obs"
 	"xmlac/internal/xmltree"
 )
 
@@ -59,4 +60,26 @@ type RequestResult struct {
 	// qualifier witness; matches are deduplicated before checking on
 	// every backend, so Checked always counts distinct matched nodes.
 	Checked int
+}
+
+// CheckMatches decides the matches of res all-or-nothing, in their
+// order, recording the outcome on sp, the request's check-access span:
+// res is granted when accessible holds for every match, and the first
+// match it rejects is denied — with its label when res holds tree nodes,
+// by id alone when it holds relational ids.
+func CheckMatches(sp *obs.Span, res *RequestResult, accessible func(id int64, n *xmltree.Node) bool) (*RequestResult, error) {
+	for _, n := range res.Nodes {
+		if !accessible(n.ID, n) {
+			sp.SetAttr("outcome", "denied")
+			return nil, &DeniedError{ID: n.ID, Label: n.Label}
+		}
+	}
+	for _, id := range res.IDs {
+		if !accessible(id, nil) {
+			sp.SetAttr("outcome", "denied")
+			return nil, &DeniedError{ID: id}
+		}
+	}
+	sp.SetAttr("outcome", "granted")
+	return res, nil
 }

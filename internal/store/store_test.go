@@ -100,8 +100,12 @@ func TestRegistryNamesAndAliases(t *testing.T) {
 		"monetsql": "monetsql",
 		"postgres": "postgres",
 	} {
-		if c := Canonical(alias); c != canonical {
-			t.Errorf("Canonical(%q) = %q, want %q", alias, c, canonical)
+		e, err := Open(alias, Options{Schema: hospital.Schema()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Name() != canonical {
+			t.Errorf("Open(%q).Name() = %q, want %q", alias, e.Name(), canonical)
 		}
 	}
 }

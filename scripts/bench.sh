@@ -6,16 +6,14 @@
 # columnar executor) is instead recorded against the same run's MonetSQL
 # row-executor figure, so its speedup column is the columnar execution win.
 #
-# Also runs the Figure 10 request-path comparison (reference: the default
-# read path, which checks the signs in the store with id-routed probes, or
-# with the sign predicate folded into the query on monetcol; optimized:
-# the query cache, which checks them against the in-memory decision set;
-# XMark f = 0.1) and records both sides to BENCH_request.json, plus the
-# MonetColVsMonetSQL/reference case: row versus vectorized executor on the
-# reference request path, where database work dominates. The Rewrite
-# case compares the enforcement strategies on the column store: the
-# optimized signs pipeline (reference) versus rewriting enforcement over
-# the unannotated store (optimized).
+# Also runs the Figure 10 request path on each relational engine under
+# both enforcement modes (XMark f = 0.1) and records every case to
+# BENCH_request.json: signs is the engine's default read path, which
+# checks the signs in the store with id-routed probes, or with the sign
+# predicate folded into the query on monetcol; rewrite checks the matches
+# against the rewriting enforcer's decision set over the unannotated
+# store. The MonetColVsMonetSQL/signs case adds the row versus vectorized
+# executor comparison on the signs path, where database work dominates.
 #
 # The `diff` mode is the perf-regression observatory: it runs the same
 # benchmarks, compares each case against the recorded baselines via
@@ -45,7 +43,7 @@ if [ "${1:-}" = "diff" ]; then
 	trap 'rm -f "$tmp"' EXIT
 	go test -bench 'BenchmarkFig11_Annotation(MonetSQL|Postgres|MonetCol)' \
 		-benchtime 30x -run '^$' . | tee "$tmp"
-	go test -bench 'BenchmarkFig10_Request(MonetSQL|Postgres|MonetCol|Rewrite)' \
+	go test -bench 'BenchmarkFig10_Request(MonetSQL|Postgres|MonetCol)' \
 		-benchtime 110x -run '^$' . | tee -a "$tmp"
 	go test -bench 'BenchmarkMultiUser(Rebuild|Request)' \
 		-benchtime 3x -run '^$' . | tee -a "$tmp"
@@ -163,7 +161,7 @@ END {
 
 echo "bench.sh: wrote $out"
 
-go test -bench 'BenchmarkFig10_Request(MonetSQL|Postgres|MonetCol|Rewrite)' \
+go test -bench 'BenchmarkFig10_Request(MonetSQL|Postgres|MonetCol)' \
 	-benchtime 110x -run '^$' . | tee "$tmp"
 
 awk '
@@ -172,36 +170,25 @@ BEGIN { n = 0 }
 	name = $1
 	sub(/^BenchmarkFig10_Request/, "", name)
 	sub(/-[0-9]+$/, "", name)   # strip the GOMAXPROCS suffix if present
-	split(name, parts, "/")     # backend / reference|optimized
-	if (parts[2] == "reference") before[parts[1]] = $3
-	if (parts[2] == "optimized") after[parts[1]] = $3
-	seen[parts[1]] = 1
-	if (!(parts[1] in order)) { order[parts[1]] = n; key[n] = parts[1]; n++ }
+	key[n++] = name             # engine / signs|rewrite
+	ns[name] = $3
 }
 END {
 	if (n == 0) { print "bench.sh: no request benchmark output parsed" > "/dev/stderr"; exit 1 }
-	printf "{\n  \"benchmark\": \"BenchmarkFig10_Request{MonetSQL,Postgres,MonetCol,Rewrite}/{reference,optimized}\",\n"
+	printf "{\n  \"benchmark\": \"BenchmarkFig10_Request{MonetSQL,Postgres,MonetCol}/{signs,rewrite}\",\n"
 	printf "  \"benchtime\": \"110x\",\n  \"unit\": \"ns/op\",\n  \"cases\": [\n"
-	for (i = 0; i < n; i++) {
-		b = before[key[i]]; a = after[key[i]]
-		if (b == "" || a == "") {
-			printf "bench.sh: missing reference or optimized run for %s\n", key[i] > "/dev/stderr"
-			exit 1
-		}
-		speedup = (a > 0) ? b / a : 0
-		printf "    {\"case\": \"%s\", \"before\": %d, \"after\": %d, \"speedup\": %.2f},\n",
-			key[i], b, a, speedup
-	}
+	for (i = 0; i < n; i++)
+		printf "    {\"case\": \"%s\", \"after\": %d},\n", key[i], ns[key[i]]
 	# The columnar comparison the vectorized executor is accepted on: the
 	# row executor (MonetSQL) versus the vectorized one (MonetCol) on the
-	# reference path, where the database work dominates.
-	b = before["MonetSQL"]; a = before["MonetCol"]
+	# signs path, where the database work dominates.
+	b = ns["MonetSQL/signs"]; a = ns["MonetCol/signs"]
 	if (b == "" || a == "") {
-		print "bench.sh: missing MonetSQL or MonetCol reference run" > "/dev/stderr"
+		print "bench.sh: missing MonetSQL or MonetCol signs run" > "/dev/stderr"
 		exit 1
 	}
 	speedup = (a > 0) ? b / a : 0
-	printf "    {\"case\": \"MonetColVsMonetSQL/reference\", \"before\": %d, \"after\": %d, \"speedup\": %.2f}\n",
+	printf "    {\"case\": \"MonetColVsMonetSQL/signs\", \"before\": %d, \"after\": %d, \"speedup\": %.2f}\n",
 		b, a, speedup
 	printf "  ]\n}\n"
 }' "$tmp" > "$reqout"

@@ -88,18 +88,16 @@ func parseBench(r io.Reader) ([]benchResult, error) {
 	return out, nil
 }
 
-// baselineKey maps a benchmark name to its baseline file ("annotation" or
-// "request") and case key. Benchmarks without a recorded baseline — the
-// Figure 10 reference side, unrelated benchmarks — report ok=false.
+// baselineKey maps a benchmark name to its baseline file ("annotation",
+// "request" or "multiuser") and case key. Benchmarks without a recorded
+// baseline — the multi-user per-user side, unrelated benchmarks — report
+// ok=false.
 func baselineKey(name string) (file, caseKey string, ok bool) {
 	if rest, found := strings.CutPrefix(name, "BenchmarkFig11_Annotation"); found {
 		return "annotation", rest, true // e.g. MonetSQL/c1
 	}
 	if rest, found := strings.CutPrefix(name, "BenchmarkFig10_Request"); found {
-		backend, variant, _ := strings.Cut(rest, "/")
-		if variant == "optimized" {
-			return "request", backend, true
-		}
+		return "request", rest, true // e.g. MonetSQL/signs
 	}
 	if rest, found := strings.CutPrefix(name, "BenchmarkMultiUser"); found {
 		kind, variant, _ := strings.Cut(rest, "/")

@@ -13,10 +13,10 @@ goarch: amd64
 pkg: xmlac
 BenchmarkFig11_AnnotationMonetSQL/c1-8         	      10	   2811845 ns/op
 BenchmarkFig11_AnnotationPostgres/c5-8         	      10	  10656062 ns/op
-BenchmarkFig10_RequestMonetSQL/reference-8     	     110	  72062605 ns/op
-BenchmarkFig10_RequestMonetSQL/optimized-8     	     110	   3829984 ns/op
+BenchmarkFig10_RequestMonetSQL/signs-8         	     110	   5829984 ns/op
+BenchmarkFig10_RequestMonetSQL/rewrite-8       	     110	   3829984 ns/op
 BenchmarkFig11_AnnotationMonetCol/c1-8         	      10	   1251664 ns/op
-BenchmarkFig10_RequestMonetCol/optimized-8     	     110	   3111211 ns/op
+BenchmarkFig10_RequestMonetCol/signs-8         	     110	   3111211 ns/op
 BenchmarkUnrelated/thing-8                     	    1000	      1234 ns/op
 PASS
 `
@@ -32,7 +32,7 @@ func TestParseBench(t *testing.T) {
 	if results[0].Name != "BenchmarkFig11_AnnotationMonetSQL/c1" || results[0].NsOp != 2811845 {
 		t.Fatalf("first result = %+v", results[0])
 	}
-	if results[3].Name != "BenchmarkFig10_RequestMonetSQL/optimized" {
+	if results[3].Name != "BenchmarkFig10_RequestMonetSQL/rewrite" {
 		t.Fatalf("GOMAXPROCS suffix not stripped: %+v", results[3])
 	}
 }
@@ -51,10 +51,10 @@ func TestBaselineKey(t *testing.T) {
 	}{
 		{"BenchmarkFig11_AnnotationMonetSQL/c1", "annotation", "MonetSQL/c1", true},
 		{"BenchmarkFig11_AnnotationPostgres/c5", "annotation", "Postgres/c5", true},
-		{"BenchmarkFig10_RequestMonetSQL/optimized", "request", "MonetSQL", true},
+		{"BenchmarkFig10_RequestMonetSQL/signs", "request", "MonetSQL/signs", true},
 		{"BenchmarkFig11_AnnotationMonetCol/c1", "annotation", "MonetCol/c1", true},
-		{"BenchmarkFig10_RequestMonetCol/optimized", "request", "MonetCol", true},
-		{"BenchmarkFig10_RequestMonetSQL/reference", "", "", false},
+		{"BenchmarkFig10_RequestMonetCol/rewrite", "request", "MonetCol/rewrite", true},
+		{"BenchmarkFig10_ResponseMonetSQL", "", "", false},
 		{"BenchmarkMultiUserRebuild/cohort", "multiuser", "Rebuild", true},
 		{"BenchmarkMultiUserRequest/cohort", "multiuser", "Request", true},
 		{"BenchmarkMultiUserRebuild/peruser", "", "", false},
@@ -73,15 +73,15 @@ func TestBaselineKey(t *testing.T) {
 func testBaselines() map[string]map[string]int64 {
 	return map[string]map[string]int64{
 		"annotation": {"MonetSQL/c1": 2800000, "Postgres/c5": 10600000, "MonetCol/c1": 1250000},
-		"request":    {"MonetSQL": 3800000, "MonetCol": 3100000},
+		"request":    {"MonetSQL/signs": 5800000, "MonetSQL/rewrite": 3800000, "MonetCol/signs": 3100000},
 	}
 }
 
 func TestCompareWithinThreshold(t *testing.T) {
 	results, _ := parseBench(strings.NewReader(rawBench))
 	cases := compare(results, testBaselines(), 0.25, 1.0)
-	if len(cases) != 5 {
-		t.Fatalf("compared %d cases, want 5 (reference and unrelated skipped): %+v", len(cases), cases)
+	if len(cases) != 6 {
+		t.Fatalf("compared %d cases, want 6 (unrelated skipped): %+v", len(cases), cases)
 	}
 	for _, c := range cases {
 		if c.Regressed {
@@ -93,8 +93,8 @@ func TestCompareWithinThreshold(t *testing.T) {
 func TestCompareInjectedRegression(t *testing.T) {
 	results, _ := parseBench(strings.NewReader(rawBench))
 	cases := compare(results, testBaselines(), 0.25, 1.5)
-	if len(cases) != 5 {
-		t.Fatalf("compared %d cases, want 5", len(cases))
+	if len(cases) != 6 {
+		t.Fatalf("compared %d cases, want 6", len(cases))
 	}
 	regressed := 0
 	for _, c := range cases {
@@ -105,8 +105,8 @@ func TestCompareInjectedRegression(t *testing.T) {
 			t.Errorf("case %s ratio %.2f after a 1.5x injection, want > 1.25", c.Case, c.Ratio)
 		}
 	}
-	if regressed != 5 {
-		t.Fatalf("%d of 5 cases regressed under a 1.5x injection", regressed)
+	if regressed != 6 {
+		t.Fatalf("%d of 6 cases regressed under a 1.5x injection", regressed)
 	}
 }
 
@@ -145,11 +145,12 @@ func TestCompareEnginePathTags(t *testing.T) {
 	results, _ := parseBench(strings.NewReader(rawBench))
 	cases := compare(results, testBaselines(), 0.25, 1.0)
 	want := map[string][2]string{
-		"annotation:MonetSQL/c1": {"monetsql", "row"},
-		"annotation:Postgres/c5": {"postgres", "row"},
-		"request:MonetSQL":       {"monetsql", "row"},
-		"annotation:MonetCol/c1": {"monetcol", "vector"},
-		"request:MonetCol":       {"monetcol", "vector"},
+		"annotation:MonetSQL/c1":   {"monetsql", "row"},
+		"annotation:Postgres/c5":   {"postgres", "row"},
+		"request:MonetSQL/signs":   {"monetsql", "row"},
+		"request:MonetSQL/rewrite": {"monetsql", "row"},
+		"annotation:MonetCol/c1":   {"monetcol", "vector"},
+		"request:MonetCol/signs":   {"monetcol", "vector"},
 	}
 	seen := map[string]bool{}
 	for _, c := range cases {
@@ -173,7 +174,7 @@ func TestCompareEnginePathTags(t *testing.T) {
 func TestEnginePath(t *testing.T) {
 	for _, tc := range []struct{ name, engine, path string }{
 		{"BenchmarkFig11_AnnotationMonetCol/c3", "monetcol", "vector"},
-		{"BenchmarkFig10_RequestMonetSQL/optimized", "monetsql", "row"},
+		{"BenchmarkFig10_RequestMonetSQL/signs", "monetsql", "row"},
 		{"BenchmarkFig11_AnnotationPostgres/c1", "postgres", "row"},
 		{"BenchmarkUnrelated/thing", "", ""},
 	} {

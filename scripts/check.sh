@@ -21,12 +21,12 @@ if grep -rn '"xmlac/internal/sqldb"\|"xmlac/internal/nativedb"' internal/core/*.
 fi
 
 # The enforcer seam is load-bearing too: the rewriting layer (planner,
-# rewrite enforcer, policy rewriter, the decision set and the write region
-# it is maintained over) must never touch sign internals — the CAM
-# package, annotation-query construction, sign application or the
+# rewrite enforcer with its decision set, policy rewriter, and the write
+# region the set is maintained over) must never touch sign internals — the
+# CAM package, annotation-query construction, sign application or the
 # reannotator. Only the materialized enforcer's side of the seam may.
 if grep -n 'xmlac/internal/cam\|BuildAnnotationQuery\|AnnotationQuery\|ApplySigns\|xmltree\.Sign\|Reannotat\|\.Sign\b' \
-	internal/core/rewriter.go internal/core/planner.go internal/core/region.go internal/core/decisions.go internal/xpath/rewrite.go; then
+	internal/core/rewriter.go internal/core/planner.go internal/core/region.go internal/xpath/rewrite.go; then
 	echo "check.sh: the rewriting enforcement layer must not reference sign internals" >&2
 	exit 1
 fi
@@ -61,7 +61,7 @@ go test -short -run 'TestDifferentialEngines|TestModeDifferentialFuzz' ./interna
 
 # Smoke the benchmark harness itself (tiny -short documents, one iteration):
 # a broken bench is otherwise only caught when scripts/bench.sh runs.
-go test -short -bench 'BenchmarkFig10_Request(MonetSQL|Postgres|MonetCol|Rewrite)' -benchtime 1x -run '^$' .
+go test -short -bench 'BenchmarkFig10_Request(MonetSQL|Postgres|MonetCol)' -benchtime 1x -run '^$' .
 go test -short -bench 'BenchmarkHotWrite_SignsVsRewrite' -benchtime 1x -run '^$' .
 go test -short -bench 'BenchmarkFig12_(Reannot|Fannot)MonetSQL' -benchtime 1x -run '^$' .
 
@@ -79,7 +79,7 @@ if command -v curl >/dev/null 2>&1; then
 	serve_port=18765
 	serve_bin=$(mktemp -d)/xmlac
 	go build -o "$serve_bin" ./cmd/xmlac
-	"$serve_bin" -serve 127.0.0.1:$serve_port -qcache -users demo >/dev/null 2>&1 &
+	"$serve_bin" -serve 127.0.0.1:$serve_port -users demo >/dev/null 2>&1 &
 	serve_pid=$!
 	trap 'kill $serve_pid 2>/dev/null || true' EXIT
 	ok=""
@@ -91,7 +91,7 @@ if command -v curl >/dev/null 2>&1; then
 		sleep 0.1
 	done
 	[ -n "$ok" ] || { echo "check.sh: /healthz never became ready" >&2; exit 1; }
-	curl -sf "http://127.0.0.1:$serve_port/metrics" | grep -q 'core_rewrite_scope_rebuilds_total' \
+	curl -sf "http://127.0.0.1:$serve_port/metrics" | grep -q 'core_enforcer_requests_total' \
 		|| { echo "check.sh: /metrics missing expected counters" >&2; exit 1; }
 	curl -sf "http://127.0.0.1:$serve_port/dashboard" | grep -q 'Request latency' \
 		|| { echo "check.sh: /dashboard did not render" >&2; exit 1; }

@@ -2,11 +2,11 @@ package xmlac_test
 
 // Golden equivalence tests for the query path: the default relational
 // request paths (id→table routed sign probes, or the sign predicate folded
-// into the query on monetcol) and the query cache's decision set must be
-// result-identical — grant-or-deny, exact error text, returned ids and
-// Checked — to the reference, a default system whose owner index was
-// emptied so that every sign probe falls back to probing every table, on
-// both documents and under all four policy semantics.
+// into the query on monetcol) must be result-identical — grant-or-deny,
+// exact error text, returned ids and Checked — to the reference, a
+// default system whose owner index was emptied so that every sign probe
+// falls back to probing every table, on both documents and under all four
+// policy semantics.
 
 import (
 	"slices"
@@ -103,16 +103,12 @@ var semantics = []struct {
 	{"allow-allow", xmlac.Allow, xmlac.Allow},
 }
 
-func buildRequestSystem(t *testing.T, fx requestFixture, def, conflict xmlac.Effect, b xmlac.Backend, mod func(*xmlac.Config)) *xmlac.System {
+func buildRequestSystem(t *testing.T, fx requestFixture, def, conflict xmlac.Effect, b xmlac.Backend) *xmlac.System {
 	t.Helper()
 	pol := fx.base.Clone()
 	pol.Default = def
 	pol.Conflict = conflict
-	cfg := xmlac.Config{Schema: fx.schema, Policy: pol, Backend: b, Optimize: true}
-	if mod != nil {
-		mod(&cfg)
-	}
-	sys, err := xmlac.New(cfg)
+	sys, err := xmlac.New(xmlac.Config{Schema: fx.schema, Policy: pol, Backend: b, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,21 +137,15 @@ func forgetOwners(t *testing.T, sys *xmlac.System) {
 }
 
 // TestOptimizedRequestPathsMatchReference is the golden matrix: document ×
-// semantics × relational backend × request path, every outcome
-// byte-identical to the emptied-owner-index reference.
+// semantics × relational backend, every outcome of the default (routed or,
+// on monetcol, folded) request path byte-identical to the
+// emptied-owner-index reference.
 func TestOptimizedRequestPathsMatchReference(t *testing.T) {
-	modes := []struct {
-		name string
-		mod  func(*xmlac.Config)
-	}{
-		{"routed", nil},
-		{"qcache", func(c *xmlac.Config) { c.QueryCache = true }},
-	}
 	for _, fx := range requestFixtures() {
 		for _, sem := range semantics {
 			for _, b := range []xmlac.Backend{xmlac.BackendColumn, xmlac.BackendVector, xmlac.BackendRow} {
 				t.Run(fx.name+"/"+sem.name+"/"+b.String(), func(t *testing.T) {
-					ref := buildRequestSystem(t, fx, sem.def, sem.conflict, b, nil)
+					ref := buildRequestSystem(t, fx, sem.def, sem.conflict, b)
 					forgetOwners(t, ref)
 					want := make([]requestOutcome, len(fx.queries))
 					granted := 0
@@ -173,67 +163,14 @@ func TestOptimizedRequestPathsMatchReference(t *testing.T) {
 						t.Fatal("empty workload")
 					}
 					t.Logf("%d/%d queries granted by reference", granted, len(want))
-					for _, m := range modes {
-						sys := buildRequestSystem(t, fx, sem.def, sem.conflict, b, m.mod)
-						for i, q := range fx.queries {
-							if got := observe(t, sys, q); !got.equal(want[i]) {
-								t.Errorf("%s: query %s: got %+v, want %+v", m.name, q, got, want[i])
-							}
+					sys := buildRequestSystem(t, fx, sem.def, sem.conflict, b)
+					for i, q := range fx.queries {
+						if got := observe(t, sys, q); !got.equal(want[i]) {
+							t.Errorf("routed: query %s: got %+v, want %+v", q, got, want[i])
 						}
 					}
 				})
 			}
 		}
-	}
-}
-
-// TestCachedNativeRequestsMatchReference runs the same matrix for the
-// native backend's query-cache path.
-func TestCachedNativeRequestsMatchReference(t *testing.T) {
-	for _, fx := range requestFixtures() {
-		for _, sem := range semantics {
-			t.Run(fx.name+"/"+sem.name, func(t *testing.T) {
-				ref := buildRequestSystem(t, fx, sem.def, sem.conflict, xmlac.BackendNative, nil)
-				cached := buildRequestSystem(t, fx, sem.def, sem.conflict, xmlac.BackendNative,
-					func(c *xmlac.Config) { c.QueryCache = true })
-				for _, q := range fx.queries {
-					want := observe(t, ref, q)
-					if got := observe(t, cached, q); !got.equal(want) {
-						t.Errorf("query %s: got %+v, want %+v", q, got, want)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestCachedRequestsSurviveUpdates checks the cache's version-stamp
-// invalidation: after a delete update, cached answers must match a
-// cache-less system that saw the same update.
-func TestCachedRequestsSurviveUpdates(t *testing.T) {
-	fx := requestFixtures()[0] // hospital
-	del := xmlac.MustParseXPath("//patient/treatment")
-	for _, b := range []xmlac.Backend{xmlac.BackendNative, xmlac.BackendColumn, xmlac.BackendVector, xmlac.BackendRow} {
-		t.Run(b.String(), func(t *testing.T) {
-			ref := buildRequestSystem(t, fx, xmlac.Deny, xmlac.Deny, b, nil)
-			cached := buildRequestSystem(t, fx, xmlac.Deny, xmlac.Deny, b,
-				func(c *xmlac.Config) { c.QueryCache = true })
-			// Warm the cache, then invalidate it with an update.
-			if _, err := cached.Request(fx.queries[0]); err != nil && err.Error() == "" {
-				t.Fatal(err)
-			}
-			if _, err := ref.DeleteAndReannotate(del); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cached.DeleteAndReannotate(del); err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range fx.queries {
-				want := observe(t, ref, q)
-				if got := observe(t, cached, q); !got.equal(want) {
-					t.Errorf("query %s: got %+v, want %+v", q, got, want)
-				}
-			}
-		})
 	}
 }
