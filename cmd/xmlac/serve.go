@@ -156,7 +156,7 @@ func newOpsMux(sys *xmlac.System, cat *xmlac.Catalog, mu *xmlac.MultiUser, obsy 
 		health["loaded"] = sys.Loaded()
 		health["annotation_version"] = sys.Version()
 		if sys.Loaded() {
-			health["elements"] = len(sys.Document().Elements())
+			health["elements"] = sys.Document().ElementCount()
 			if cov, err := sys.Coverage(); err == nil {
 				health["coverage"] = cov
 			}

@@ -111,13 +111,15 @@ func TestServeEndpoints(t *testing.T) {
 	srv := testMux(t)
 
 	var health struct {
-		Status  string `json:"status"`
-		Loaded  bool   `json:"loaded"`
-		Version string `json:"version"`
-		AnnoVer uint64 `json:"annotation_version"`
+		Status   string `json:"status"`
+		Loaded   bool   `json:"loaded"`
+		Version  string `json:"version"`
+		AnnoVer  uint64 `json:"annotation_version"`
+		Elements int    `json:"elements"`
 	}
 	getJSON(t, srv.URL+"/healthz", &health)
-	if health.Status != "ok" || !health.Loaded || health.Version != xmlac.Version || health.AnnoVer == 0 {
+	// The hospital document of Figure 2 has 21 elements.
+	if health.Status != "ok" || !health.Loaded || health.Version != xmlac.Version || health.AnnoVer == 0 || health.Elements != 21 {
 		t.Fatalf("healthz = %+v", health)
 	}
 

@@ -311,6 +311,20 @@ func TestInsertAndReannotate(t *testing.T) {
 	}
 }
 
+// TestInsertDocumentRootRefused: grafting the document's own root under one
+// of its nodes fails before the tree changes, instead of copying a subtree
+// into itself.
+func TestInsertDocumentRootRefused(t *testing.T) {
+	sys := newHospitalSystem(t, BackendNative, hospital.Document())
+	before, version := sys.Document().String(), sys.Version()
+	if _, err := sys.InsertAndReannotate(xpath.MustParse(`//patient[psn = "099"]`), sys.Document().Root()); err == nil {
+		t.Fatal("inserting the root under a patient succeeded")
+	}
+	if sys.Document().String() != before || sys.Version() != version {
+		t.Fatalf("a refused insert changed the document or moved the version from %d to %d", version, sys.Version())
+	}
+}
+
 // TestRequestAllOrNothing checks the requester's semantics on each backend.
 func TestRequestAllOrNothing(t *testing.T) {
 	for _, b := range allBackends {

@@ -161,7 +161,9 @@ func parseFast(data []byte) (*Document, error) {
 			}
 			var n *Node
 			if doc == nil {
-				doc = NewDocument(name)
+				// Guess one node per 32 bytes of input (XMark text runs
+				// about one per 25) to spare the id index most rehashing.
+				doc = newDocument(name, len(s.src)/32)
 				n = doc.root
 			} else {
 				if cur == nil {

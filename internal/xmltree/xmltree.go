@@ -12,7 +12,9 @@
 package xmltree
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -113,6 +115,9 @@ func (n *Node) TextContent() string {
 	if n.Kind == Text {
 		return n.Value
 	}
+	if len(n.children) == 1 && n.children[0].Kind == Text {
+		return n.children[0].Value
+	}
 	var b strings.Builder
 	n.walk(func(m *Node) bool {
 		if m.Kind == Text {
@@ -182,22 +187,79 @@ func (n *Node) Path() string {
 }
 
 // Document is an XML tree together with the bookkeeping the access-control
-// system needs: an id→node index and the universal-identifier counter used
-// when new nodes are inserted.
+// system needs: an id→node index, a per-label element index and the
+// universal-identifier counter used when new nodes are inserted.
+//
+// The label index is the per-tag node sequence of the paper's native store:
+// byLabel[l] holds every element labeled l, once, in ascending ID order.
+// Every update below keeps it current, so it is never rebuilt; readers that
+// share a document with a writer need the same exclusion the tree does.
 type Document struct {
-	root   *Node
-	byID   map[int64]*Node
-	nextID int64
+	root    *Node
+	byID    map[int64]*Node
+	byLabel map[string][]*Node
+	nextID  int64
 }
 
 // NewDocument creates a document with a fresh root element of the given
 // label. The root receives id 1, matching the paper's Table 4 where the
 // topmost shredded tuple has id 1.
-func NewDocument(rootLabel string) *Document {
-	d := &Document{byID: make(map[int64]*Node), nextID: 1}
+func NewDocument(rootLabel string) *Document { return newDocument(rootLabel, 0) }
+
+// newDocument is NewDocument with the id index sized for about sizeHint
+// nodes, so a parse does not rehash it as the tree grows.
+func newDocument(rootLabel string, sizeHint int) *Document {
+	d := &Document{byID: make(map[int64]*Node, sizeHint), byLabel: make(map[string][]*Node), nextID: 1}
 	d.root = &Node{ID: d.allocID(), Kind: Element, Label: rootLabel}
-	d.byID[d.root.ID] = d.root
+	d.register(d.root)
 	return d
+}
+
+// register enters a node with a fresh id into both indexes. Fresh ids are
+// above every id in use (allocID and SetNodeID keep nextID past them), so
+// appending keeps each label list in ID order.
+func (d *Document) register(n *Node) {
+	d.byID[n.ID] = n
+	if n.Kind == Element {
+		d.byLabel[n.Label] = append(d.byLabel[n.Label], n)
+	}
+}
+
+// searchID finds id in list, a label list in ascending ID order: the index
+// where it is or would be inserted, and whether it is there.
+func searchID(list []*Node, id int64) (int, bool) {
+	return slices.BinarySearchFunc(list, id, func(m *Node, id int64) int { return cmp.Compare(m.ID, id) })
+}
+
+// removeAt removes the elements at the given positions from list, closing
+// the gaps in one pass, so a delete moves each touched list's elements
+// once rather than once per removed element. It moves whichever end of
+// the list is shorter: the survivors before the first gap shift toward
+// the tail, or those after the last gap toward the head.
+func removeAt(list []*Node, pos []int) []*Node {
+	slices.Sort(pos)
+	if pos[0] < len(list)-1-pos[len(pos)-1] {
+		w := pos[len(pos)-1] + 1
+		for k := len(pos) - 1; k >= 0; k-- {
+			start := 0
+			if k > 0 {
+				start = pos[k-1] + 1
+			}
+			w -= copy(list[w-(pos[k]-start):w], list[start:pos[k]])
+		}
+		clear(list[:w])
+		return list[w:]
+	}
+	w := pos[0]
+	for k, i := range pos {
+		end := len(list)
+		if k+1 < len(pos) {
+			end = pos[k+1]
+		}
+		w += copy(list[w:], list[i+1:end])
+	}
+	clear(list[w:])
+	return list[:w]
 }
 
 func (d *Document) allocID() int64 {
@@ -220,20 +282,24 @@ func (d *Document) Size() int { return len(d.byID) }
 // ElementCount returns the number of element nodes in the document.
 func (d *Document) ElementCount() int {
 	n := 0
-	for _, m := range d.byID {
-		if m.Kind == Element {
-			n++
-		}
+	for _, list := range d.byLabel {
+		n += len(list)
 	}
 	return n
 }
+
+// ByLabel returns the elements labeled label in ascending ID order. The
+// slice is the document's own label index: callers must not modify it, and
+// it is valid only until the document's next update. ElementsByLabel
+// returns a copy.
+func (d *Document) ByLabel(label string) []*Node { return d.byLabel[label] }
 
 // AddElement creates a new element node labeled label as a child of parent
 // and returns it. parent must belong to this document.
 func (d *Document) AddElement(parent *Node, label string) *Node {
 	n := &Node{ID: d.allocID(), Kind: Element, Label: label, parent: parent}
 	parent.children = append(parent.children, n)
-	d.byID[n.ID] = n
+	d.register(n)
 	return n
 }
 
@@ -282,17 +348,12 @@ func (d *Document) Elements() []*Node {
 	return out
 }
 
-// ElementsByLabel returns all element nodes with the given label, in
-// document order.
+// ElementsByLabel returns a copy of the elements with the given label, in
+// ascending ID order, the order xpath.Eval returns. That is document order
+// until an insert puts new, higher ids before existing nodes or SetNodeID
+// renumbers one.
 func (d *Document) ElementsByLabel(label string) []*Node {
-	var out []*Node
-	d.Walk(func(n *Node) bool {
-		if n.Kind == Element && n.Label == label {
-			out = append(out, n)
-		}
-		return true
-	})
-	return out
+	return slices.Clone(d.byLabel[label])
 }
 
 // Contains reports whether n belongs to this document (i.e. is reachable
@@ -328,24 +389,46 @@ func (d *Document) DeleteSubtree(n *Node) error {
 	}
 	p.children = append(p.children[:idx], p.children[idx+1:]...)
 	n.parent = nil
+	// Find each removed element in its label list by binary search on its
+	// id, then close each list's gaps at once.
+	gone := map[string][]int{}
 	n.walk(func(m *Node) bool {
 		delete(d.byID, m.ID)
+		if m.Kind == Element {
+			if i, found := searchID(d.byLabel[m.Label], m.ID); found {
+				gone[m.Label] = append(gone[m.Label], i)
+			}
+		}
 		return true
 	})
+	for label, pos := range gone {
+		if list := removeAt(d.byLabel[label], pos); len(list) > 0 {
+			d.byLabel[label] = list
+		} else {
+			delete(d.byLabel, label)
+		}
+	}
 	return nil
 }
 
 // InsertSubtree grafts the tree described by tmpl (a detached template built
-// with NewSubtree/AddTemplateChild or cloned from another document) under
-// parent, assigning fresh universal identifiers to every inserted node. It
-// returns the inserted copy's root. This is the insert update of the paper's
-// future-work section, which the re-annotation machinery here supports.
+// with NewSubtree/AddTemplateChild, cloned from another document, or a
+// subtree of this one) under parent, assigning fresh universal identifiers
+// to every inserted node. It returns the inserted copy's root. A parent at
+// or below tmpl is rejected: the copy would grow the subtree it reads. This
+// is the insert update of the paper's future-work section, which the
+// re-annotation machinery here supports.
 func (d *Document) InsertSubtree(parent *Node, tmpl *Node) (*Node, error) {
 	if !d.Contains(parent) {
 		return nil, fmt.Errorf("xmltree: parent node is not part of this document")
 	}
 	if parent.Kind != Element {
 		return nil, fmt.Errorf("xmltree: cannot insert under a text node")
+	}
+	for m := parent; m != nil; m = m.parent {
+		if m == tmpl {
+			return nil, fmt.Errorf("xmltree: cannot insert a subtree under itself (parent %d)", parent.ID)
+		}
 	}
 	var clone func(src *Node, dst *Node) *Node
 	clone = func(src *Node, dstParent *Node) *Node {
@@ -363,7 +446,7 @@ func (d *Document) InsertSubtree(parent *Node, tmpl *Node) (*Node, error) {
 				n.Attrs[k] = v
 			}
 		}
-		d.byID[n.ID] = n
+		d.register(n)
 		if dstParent != nil {
 			dstParent.children = append(dstParent.children, n)
 		}
@@ -390,6 +473,15 @@ func (d *Document) SetNodeID(n *Node, id int64) error {
 		return fmt.Errorf("xmltree: node id %d is already in use", id)
 	}
 	delete(d.byID, n.ID)
+	if n.Kind == Element {
+		// Move n to its sorted place: out at the old id, in at the new one.
+		list := d.byLabel[n.Label]
+		if i, found := searchID(list, n.ID); found {
+			list = slices.Delete(list, i, i+1)
+		}
+		i, _ := searchID(list, id)
+		d.byLabel[n.Label] = slices.Insert(list, i, n)
+	}
 	n.ID = id
 	d.byID[id] = n
 	if id >= d.nextID {
@@ -429,6 +521,14 @@ func (d *Document) Clone() *Document {
 	}
 	if d.root != nil {
 		out.root = clone(d.root, nil)
+	}
+	out.byLabel = make(map[string][]*Node, len(d.byLabel))
+	for label, list := range d.byLabel {
+		cp := make([]*Node, len(list))
+		for i, m := range list {
+			cp[i] = out.byID[m.ID]
+		}
+		out.byLabel[label] = cp
 	}
 	return out
 }

@@ -198,6 +198,32 @@ func TestInsertSubtree(t *testing.T) {
 	}
 }
 
+// TestInsertSubtreeUnderItselfRejected: a parent at or below the template
+// is refused before any node is created; a template from elsewhere in the
+// same document still copies.
+func TestInsertSubtreeUnderItselfRejected(t *testing.T) {
+	doc, err := ParseString(`<a><b><c/></b><d/></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := doc.Root().ChildElements()[0]
+	c, d := b.ChildElements()[0], doc.Root().ChildElements()[1]
+	for _, c := range []struct{ parent, tmpl *Node }{{b, doc.Root()}, {c, b}, {b, b}} {
+		if _, err := doc.InsertSubtree(c.parent, c.tmpl); err == nil {
+			t.Fatalf("grafting %s under %s succeeded", c.tmpl.Label, c.parent.Label)
+		}
+	}
+	if doc.String() != `<a><b><c/></b><d/></a>` || doc.Size() != 4 || len(doc.ByLabel("b")) != 1 {
+		t.Fatalf("a refused insert changed the document: %s", doc)
+	}
+	if _, err := doc.InsertSubtree(d, b); err != nil {
+		t.Fatal(err)
+	}
+	if doc.String() != `<a><b><c/></b><d><b><c/></b></d></a>` || len(doc.ByLabel("c")) != 2 {
+		t.Fatalf("after copying b under d: %s", doc)
+	}
+}
+
 func TestInsertUnderTextRejected(t *testing.T) {
 	doc := NewDocument("a")
 	txt := doc.AddText(doc.Root(), "v")
@@ -267,8 +293,16 @@ func TestNodePathAndDepth(t *testing.T) {
 func TestElementsByLabel(t *testing.T) {
 	doc, _ := ParseString(`<a><b/><c><b/></c></a>`)
 	bs := doc.ElementsByLabel("b")
-	if len(bs) != 2 {
-		t.Fatalf("found %d b elements", len(bs))
+	if len(bs) != 2 || bs[0].ID >= bs[1].ID {
+		t.Fatalf("found %v, want two b elements in ID order", SortedIDs(bs))
+	}
+	// The result is a copy: changing it leaves the label index alone.
+	bs[0] = doc.Root()
+	if doc.ByLabel("b")[0].Label != "b" {
+		t.Fatal("ElementsByLabel returned the document's own label list")
+	}
+	if doc.ElementCount() != 4 || len(doc.ElementsByLabel("z")) != 0 {
+		t.Fatalf("ElementCount = %d, want 4", doc.ElementCount())
 	}
 }
 

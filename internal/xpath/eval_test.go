@@ -339,16 +339,17 @@ func randomRelPath(r *rand.Rand, depth int) *Path {
 }
 
 // TestQuickSelectsAgreesWithEval: the backward matcher selects exactly the
-// nodes the forward evaluator returns — Selects(p, n) ⇔ n ∈ Eval(p, doc)
-// for every node of the tree, text nodes included.
+// nodes the reference forward evaluator returns — Selects(p, n) ⇔ n ∈
+// refEval(p, doc) for every node of the tree, text nodes included. The
+// reference stands in for Eval, which rests on Selects.
 func TestQuickSelectsAgreesWithEval(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		doc := randomTree(r)
 		p := randomPath(r)
-		res, err := Eval(p, doc)
+		res, err := refEval(p, doc)
 		if err != nil {
-			t.Logf("Eval(%s): %v", p, err)
+			t.Logf("refEval(%s): %v", p, err)
 			return false
 		}
 		in := map[*xmltree.Node]bool{}
@@ -358,7 +359,7 @@ func TestQuickSelectsAgreesWithEval(t *testing.T) {
 		ok := true
 		doc.Walk(func(n *xmltree.Node) bool {
 			if Selects(p, n) != in[n] {
-				t.Logf("seed %d: %s on node %d (%s): Selects=%v, Eval=%v", seed, p, n.ID, n.Path(), !in[n], in[n])
+				t.Logf("seed %d: %s on node %d (%s): Selects=%v, reference=%v", seed, p, n.ID, n.Path(), !in[n], in[n])
 				ok = false
 			}
 			if m, err := Matches(p, doc, n); err != nil || m != in[n] {
@@ -375,13 +376,13 @@ func TestQuickSelectsAgreesWithEval(t *testing.T) {
 }
 
 // TestSelectsDeepChain: ancestor chains deeper than Selects' stack
-// buffers take the allocating path and still agree with Eval.
+// buffers take the allocating path and still agree with the reference.
 func TestSelectsDeepChain(t *testing.T) {
 	text := strings.Repeat("<a>", 2*selectsDepth) + "<b><c/></b>" + strings.Repeat("</a>", 2*selectsDepth)
 	doc := mustDoc(t, text)
 	for _, q := range []string{"//a//b", "/a/a//b[c]", "//a[b]", "//a/b/c", "/a/b"} {
 		p := MustParse(q)
-		res, err := Eval(p, doc)
+		res, err := refEval(p, doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +392,7 @@ func TestSelectsDeepChain(t *testing.T) {
 		}
 		doc.Walk(func(n *xmltree.Node) bool {
 			if Selects(p, n) != in[n] {
-				t.Errorf("%s on %s: Selects = %v, Eval = %v", q, n.Label, !in[n], in[n])
+				t.Errorf("%s on %s: Selects = %v, reference = %v", q, n.Label, !in[n], in[n])
 			}
 			return true
 		})

@@ -2,8 +2,11 @@ package xpath
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"xmlac/internal/xmltree"
 )
 
 // mutate flips, inserts or deletes bytes of a seed string.
@@ -62,4 +65,37 @@ func TestQuickParseNeverPanics(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fuzzInputCap bounds each fuzzed input, query and document alike.
+const fuzzInputCap = 4 << 10
+
+// FuzzEval: neither the XPath nor the XML parser panics on arbitrary
+// input; a query that parses round-trips through String, and on a document
+// that parses, Eval returns the reference's nodes in the reference's
+// order. The seed corpus in testdata/fuzz/FuzzEval pairs fuzzSeeds, the
+// 55 benchmark queries and the Table 1 rules with the hospital document
+// those rules protect.
+func FuzzEval(f *testing.F) {
+	f.Fuzz(func(t *testing.T, query, text string) {
+		if len(query) > fuzzInputCap || len(text) > fuzzInputCap {
+			return
+		}
+		p, err := Parse(query)
+		doc, docErr := xmltree.ParseString(text)
+		if err != nil {
+			return
+		}
+		if p2, err := Parse(p.String()); err != nil || p2.String() != p.String() {
+			t.Fatalf("%q prints as %q, which does not reparse to itself (%v)", query, p.String(), err)
+		}
+		if docErr != nil {
+			return
+		}
+		got, err := Eval(p, doc)
+		want, refErr := refEval(p, doc)
+		if (err == nil) != (refErr == nil) || !slices.Equal(got, want) {
+			t.Fatalf("%s: Eval = %v (%v), reference = %v (%v)", p, xmltree.SortedIDs(got), err, xmltree.SortedIDs(want), refErr)
+		}
+	})
 }

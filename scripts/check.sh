@@ -52,6 +52,14 @@ go test -race ./...
 # form is what CI's blocking cross-mode job calls.
 go test -run 'TestCrossModeEquivalence|TestRecursiveSchemaOnlyRewrite|TestStaticDenyFastPath|TestRewriteScopePatchDifferential|TestWritesKeepDecisionSetCurrent|TestSignPatchDifferential|TestAuctionPairGolden|TestCohortOracle' ./internal/core
 
+# The label-indexed XPath evaluator against the frozen forward reference:
+# random trees, paths and update sequences, the 55 benchmark queries across
+# a write, the shared-qualifier memo, the native scan counter, the refused
+# self-graft, and FuzzEval's seed corpus. `go test ./...` above runs them;
+# this standalone form is what CI's blocking job calls (with -race and a
+# timed fuzz run, which stays in CI only).
+go test -run 'TestQuickIndexedEvalMatchesReference|TestQuickSelectsAgreesWithEval|TestEvalDecidesSharedQualifiersOnce|TestEvalDeepChainQualifiers|TestEvalVisitedCountsIndexCandidates|TestBenchmarkQueriesMatchReference|FuzzEval|TestInsertSubtreeUnderItselfRejected|TestElementsByLabel' ./internal/xpath ./internal/xmltree
+
 # Differential fuzzing: replay generated statement scripts against the row,
 # column and vectorized engines and require identical results and errors;
 # the mode fuzzer does the same one layer up across enforcement modes.
