@@ -25,11 +25,11 @@ import (
 	"xmlac/internal/bench"
 	"xmlac/internal/cam"
 	"xmlac/internal/core"
-	"xmlac/internal/nativedb"
 	"xmlac/internal/obs"
 	"xmlac/internal/observatory"
 	"xmlac/internal/shred"
 	"xmlac/internal/sqldb"
+	"xmlac/internal/store"
 	"xmlac/internal/xmark"
 	"xmlac/internal/xmltree"
 )
@@ -91,8 +91,15 @@ func BenchmarkFig9_LoadingXQuery(b *testing.B) {
 	b.SetBytes(int64(len(text)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		store := nativedb.OpenStore()
-		if err := store.LoadXML("doc", strings.NewReader(text)); err != nil {
+		eng, err := store.Open(xmlac.BackendNative.String(), store.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		doc, err := xmltree.Parse(strings.NewReader(text))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Load(doc); err != nil {
 			b.Fatal(err)
 		}
 	}

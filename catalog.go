@@ -64,7 +64,7 @@ func OpenCatalog(cfg Config, n int) (*Catalog, error) {
 
 // AddDocument opens a new document under the catalog's policy: a fresh
 // System (with its own engine) is built with the document's name, the
-// document is loaded into it, and its engine is attached to the shard
+// document is loaded into it, and its name is attached to the shard
 // router. The document is not yet annotated; run AnnotateAll (or
 // Annotate on its System) before serving requests.
 func (c *Catalog) AddDocument(name string, doc *Document) error {
@@ -85,7 +85,7 @@ func (c *Catalog) AddDocument(name string, doc *Document) error {
 	if err := sys.Load(doc); err != nil {
 		return err
 	}
-	if err := c.shards.Attach(name, sys.Engine()); err != nil {
+	if err := c.shards.Attach(name); err != nil {
 		return err
 	}
 	c.systems[name] = sys

@@ -7,11 +7,11 @@ import (
 	"time"
 
 	"xmlac/internal/core"
-	"xmlac/internal/nativedb"
 	"xmlac/internal/obs"
 	"xmlac/internal/policy"
 	"xmlac/internal/shred"
 	"xmlac/internal/sqldb"
+	"xmlac/internal/store"
 	"xmlac/internal/xmark"
 	"xmlac/internal/xmltree"
 	"xmlac/internal/xpath"
@@ -142,14 +142,19 @@ func Fig9(factors []float64, seed uint64) ([]LoadRow, error) {
 
 		// Warm up the XML decoder's process-wide lazy state, then take the
 		// best of three trials so one-off GC pauses don't skew tiny inputs.
-		warm := nativedb.OpenStore()
-		if err := warm.LoadXML("warm", strings.NewReader("<a/>")); err != nil {
+		if _, err := xmltree.Parse(strings.NewReader("<a/>")); err != nil {
 			return nil, err
 		}
 		best, err := bestOfTrials(3, func() error {
-			store := nativedb.OpenStore()
-			store.SetMetrics(Metrics)
-			return store.LoadXML("doc", strings.NewReader(xmlText.String()))
+			eng, err := store.Open(core.BackendNative.String(), store.Options{Metrics: Metrics})
+			if err != nil {
+				return err
+			}
+			doc, err := xmltree.Parse(strings.NewReader(xmlText.String()))
+			if err != nil {
+				return err
+			}
+			return eng.Load(doc)
 		})
 		if err != nil {
 			return nil, err
@@ -425,8 +430,8 @@ func PrintFig12(w io.Writer, rows []ReannotRow) {
 var Metrics *obs.Registry
 
 // Parallelism is the worker-pool bound for every system the harness builds:
-// 0 selects GOMAXPROCS, 1 forces the sequential reference path (cmd/acbench
-// -parallel, scripts/bench.sh's before/after comparison).
+// 0 selects GOMAXPROCS, 1 runs every unit in the caller, one after another
+// (cmd/acbench -parallel, scripts/bench.sh's before/after comparison).
 var Parallelism int
 
 func newSystem(b core.Backend, pol *policy.Policy) (*core.System, error) {

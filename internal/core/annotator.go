@@ -10,10 +10,9 @@ import (
 )
 
 // The annotator compiles the policy into an annotation query (Figure 5)
-// and hands it to the configured store engine, which executes it in its
-// own idiom — a mini-XQuery update on the native engine, the two-phase
-// reset/update SQL of Figure 6 on the relational ones. Which nodes flip
-// away from the default is decided here, identically for every backend;
+// and hands it to the configured store engine. Which nodes flip away from
+// the default is decided here, identically for every backend; every
+// engine evaluates the query with the store's one node-set evaluator, and
 // how the signs are written is the engine's business.
 
 // AnnotationQuery is the output of algorithm Annotation-Queries

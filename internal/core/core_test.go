@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"xmlac/internal/hospital"
@@ -137,20 +136,6 @@ func TestAnnotationQueryEmptySides(t *testing.T) {
 	}}
 	if q := BuildAnnotationQuery(p); q.Expr.String() != "//g" {
 		t.Fatalf("expr = %v", q.Expr)
-	}
-}
-
-func TestXQueryTextMirrorsPaper(t *testing.T) {
-	p := policy.MustParse(`
-rule R1 allow //patient
-rule R3 deny //patient[treatment]
-`)
-	q := BuildAnnotationQuery(p)
-	text := q.XQueryText("xmlgen")
-	if !strings.Contains(text, `doc("xmlgen")`) ||
-		!strings.Contains(text, "except") ||
-		!strings.Contains(text, `xmlac:annotate($n, "+")`) {
-		t.Fatalf("xquery = %s", text)
 	}
 }
 

@@ -39,13 +39,17 @@ func newTracedSystem(t *testing.T, b Backend) (*System, *obs.Collector, *obs.Reg
 
 func phaseNames(p obs.Phases) []string { return p.Names() }
 
+// annotateStages is the stage list every engine's full annotation
+// reports, as Phases and as the annotate span's children.
+var annotateStages = []string{"reset-signs", "compute-update-set", "apply-updates"}
+
 func TestAnnotatePhasesNative(t *testing.T) {
 	sys, col, reg := newTracedSystem(t, BackendNative)
 	stats, err := sys.Annotate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"clear-signs", "build-annotation-query", "apply-updates"}
+	want := annotateStages
 	if got := phaseNames(stats.Phases); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("phases = %v, want %v", got, want)
 	}
@@ -91,7 +95,7 @@ func TestAnnotatePhasesRelational(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := []string{"reset-signs", "build-annotation-query", "compute-update-set", "apply-updates"}
+			want := annotateStages
 			if got := phaseNames(stats.Phases); strings.Join(got, ",") != strings.Join(want, ",") {
 				t.Errorf("phases = %v, want %v", got, want)
 			}
@@ -111,6 +115,61 @@ func TestAnnotatePhasesRelational(t *testing.T) {
 			snap := reg.Snapshot()
 			if h, ok := snap.Histograms["sqldb_exec_seconds"]; !ok || h.Count == 0 {
 				t.Errorf("sqldb_exec_seconds missing or empty: %+v", h)
+			}
+		})
+	}
+}
+
+// TestStoreCountersCountEveryEvaluation: on every backend a full
+// annotation resets every element and adds its resets and updates to
+// store_signs_written_total, a request adds to the store_* query and
+// scanned-row counters, and a write adds the signs it rewrote (updated +
+// reset). The native engine counts one query per tree evaluation, with
+// the nodes the evaluator visited and matched.
+func TestStoreCountersCountEveryEvaluation(t *testing.T) {
+	for _, b := range []Backend{BackendNative, BackendColumn, BackendRow, BackendVector} {
+		t.Run(b.String(), func(t *testing.T) {
+			sys, _, reg := newTracedSystem(t, b)
+			counter := func(name string) *obs.Counter {
+				return reg.Counter(fmt.Sprintf("%s{engine=%q}", name, store.EngineLabel(sys.Engine())))
+			}
+			queries, scanned := counter("store_queries_total"), counter("store_rows_scanned_total")
+			matched, signs := counter("store_rows_matched_total"), counter("store_signs_written_total")
+			stats, err := sys.Annotate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Reset != sys.doc.ElementCount() || signs.Value() != int64(stats.Reset+stats.Updated) {
+				t.Errorf("annotation reset %d of %d elements, updated %d, and wrote %d signs",
+					stats.Reset, sys.doc.ElementCount(), stats.Updated, signs.Value())
+			}
+			q := xpath.MustParse("//patient/name")
+			var st xpath.EvalStats
+			nodes, err := xpath.EvalWithStats(q, sys.doc, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q0, s0, m0 := queries.Value(), scanned.Value(), matched.Value()
+			if _, err := sys.Request(q); err != nil && !errors.Is(err, ErrAccessDenied) {
+				t.Fatal(err)
+			}
+			dq, ds, dm := queries.Value()-q0, scanned.Value()-s0, matched.Value()-m0
+			if dq == 0 || ds == 0 {
+				t.Errorf("a request added %d queries and %d scanned rows", dq, ds)
+			}
+			if b == BackendNative && (dq != 1 || ds != int64(st.Visited) || dm != int64(len(nodes))) {
+				t.Errorf("a request added %d queries, %d scanned and %d matched nodes; want 1, %d and %d",
+					dq, ds, dm, st.Visited, len(nodes))
+			}
+			w0 := signs.Value()
+			rep, err := sys.DeleteAndReannotate(xpath.MustParse("//patient/treatment"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(rep.Stats.Updated + rep.Stats.Reset)
+			if got := signs.Value() - w0; want == 0 || got != want {
+				t.Errorf("a write rewrote %d signs (updated %d, reset %d) and added %d to store_signs_written_total",
+					want, rep.Stats.Updated, rep.Stats.Reset, got)
 			}
 		})
 	}

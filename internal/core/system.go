@@ -57,7 +57,8 @@ type Config struct {
 	// parents) must be updatable under the policy's write rules, evaluated
 	// on the fly with the Table 2 semantics.
 	EnforceWrite bool
-	// DocName names the document inside the native store; defaults to "doc".
+	// DocName names the document in audit events and catalogs; defaults
+	// to "doc".
 	DocName string
 	// Tracer receives hierarchical spans for every pipeline stage of
 	// annotation, re-annotation and request processing; nil disables
@@ -67,10 +68,10 @@ type Config struct {
 	// counters and histograms; nil disables collection.
 	Metrics *obs.Registry
 	// Parallelism bounds the worker pool the annotation engine fans its
-	// independent units out on (per-rule node-set queries on the native
+	// independent units out on (per-rule node-set queries on every
 	// backend, per-table reset and sign-update phases on the relational
-	// ones). 0 selects GOMAXPROCS; 1 forces the sequential reference path,
-	// which produces byte-identical sign columns.
+	// ones). 0 selects GOMAXPROCS; 1 runs the same code in the caller,
+	// one unit after another.
 	Parallelism int
 	// Enforce selects the enforcement strategy, once for the System's
 	// life: signs is the paper's materialized pipeline, rewrite composes
@@ -109,7 +110,7 @@ type System struct {
 	doc     *xmltree.Document // installed by Load
 	engine  store.Engine
 	tracer  *obs.Tracer // nil when tracing is off
-	pool    *pool.Pool  // nil forces the sequential reference path
+	pool    *pool.Pool  // nil runs every unit in the caller
 	loaded  bool
 	// version stamps the store's accessibility state: bumped (under the
 	// exclusive lock) by every load, annotation and applied update. The
@@ -179,7 +180,6 @@ func NewSystem(cfg Config) (*System, error) {
 		s.policy, s.removed = RemoveRedundant(s.policy)
 	}
 	eng, err := store.Open(string(cfg.Backend), store.Options{
-		DocName: cfg.DocName,
 		Schema:  cfg.Schema,
 		Default: defaultSign(s.policy),
 		Metrics: cfg.Metrics,

@@ -13,12 +13,11 @@ import (
 )
 
 // Catalog is the multi-document layer over the engine seam: it routes
-// operations by document name to one of N shards, each an independent
-// group of Engine instances, and fans shard-wise work out on a worker
-// pool. Placement is rendezvous (highest-random-weight) hashing by
-// default — deterministic, and adding or removing a shard only remaps
-// the documents whose winning shard changed — with explicit per-document
-// placement as an override. This is the ROADMAP's "sharding, batching,
+// document names to one of N shards and fans shard-wise work out on a
+// worker pool; the caller keeps one engine per document. Placement is
+// rendezvous (highest-random-weight) hashing by default — deterministic,
+// and adding or removing a shard only remaps the documents whose winning
+// shard changed — with explicit per-document placement as an override. This is the ROADMAP's "sharding, batching,
 // multi-backend" scaling path: one engine per document keeps shards
 // fully isolated (a sign update in one document can never touch
 // another), while shared metrics and audit sinks merge the per-shard
@@ -27,8 +26,8 @@ type Catalog struct {
 	mu     sync.RWMutex
 	shards []string          // shard names, sorted
 	placed map[string]string // doc → shard, explicit placement overrides
-	docs   map[string]Engine
-	pl     *pool.Pool // bounds the cross-shard fan-out; nil = sequential
+	docs   map[string]bool   // attached document names
+	pl     *pool.Pool        // bounds the cross-shard fan-out; nil = sequential
 
 	docsGauge, shardsGauge *obs.Gauge
 	ops                    *obs.Counter
@@ -42,7 +41,7 @@ func NewCatalog(n int, pl *pool.Pool) *Catalog {
 	if n < 1 {
 		n = 1
 	}
-	c := &Catalog{placed: map[string]string{}, docs: map[string]Engine{}, pl: pl}
+	c := &Catalog{placed: map[string]string{}, docs: map[string]bool{}, pl: pl}
 	for i := 0; i < n; i++ {
 		c.shards = append(c.shards, fmt.Sprintf("shard%d", i))
 	}
@@ -160,14 +159,14 @@ func (c *Catalog) shardOfLocked(doc string) string {
 	return best
 }
 
-// Attach registers a document's engine in the catalog.
-func (c *Catalog) Attach(doc string, e Engine) error {
+// Attach registers a document name in the catalog.
+func (c *Catalog) Attach(doc string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.docs[doc]; dup {
+	if c.docs[doc] {
 		return fmt.Errorf("store: document %q already attached", doc)
 	}
-	c.docs[doc] = e
+	c.docs[doc] = true
 	c.updateGaugesLocked()
 	return nil
 }
@@ -179,13 +178,6 @@ func (c *Catalog) Detach(doc string) {
 	delete(c.docs, doc)
 	delete(c.placed, doc)
 	c.updateGaugesLocked()
-}
-
-// Engine returns the named document's engine, or nil.
-func (c *Catalog) Engine(doc string) Engine {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.docs[doc]
 }
 
 // Docs lists the attached document names, sorted.

@@ -105,7 +105,7 @@ func workloads() []workload {
 // workload document into it.
 func openEngine(t *testing.T, name string, wl workload, def xmltree.Sign) store.Engine {
 	t.Helper()
-	eng, err := store.Open(name, store.Options{DocName: wl.name, Schema: wl.schema, Default: def})
+	eng, err := store.Open(name, store.Options{Schema: wl.schema, Default: def})
 	if err != nil {
 		t.Fatal(err)
 	}

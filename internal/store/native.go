@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"xmlac/internal/nativedb"
 	"xmlac/internal/obs"
 	"xmlac/internal/pool"
 	"xmlac/internal/xmltree"
@@ -17,23 +16,24 @@ func init() {
 	Register("native", openNative, "xquery")
 }
 
-// nativeEngine materializes signs directly on the XML tree inside a
-// nativedb.Store — the paper's MonetDB/XQuery configuration: annotation
-// runs as a mini-XQuery update, requests walk the annotated tree, and a
-// node without an explicit sign falls back to the policy default.
+// nativeEngine materializes signs directly on the XML tree — the paper's
+// MonetDB/XQuery configuration: annotation flips the sign of each node
+// in the update set, requests walk the annotated tree, and a node without
+// an explicit sign falls back to the policy default.
 type nativeEngine struct {
-	st      *nativedb.Store
-	docName string
-	doc     *xmltree.Document // set by Load
-	def     xmltree.Sign      // policy default sign
-	pl      *pool.Pool        // nil selects the sequential reference path
+	doc *xmltree.Document // set by Load
+	def xmltree.Sign      // policy default sign
+	pl  *pool.Pool        // nil runs leaf evaluations in the caller
+
+	// The store_* series with engine="native"; nil when detached.
+	queries, scanned, matched, signs *obs.Counter
 }
 
 // Compile-time interface compliance, checked by go vet and the CI gate.
 var _ Engine = (*nativeEngine)(nil)
 
 func openNative(o Options) (Engine, error) {
-	e := &nativeEngine{st: nativedb.OpenStore(), docName: o.DocName, def: o.Default, pl: o.Pool}
+	e := &nativeEngine{def: o.Default, pl: o.Pool}
 	if o.Metrics != nil {
 		e.SetMetrics(o.Metrics)
 	}
@@ -43,77 +43,77 @@ func openNative(o Options) (Engine, error) {
 func (e *nativeEngine) Name() string     { return "native" }
 func (e *nativeEngine) Relational() bool { return false }
 
-// Load registers the document in the native store; signs already on the
-// tree are kept (the store serializes them as the sign attribute).
+// Load installs the document; the engine takes ownership of the tree and
+// keeps the signs already on it.
 func (e *nativeEngine) Load(doc *xmltree.Document) error {
-	if err := e.st.Load(e.docName, doc); err != nil {
-		return err
+	if doc == nil {
+		return fmt.Errorf("store: nil document")
 	}
 	e.doc = doc
 	return nil
 }
 
-// runner adapts the pool to the native store's Runner shape; a nil pool
-// selects the sequential reference path.
-func (e *nativeEngine) runner() nativedb.Runner {
-	if e.pl == nil {
-		return nil
-	}
-	return e.pl.ForEach
+// Annotate performs full annotation on the tree (see annotate). Mirroring
+// the paper's native-store choice, only the nodes on the non-default side
+// carry explicit signs afterwards.
+func (e *nativeEngine) Annotate(ctx context.Context, q AnnotationQuery) (AnnotateStats, error) {
+	return annotate(ctx, e, e.pl, q)
 }
 
-// Annotate performs full annotation in the native store: clear all
-// annotations (back to the materialized default), then run the
-// annotation query. Mirroring the paper's native-store choice, only the
-// nodes on the non-default side carry explicit signs afterwards.
-func (e *nativeEngine) Annotate(ctx context.Context, q AnnotationQuery) (AnnotateStats, error) {
-	parent := obs.FromContext(ctx)
-	doc := e.st.Doc(e.docName)
-	if doc == nil {
-		return AnnotateStats{}, fmt.Errorf("core: no document %q in native store", e.docName)
+// resetSigns drops every annotation: unannotated nodes take the policy
+// default. It reports the elements reset, as the relational engines
+// report their tuples.
+func (e *nativeEngine) resetSigns(xmltree.Sign) (int, error) {
+	if e.doc == nil {
+		return 0, fmt.Errorf("store: no document loaded in the native engine")
 	}
-	stats := AnnotateStats{Reset: doc.Size()}
-	_ = stage(parent, &stats.Phases, "clear-signs", func() error {
-		doc.ClearSigns()
-		return nil
-	})
-	var text string
-	_ = stage(parent, &stats.Phases, "build-annotation-query", func() error {
-		text = q.XQueryText(e.docName)
-		return nil
-	})
-	if q.Expr == nil {
-		return stats, nil
+	n := e.doc.ElementCount()
+	e.doc.ClearSigns()
+	e.signs.Add(int64(n))
+	return n, nil
+}
+
+// leafIDs evaluates one rule path on the tree.
+func (e *nativeEngine) leafIDs(p *xpath.Path) (map[int64]bool, error) {
+	nodes, err := e.eval(p)
+	if err != nil {
+		return nil, err
 	}
-	err := stage(parent, &stats.Phases, "apply-updates", func() error {
-		// The per-rule grant/deny paths of the annotation query are
-		// independent read-only XPath evaluations; the pool fans them out
-		// (see nativedb.EvalSetWith) before the sequential set-operator fold.
-		res, err := e.st.ExecWith(text, e.runner())
-		if err != nil {
-			return err
-		}
-		stats.Updated = res.Count
-		return nil
-	})
-	return stats, err
+	ids := make(map[int64]bool, len(nodes))
+	for _, n := range nodes {
+		ids[n.ID] = true
+	}
+	return ids, nil
+}
+
+// writeSigns annotates every node of ids with sign.
+func (e *nativeEngine) writeSigns(ids map[int64]bool, sign xmltree.Sign) (int, error) {
+	for id := range ids {
+		e.doc.NodeByID(id).Sign = sign
+	}
+	e.signs.Add(int64(len(ids)))
+	return len(ids), nil
+}
+
+// eval runs one tree evaluation and counts it, once, in the store_*
+// series: one query, the nodes the evaluator visited and those it
+// matched.
+func (e *nativeEngine) eval(p *xpath.Path) ([]*xmltree.Node, error) {
+	var st xpath.EvalStats
+	nodes, err := xpath.EvalWithStats(p, e.doc, &st)
+	if err != nil {
+		return nil, err
+	}
+	e.queries.Inc()
+	e.scanned.Add(int64(st.Visited))
+	e.matched.Add(int64(len(nodes)))
+	return nodes, nil
 }
 
 // EvalScope evaluates a node-set expression on the tree and returns the
 // matched ids.
 func (e *nativeEngine) EvalScope(x *SetExpr) (map[int64]bool, error) {
-	ids := map[int64]bool{}
-	if x == nil {
-		return ids, nil
-	}
-	nodes, err := nativedb.EvalSet(x, e.doc)
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range nodes {
-		ids[n.ID] = true
-	}
-	return ids, nil
+	return evalSet(x, e.pl, e.leafIDs)
 }
 
 // ApplySignsWithin rewrites signs inside the affected set only: update
@@ -126,13 +126,14 @@ func (e *nativeEngine) ApplySignsWithin(affected, update map[int64]bool, sign, d
 			continue
 		}
 		if update[id] {
-			nativedb.Annotate(n, sign)
+			n.Sign = sign
 			updated++
 		} else {
-			nativedb.Annotate(n, xmltree.SignNone) // back to the default
+			n.Sign = xmltree.SignNone // back to the default
 			reset++
 		}
 	}
+	e.signs.Add(int64(updated + reset))
 	return updated, reset, nil
 }
 
@@ -165,7 +166,7 @@ func (e *nativeEngine) Request(ctx context.Context, q *xpath.Path) (*RequestResu
 // the rewriting enforcer's matched-set probe (store.RawQuerier).
 func (e *nativeEngine) RawQuery(ctx context.Context, q *xpath.Path) (*RequestResult, error) {
 	sp := obs.Start(obs.FromContext(ctx), "eval-query")
-	nodes, err := xpath.Eval(q, e.doc)
+	nodes, err := e.eval(q)
 	sp.SetAttr("matched", len(nodes)).Finish()
 	if err != nil {
 		return nil, err
@@ -204,9 +205,18 @@ func (e *nativeEngine) Commit() error       { return nil }
 func (e *nativeEngine) Rollback() error     { return nil }
 func (e *nativeEngine) InTransaction() bool { return false }
 
-// SetMetrics attaches the registry to the underlying store (feeding the
-// store_* series).
-func (e *nativeEngine) SetMetrics(r *obs.Registry) { e.st.SetMetrics(r) }
+// SetMetrics attaches the registry's store_* series with the
+// engine="native" label; nil detaches.
+func (e *nativeEngine) SetMetrics(r *obs.Registry) {
+	if r == nil {
+		e.queries, e.scanned, e.matched, e.signs = nil, nil, nil, nil
+		return
+	}
+	e.queries = r.Counter(`store_queries_total{engine="native"}`)
+	e.scanned = r.Counter(`store_rows_scanned_total{engine="native"}`)
+	e.matched = r.Counter(`store_rows_matched_total{engine="native"}`)
+	e.signs = r.Counter(`store_signs_written_total{engine="native"}`)
+}
 
 // SetSlowQueryLog is a no-op: the native store has no statement executor.
 func (e *nativeEngine) SetSlowQueryLog(w io.Writer, threshold time.Duration) {}

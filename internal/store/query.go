@@ -1,49 +1,129 @@
 package store
 
 import (
-	"fmt"
+	"context"
+	"maps"
 	"time"
 
-	"xmlac/internal/nativedb"
 	"xmlac/internal/obs"
-	"xmlac/internal/shred"
+	"xmlac/internal/pool"
 	"xmlac/internal/xmltree"
 	"xmlac/internal/xpath"
 )
 
-// The node-set algebra of the annotation queries (Figure 5) is defined by
-// the native store — an XPath leaf or a union/except/intersect over two
-// subexpressions — and re-exported here so the policy layer can build
-// annotation queries against the store seam alone, without naming either
-// backend package.
-
-// SetExpr is a node-set expression: an XPath leaf or a set operation.
-type SetExpr = nativedb.SetExpr
+// The node-set algebra of the annotation queries (Figure 5): an XPath leaf
+// or a union/except over two subexpressions. The policy layer builds the
+// expressions; every engine evaluates them with evalSet.
 
 // SetOp combines node sets.
-type SetOp = nativedb.SetOp
+type SetOp uint8
 
 // Set operators of the annotation-query algebra.
 const (
 	// OpUnion is the union operator.
-	OpUnion = nativedb.OpUnion
+	OpUnion SetOp = iota
 	// OpExcept is the except operator.
-	OpExcept = nativedb.OpExcept
-	// OpIntersect is the intersect operator.
-	OpIntersect = nativedb.OpIntersect
+	OpExcept
 )
 
+// String names the operator in the paper's query syntax.
+func (o SetOp) String() string {
+	if o == OpExcept {
+		return "except"
+	}
+	return "union"
+}
+
+// SetExpr is a node-set expression: an XPath leaf or a set operation over
+// two subexpressions.
+type SetExpr struct {
+	Path        *xpath.Path
+	Op          SetOp
+	Left, Right *SetExpr
+}
+
+// String renders the expression in the paper's query syntax, e.g.
+// ((//a union //b) except //c).
+func (e *SetExpr) String() string {
+	if e.Path != nil {
+		return e.Path.String()
+	}
+	return "(" + e.Left.String() + " " + e.Op.String() + " " + e.Right.String() + ")"
+}
+
 // PathLeaf wraps an XPath expression as a set expression.
-func PathLeaf(p *xpath.Path) *SetExpr { return nativedb.PathLeaf(p) }
+func PathLeaf(p *xpath.Path) *SetExpr { return &SetExpr{Path: p} }
 
 // Combine folds expressions with one operator; nil when the list is empty.
-func Combine(op SetOp, exprs ...*SetExpr) *SetExpr { return nativedb.Combine(op, exprs...) }
+func Combine(op SetOp, exprs ...*SetExpr) *SetExpr {
+	var acc *SetExpr
+	for _, e := range exprs {
+		if e == nil {
+			continue
+		}
+		if acc == nil {
+			acc = e
+			continue
+		}
+		acc = &SetExpr{Op: op, Left: acc, Right: e}
+	}
+	return acc
+}
+
+// evalSet evaluates a node-set expression to the ids it selects, the same
+// way on every engine: each path leaf runs through leaf on pl (a nil pool
+// runs them in the caller, one after another), then union and except fold
+// over the leaves' id sets. Leaves are numbered left to right, so an
+// expression that repeats a leaf evaluates it once per occurrence, and
+// the fold may consume every set in place. A nil expression yields an
+// empty set.
+func evalSet(e *SetExpr, pl *pool.Pool, leaf func(*xpath.Path) (map[int64]bool, error)) (map[int64]bool, error) {
+	if e == nil {
+		return map[int64]bool{}, nil
+	}
+	var paths []*xpath.Path
+	var collect func(*SetExpr)
+	collect = func(e *SetExpr) {
+		if e.Path != nil {
+			paths = append(paths, e.Path)
+			return
+		}
+		collect(e.Left)
+		collect(e.Right)
+	}
+	collect(e)
+	sets := make([]map[int64]bool, len(paths))
+	if err := pl.ForEach(len(paths), func(i int) (err error) {
+		sets[i], err = leaf(paths[i])
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	next := 0
+	var fold func(*SetExpr) map[int64]bool
+	fold = func(e *SetExpr) map[int64]bool {
+		if e.Path != nil {
+			next++
+			return sets[next-1]
+		}
+		l, r := fold(e.Left), fold(e.Right)
+		if e.Op == OpUnion {
+			maps.Copy(l, r)
+			return l
+		}
+		for id := range r {
+			delete(l, id)
+		}
+		return l
+	}
+	return fold(e), nil
+}
 
 // AnnotationQuery is the output of algorithm Annotation-Queries
 // (Figure 5): the node-set expression designating the nodes whose sign
 // must be flipped away from the policy default, together with that sign.
-// The policy layer compiles one from the Table 2 semantics; every engine
-// executes it in its own idiom (mini-XQuery update or compound SQL).
+// The policy layer compiles one from the Table 2 semantics; annotate
+// executes it identically on every engine.
 type AnnotationQuery struct {
 	// Expr selects the nodes to update; nil when the rule sets make the
 	// update set trivially empty.
@@ -55,52 +135,44 @@ type AnnotationQuery struct {
 	Default xmltree.Sign
 }
 
-// XQueryText renders the annotation query as the mini-XQuery update the
-// native store executes, mirroring the paper's example
-//
-//	for $n := doc("xmlgen")((R1 union R2 union R6) except (R3 union R5))
-//	return xmlac:annotate($n, "+")
-func (q AnnotationQuery) XQueryText(docName string) string {
-	if q.Expr == nil {
-		return ""
-	}
-	return fmt.Sprintf(`for $n in doc(%q)(%s) return xmlac:annotate($n, %q)`,
-		docName, q.Expr, q.Sign.String())
+// signStore is the engine half of full annotation: the three operations
+// annotate runs in order.
+type signStore interface {
+	// resetSigns returns every sign to the policy default def and reports
+	// how many elements it reset.
+	resetSigns(def xmltree.Sign) (int, error)
+	// leafIDs evaluates one rule path to the ids it selects.
+	leafIDs(p *xpath.Path) (map[int64]bool, error)
+	// writeSigns sets sign on every node of ids and reports how many it
+	// wrote.
+	writeSigns(ids map[int64]bool, sign xmltree.Sign) (int, error)
 }
 
-// SQLText renders the annotation query as the compound SQL SELECT
-// computing the universal ids to update, e.g. the paper's
-//
-//	(Q1 UNION Q2 UNION Q6) EXCEPT (Q3 UNION Q5)
-func (q AnnotationQuery) SQLText(m *shred.Mapping) (string, error) {
-	if q.Expr == nil {
-		return "", nil
+// annotate performs full annotation (Figures 5 and 6) on any engine:
+// reset every sign to the default, compute the update set with evalSet
+// over the engine's leaves, and write q.Sign on its members. Each stage is
+// a Phases entry and, with a span in ctx, a child span of it.
+func annotate(ctx context.Context, s signStore, pl *pool.Pool, q AnnotationQuery) (AnnotateStats, error) {
+	parent := obs.FromContext(ctx)
+	var stats AnnotateStats
+	if err := stage(parent, &stats.Phases, "reset-signs", func() (err error) {
+		stats.Reset, err = s.resetSigns(q.Default)
+		return err
+	}); err != nil {
+		return stats, err
 	}
-	return setExprSQL(m, q.Expr)
-}
-
-func setExprSQL(m *shred.Mapping, e *SetExpr) (string, error) {
-	if e.Path != nil {
-		return shred.Translate(m, e.Path)
+	var ids map[int64]bool
+	if err := stage(parent, &stats.Phases, "compute-update-set", func() (err error) {
+		ids, err = evalSet(q.Expr, pl, s.leafIDs)
+		return err
+	}); err != nil {
+		return stats, err
 	}
-	l, err := setExprSQL(m, e.Left)
-	if err != nil {
-		return "", err
-	}
-	r, err := setExprSQL(m, e.Right)
-	if err != nil {
-		return "", err
-	}
-	var op string
-	switch e.Op {
-	case OpUnion:
-		op = "UNION"
-	case OpExcept:
-		op = "EXCEPT"
-	default:
-		op = "INTERSECT"
-	}
-	return "(" + l + ") " + op + " (" + r + ")", nil
+	err := stage(parent, &stats.Phases, "apply-updates", func() (err error) {
+		stats.Updated, err = s.writeSigns(ids, q.Sign)
+		return err
+	})
+	return stats, err
 }
 
 // AnnotateStats reports what an annotation run did.

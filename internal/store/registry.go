@@ -49,7 +49,7 @@ func Open(name string, o Options) (Engine, error) {
 	if op == nil {
 		return nil, fmt.Errorf("store: unknown engine %q (registered: %s)", name, strings.Join(Engines(), ", "))
 	}
-	return op(o.withDefaults())
+	return op(o)
 }
 
 // Engines lists the canonical registered engine names, sorted — the

@@ -33,7 +33,7 @@ type relationalEngine struct {
 	db       *sqldb.Database
 	m        *shred.Mapping
 	def      xmltree.Sign
-	pl       *pool.Pool // nil selects the sequential reference path
+	pl       *pool.Pool // nil runs leaves and tables in the caller
 	pushdown bool       // fold sign checks into translated queries
 	signs    *obs.Counter
 }
@@ -86,141 +86,47 @@ func (e *relationalEngine) Load(doc *xmltree.Document) error {
 	return sh.IntoDB(e.db, doc)
 }
 
-// Annotate implements algorithm Annotate (Figure 6) as a full
-// annotation: reset every tuple's s column to the policy default, run
-// the annotation SQL to compute the id set S, then — exactly as the
-// paper's two-phase algorithm does — iterate over all tables, intersect
-// each table's ids with S, and issue bulk UPDATEs for the matches.
+// Annotate implements algorithm Annotate (Figure 6) as a full annotation
+// (see annotate): reset every tuple's s column to the policy default,
+// compute the id set S from the rule paths' translated SQL, then
+// intersect each table's ids with S and update the matches.
 func (e *relationalEngine) Annotate(ctx context.Context, q AnnotationQuery) (AnnotateStats, error) {
-	parent := obs.FromContext(ctx)
-	stats := AnnotateStats{}
-	defSign := "'" + q.Default.String() + "'"
+	return annotate(ctx, e, e.pl, q)
+}
+
+// resetSigns sets every tuple's s column to def. Per-table resets touch
+// disjoint relations; they fan out on the pool and merge their counts
+// from index-addressed slots, so the total is deterministic.
+func (e *relationalEngine) resetSigns(def xmltree.Sign) (int, error) {
 	tables := e.m.Tables()
-	if err := stage(parent, &stats.Phases, "reset-signs", func() error {
-		// Per-table resets touch disjoint relations; fan them out and merge
-		// the counts from index-addressed slots so the total is deterministic.
-		resets := make([]int, len(tables))
-		if err := e.pl.ForEach(len(tables), func(i int) error {
-			res, err := e.db.Exec(fmt.Sprintf("UPDATE %s SET %s = %s", tables[i].Table, shred.SignColumn, defSign))
-			if err != nil {
-				return err
-			}
-			resets[i] = res.Affected
-			return nil
-		}); err != nil {
+	resets := make([]int, len(tables))
+	err := e.pl.ForEach(len(tables), func(i int) error {
+		res, err := e.db.Exec(fmt.Sprintf("UPDATE %s SET %s = '%s'", tables[i].Table, shred.SignColumn, def))
+		if err != nil {
 			return err
 		}
-		for _, n := range resets {
-			stats.Reset += n
-		}
+		resets[i] = res.Affected
 		return nil
-	}); err != nil {
-		return stats, err
-	}
-	if q.Expr == nil {
-		e.signs.Add(int64(stats.Reset))
-		return stats, nil
-	}
-	// With a pool, the per-rule leaf queries of the compound annotation SQL
-	// — independent read-only SELECTs — fan out and the UNION/EXCEPT/
-	// INTERSECT operators fold over the id sets in memory, mirroring the
-	// native store's EvalSetWith. Sequentially, the compound statement runs
-	// as one round trip, the paper's literal shape.
-	leaves := sqlLeaves(q.Expr)
-	parallelSet := e.pl != nil && len(leaves) > 1
-	var sqlText string
-	leafSQL := make([]string, len(leaves))
-	if err := stage(parent, &stats.Phases, "build-annotation-query", func() error {
-		if !parallelSet {
-			var err error
-			sqlText, err = q.SQLText(e.m)
-			return err
-		}
-		for i, l := range leaves {
-			var err error
-			if leafSQL[i], err = shred.Translate(e.m, l.Path); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return stats, err
-	}
-	var ids map[int64]bool
-	if err := stage(parent, &stats.Phases, "compute-update-set", func() error {
-		if !parallelSet {
-			var err error
-			ids, err = e.queryIDs(sqlText)
-			return err
-		}
-		sets := make([]map[int64]bool, len(leaves))
-		if err := e.pl.ForEach(len(leaves), func(i int) error {
-			var err error
-			sets[i], err = e.queryIDs(leafSQL[i])
-			return err
-		}); err != nil {
-			return err
-		}
-		byLeaf := make(map[*SetExpr]map[int64]bool, len(leaves))
-		for i, l := range leaves {
-			byLeaf[l] = sets[i]
-		}
-		ids = foldIDSets(q.Expr, byLeaf)
-		return nil
-	}); err != nil {
-		return stats, err
-	}
-	err := stage(parent, &stats.Phases, "apply-updates", func() error {
-		n, err := e.updateSigns(ids, q.Sign)
-		stats.Updated = n
-		return err
 	})
-	e.signs.Add(int64(stats.Reset + stats.Updated))
-	return stats, err
+	total := 0
+	for _, n := range resets {
+		total += n
+	}
+	e.signs.Add(int64(total))
+	return total, err
 }
 
-// sqlLeaves collects the per-rule path leaves of a set expression in
-// deterministic left-to-right order.
-func sqlLeaves(e *SetExpr) []*SetExpr {
-	if e == nil {
-		return nil
+// leafIDs translates one rule path to SQL and returns the ids it selects.
+func (e *relationalEngine) leafIDs(p *xpath.Path) (map[int64]bool, error) {
+	sqlText, err := shred.Translate(e.m, p)
+	if err != nil {
+		return nil, err
 	}
-	if e.Path != nil {
-		return []*SetExpr{e}
-	}
-	return append(sqlLeaves(e.Left), sqlLeaves(e.Right)...)
+	return e.queryIDs(sqlText)
 }
 
-// foldIDSets applies the set operators over the leaves' id sets. The leaf
-// sets are consumed in place (each leaf occurs once in the tree), so the
-// fold allocates nothing beyond what the leaf queries already returned.
-func foldIDSets(e *SetExpr, byLeaf map[*SetExpr]map[int64]bool) map[int64]bool {
-	if e.Path != nil {
-		return byLeaf[e]
-	}
-	l := foldIDSets(e.Left, byLeaf)
-	r := foldIDSets(e.Right, byLeaf)
-	switch e.Op {
-	case OpUnion:
-		for id := range r {
-			l[id] = true
-		}
-	case OpExcept:
-		for id := range r {
-			delete(l, id)
-		}
-	default: // intersect
-		for id := range l {
-			if !r[id] {
-				delete(l, id)
-			}
-		}
-	}
-	return l
-}
-
-// queryIDs runs a compound id query and returns the id set. The error
-// prefix predates the store seam and is kept verbatim.
+// queryIDs runs an id query and returns the id set. The error prefix
+// predates the store seam and is kept verbatim.
 func (e *relationalEngine) queryIDs(sqlText string) (map[int64]bool, error) {
 	res, err := e.db.Exec(sqlText)
 	if err != nil {
@@ -233,13 +139,16 @@ func (e *relationalEngine) queryIDs(sqlText string) (map[int64]bool, error) {
 	return ids, nil
 }
 
-// updateSigns is the second phase of Figure 6: for each table, intersect
-// its ids with the computed set and update the matching tuples. The paper's
-// algorithm updated them one statement per tuple; here each table's matches
-// go out as bulk UPDATE … WHERE id IN (…) batches (the pk index resolves the
-// IN list), and the per-table units fan out on the pool. The id set is only
-// read, so sharing it across workers is safe.
-func (e *relationalEngine) updateSigns(ids map[int64]bool, sign xmltree.Sign) (int, error) {
+// writeSigns is the second phase of Figure 6: for each table, intersect
+// its ids with the computed set and update the matching tuples. The
+// paper's algorithm updated them one statement per tuple; here each
+// table's matches go out as bulk UPDATE … WHERE id IN (…) batches (the pk
+// index resolves the IN list), and the per-table units fan out on the
+// pool. The id set is only read, so sharing it across workers is safe.
+func (e *relationalEngine) writeSigns(ids map[int64]bool, sign xmltree.Sign) (int, error) {
+	if len(ids) == 0 {
+		return 0, nil
+	}
 	signLit := "'" + sign.String() + "'"
 	tables := e.m.Tables()
 	counts := make([]int, len(tables))
@@ -262,6 +171,7 @@ func (e *relationalEngine) updateSigns(ids map[int64]bool, sign xmltree.Sign) (i
 	for _, n := range counts {
 		total += n
 	}
+	e.signs.Add(int64(total))
 	return total, err
 }
 
@@ -304,17 +214,10 @@ func truncateSQL(s string) string {
 	return s[:400] + " …"
 }
 
-// EvalScope translates a node-set expression to compound SQL and returns
-// the matched ids.
+// EvalScope evaluates a node-set expression from its rule paths'
+// translated SQL and returns the matched ids.
 func (e *relationalEngine) EvalScope(x *SetExpr) (map[int64]bool, error) {
-	if x == nil {
-		return map[int64]bool{}, nil
-	}
-	sqlText, err := setExprSQL(e.m, x)
-	if err != nil {
-		return nil, err
-	}
-	return e.queryIDs(sqlText)
+	return evalSet(x, e.pl, e.leafIDs)
 }
 
 // ApplySignsWithin rewrites signs inside the affected set only,

@@ -51,9 +51,10 @@ type Engine interface {
 
 	// Annotate performs full annotation from a compiled annotation query
 	// (Figure 5): reset to the default, compute the update set, flip the
-	// selected signs. Stats carry the per-stage phase breakdown; with a
-	// span in ctx (obs.FromContext) the same stages emit a span subtree
-	// under it, keeping the caller's trace connected across the seam.
+	// selected signs, through the pipeline every engine shares. Stats
+	// carry the per-stage phase breakdown; with a span in ctx
+	// (obs.FromContext) the same stages emit a span subtree under it,
+	// keeping the caller's trace connected across the seam.
 	Annotate(ctx context.Context, q AnnotationQuery) (AnnotateStats, error)
 
 	// EvalScope evaluates a node-set expression and returns the matched
@@ -132,9 +133,6 @@ type Relational interface {
 
 // Options configure an engine at Open time.
 type Options struct {
-	// DocName names the document inside the engine (the native store's
-	// doc("name") handle); defaults to "doc".
-	DocName string
 	// Schema is the document schema the relational engines shred by;
 	// required for them, unused by the native engine.
 	Schema *dtd.Schema
@@ -145,16 +143,8 @@ type Options struct {
 	Metrics *obs.Registry
 	// Pool bounds the worker pool the engine fans independent units out
 	// on (per-rule node-set queries, per-table reset and sign-update
-	// phases); nil selects the sequential reference path.
+	// phases); nil runs them in the caller, one after another.
 	Pool *pool.Pool
-}
-
-// withDefaults fills the option defaults shared by all engines.
-func (o Options) withDefaults() Options {
-	if o.DocName == "" {
-		o.DocName = "doc"
-	}
-	return o
 }
 
 // EngineLabel is the storage-family value engines use for their `engine`

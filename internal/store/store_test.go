@@ -268,25 +268,18 @@ func TestCatalogExplicitPlacement(t *testing.T) {
 
 func TestCatalogAttachDetach(t *testing.T) {
 	c := NewCatalog(2, nil)
-	eng, err := Open("native", Options{DocName: "a"})
-	if err != nil {
+	if err := c.Attach("a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Attach("a", eng); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Attach("a", eng); err == nil {
+	if err := c.Attach("a"); err == nil {
 		t.Fatal("duplicate attach succeeded")
-	}
-	if got := c.Engine("a"); got != eng {
-		t.Fatal("Engine(a) is not the attached engine")
 	}
 	if docs := c.Docs(); len(docs) != 1 || docs[0] != "a" {
 		t.Fatalf("Docs = %v", docs)
 	}
 	c.Detach("a")
-	if c.Engine("a") != nil || len(c.Docs()) != 0 {
-		t.Fatal("detach did not remove the document")
+	if docs := c.Docs(); len(docs) != 0 {
+		t.Fatalf("Docs after detach = %v", docs)
 	}
 }
 
@@ -294,11 +287,7 @@ func TestCatalogForEachShard(t *testing.T) {
 	for _, pl := range []*pool.Pool{nil, pool.New(4)} {
 		c := NewCatalog(4, pl)
 		for _, d := range catalogDocs(12) {
-			eng, err := Open("native", Options{DocName: d})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Attach(d, eng); err != nil {
+			if err := c.Attach(d); err != nil {
 				t.Fatal(err)
 			}
 		}

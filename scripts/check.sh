@@ -15,8 +15,8 @@ fi
 # The store seam is load-bearing: core must speak only store.Engine, never
 # a concrete backend package. A direct import would silently reintroduce
 # the per-backend dispatch branches this layering removed.
-if grep -rn '"xmlac/internal/sqldb"\|"xmlac/internal/nativedb"' internal/core/*.go; then
-	echo "check.sh: internal/core must not import sqldb or nativedb (use store.Engine)" >&2
+if grep -rn '"xmlac/internal/sqldb"' internal/core/*.go; then
+	echo "check.sh: internal/core must not import sqldb (use store.Engine)" >&2
 	exit 1
 fi
 
@@ -59,6 +59,13 @@ go test -run 'TestCrossModeEquivalence|TestRecursiveSchemaOnlyRewrite|TestStatic
 # this standalone form is what CI's blocking job calls (with -race and a
 # timed fuzz run, which stays in CI only).
 go test -run 'TestQuickIndexedEvalMatchesReference|TestQuickSelectsAgreesWithEval|TestEvalDecidesSharedQualifiersOnce|TestEvalDeepChainQualifiers|TestEvalVisitedCountsIndexCandidates|TestBenchmarkQueriesMatchReference|FuzzEval|TestInsertSubtreeUnderItselfRejected|TestElementsByLabel' ./internal/xpath ./internal/xmltree
+
+# The one node-set evaluator every engine runs: the set algebra on every
+# registered engine (nil expression included), EvalScope against union and
+# except folded over tree XPath results on the Table 1 rule paths, with and
+# without a worker pool, and FuzzParse's policy seed corpus. `go test ./...`
+# above runs them; CI's timed policy fuzz run stays in CI only.
+go test -run 'TestCombine|TestEvalSetAlgebra|TestEvalScopeMatchesTreeFold|FuzzParse' ./internal/store ./internal/policy
 
 # Differential fuzzing: replay generated statement scripts against the row,
 # column and vectorized engines and require identical results and errors;
