@@ -419,15 +419,53 @@ func BenchmarkAblation_OptimizerTable3(b *testing.B) {
 }
 
 // BenchmarkAblation_TriggerCost measures the Trigger algorithm alone — the
-// O(n·h) rule-selection step of every re-annotation.
+// O(n·h) rule-selection step of every re-annotation — under c3 on XMark:
+// delete cycles through the Fig. 12 delete updates, and insert runs
+// TriggerAll over the locators of the repository benchmark's bidder insert.
 func BenchmarkAblation_TriggerCost(b *testing.B) {
 	sys := benchSystem(b, xmlac.BackendNative, bench.MidPolicy(), benchDoc(b))
-	updates := bench.Updates()
 	r := sys.Reannotator()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Trigger(updates[i%len(updates)])
+	b.Run("delete", func(b *testing.B) {
+		updates := bench.Updates()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.Trigger(updates[i%len(updates)])
+		}
+	})
+	b.Run("insert", func(b *testing.B) {
+		locators := bidderLocators(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.TriggerAll(locators)
+		}
+	})
+}
+
+// bidderLocators are the update expressions of the repository benchmark's
+// write: one per element of its bidder template (cmd/xmlacbench's
+// data/bidder.xml), inserted under the benchmark's lot.
+func bidderLocators(b *testing.B) []*xmlac.Path {
+	b.Helper()
+	tmpl, err := xmltree.ParseString(`<bidder><date>01/03/2000</date><time>MARKER</time><personref person="person0"/><increase>25.00</increase></bidder>`)
+	if err != nil {
+		b.Fatal(err)
 	}
+	var out []*xmlac.Path
+	var walk func(n *xmltree.Node, path string)
+	walk = func(n *xmltree.Node, path string) {
+		if !n.IsElement() {
+			return
+		}
+		path += "/" + n.Label
+		out = append(out, xmlac.MustParseXPath(path))
+		for _, c := range n.Children() {
+			walk(c, path)
+		}
+	}
+	walk(tmpl.Root(), `//open_auction[type = "BenchLot"]`)
+	return out
 }
 
 // BenchmarkAblation_Containment measures one homomorphism containment test

@@ -420,13 +420,15 @@ func (s *System) auditAnnotate(stats AnnotateStats, sp *obs.Span, err error) {
 	s.auditRecord(e)
 }
 
-// UpdateReport describes one delete-update round trip.
+// UpdateReport describes one write round trip, an insert or a delete:
+// the update and the re-annotation after it.
 type UpdateReport struct {
 	// Triggered names the rules the Trigger algorithm selected. It is
 	// reported and audited; the write's region decides what is
 	// re-annotated.
 	Triggered []string
-	// DeletedNodes counts removed tree nodes (elements and text).
+	// DeletedNodes counts removed tree nodes (elements and text); an
+	// insert leaves it zero.
 	DeletedNodes int
 	// Stats are the re-annotation statistics (Stats.Phases holds the
 	// fine-grained stage breakdown of the re-annotation itself).

@@ -56,3 +56,25 @@ func TestQuickDTDParseNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// fuzzInputCap bounds each fuzzed schema text.
+const fuzzInputCap = 4 << 10
+
+// FuzzParse: Parse never panics on arbitrary input, and a schema that
+// parses prints, through String, a text that parses back to the same
+// String. The seed corpus in testdata/fuzz/FuzzParse holds the hospital
+// and XMark DTDs and the texts TestQuickDTDParseNeverPanics mutates.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		if len(text) > fuzzInputCap {
+			return
+		}
+		s, err := Parse(text)
+		if err != nil {
+			return
+		}
+		if s2, err := Parse(s.String()); err != nil || s2.String() != s.String() {
+			t.Fatalf("%q prints as %q, which does not reparse to itself (%v)", text, s.String(), err)
+		}
+	})
+}

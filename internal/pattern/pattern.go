@@ -30,11 +30,6 @@ import (
 // clash with an element name because element names cannot contain '#'.
 const rootLabel = "#root"
 
-// outputMarker is the reserved label of the synthetic child attached to each
-// pattern's output node. Requiring the homomorphism to map marker to marker
-// forces it to map output to output.
-const outputMarker = "#output"
-
 // valueConstraint is a comparison attached to a pattern node: the node's
 // string value must satisfy (op, lit).
 type valueConstraint struct {
@@ -48,97 +43,125 @@ type pnode struct {
 	// descendant reports the label of the edge from the parent: false for a
 	// child edge, true for a descendant edge. Unused on the root.
 	descendant bool
-	children   []*pnode
+	// children index the node's children in the tree's node slice.
+	children []int32
 	// cons are the value constraints that apply directly to this node.
 	cons []valueConstraint
 }
 
-// compile builds the boolean tree pattern of an absolute path, with the
-// output marker attached to the node the path selects.
-func compile(p *xpath.Path) *pnode {
-	root := &pnode{label: rootLabel}
-	cur := root
-	for _, s := range p.Steps {
-		n := &pnode{label: s.Test, descendant: s.Axis == xpath.Descendant}
-		cur.children = append(cur.children, n)
-		for _, q := range s.Preds {
-			attachPred(n, q)
-		}
-		cur = n
+// tree is the boolean tree pattern of one or-free absolute path. nodes[0]
+// is the root; out is the node the path selects.
+type tree struct {
+	nodes []pnode
+	out   int32
+}
+
+// Pattern is an absolute path compiled into the tree patterns of its
+// or-free disjuncts, so that one compilation serves any number of
+// containment tests. A relative path, or one whose DNF would overflow,
+// compiles to a pattern with no disjuncts, which Contains answers false
+// for on either side.
+type Pattern struct {
+	trees []tree
+}
+
+// Compile builds the pattern of p. Disjunctive qualifiers (the Or
+// extension) leave the tree-pattern formalism, so p is first rewritten to
+// DNF and each disjunct compiled on its own.
+func Compile(p *xpath.Path) *Pattern {
+	if !p.Absolute {
+		return &Pattern{}
 	}
-	cur.children = append(cur.children, &pnode{label: outputMarker})
-	return root
+	ds, ok := p.DNF()
+	if !ok {
+		return &Pattern{} // DNF blow-up: stay conservative
+	}
+	c := &Pattern{trees: make([]tree, len(ds))}
+	for i, d := range ds {
+		c.trees[i] = compile(d)
+	}
+	return c
+}
+
+// compile builds the tree pattern of an or-free absolute path.
+func compile(p *xpath.Path) tree {
+	t := tree{nodes: []pnode{{label: rootLabel}}}
+	cur := int32(0)
+	for _, s := range p.Steps {
+		cur = t.attachStep(cur, s)
+	}
+	t.out = cur
+	return t
+}
+
+// attachStep adds step s as a child of node n, grafts its qualifiers onto
+// the new node and returns that node's index.
+func (t *tree) attachStep(n int32, s *xpath.Step) int32 {
+	c := int32(len(t.nodes))
+	t.nodes = append(t.nodes, pnode{label: s.Test, descendant: s.Axis == xpath.Descendant})
+	t.nodes[n].children = append(t.nodes[n].children, c)
+	for _, q := range s.Preds {
+		t.attachPred(c, q)
+	}
+	return c
 }
 
 // attachPred grafts a qualifier onto pattern node n. Or qualifiers never
-// reach here (Contains rewrites them away first); treating one as a
+// reach here (Compile rewrites them away first); treating one as a
 // conjunction would be unsound for the left side of a containment, so the
-// case is deliberately absent and compile is only called on or-free input.
-func attachPred(n *pnode, q *xpath.Pred) {
+// case is deliberately absent.
+func (t *tree) attachPred(n int32, q *xpath.Pred) {
 	switch q.Kind {
 	case xpath.And:
-		attachPred(n, q.Left)
-		attachPred(n, q.Right)
+		t.attachPred(n, q.Left)
+		t.attachPred(n, q.Right)
 	case xpath.Exists:
-		attachPath(n, q.Path, nil)
+		t.attachPath(n, q.Path, nil)
 	case xpath.Cmp:
-		attachPath(n, q.Path, &valueConstraint{op: q.Op, lit: q.Value})
+		t.attachPath(n, q.Path, &valueConstraint{op: q.Op, lit: q.Value})
 	}
 }
 
 // attachPath grafts a relative qualifier path under n, putting the optional
 // value constraint on the path's final node. A bare "." path (zero steps)
 // attaches the constraint to n itself.
-func attachPath(n *pnode, p *xpath.Path, con *valueConstraint) {
+func (t *tree) attachPath(n int32, p *xpath.Path, con *valueConstraint) {
 	cur := n
 	for _, s := range p.Steps {
-		c := &pnode{label: s.Test, descendant: s.Axis == xpath.Descendant}
-		cur.children = append(cur.children, c)
-		for _, q := range s.Preds {
-			attachPred(c, q)
-		}
-		cur = c
+		cur = t.attachStep(cur, s)
 	}
 	if con != nil {
-		cur.cons = append(cur.cons, *con)
+		t.nodes[cur].cons = append(t.nodes[cur].cons, *con)
 	}
 }
 
 // Contains reports whether p ⊑ q, i.e. [[p]](T) ⊆ [[q]](T) for every tree T.
 // Both paths must be absolute. The test is sound; see the package comment
-// for the completeness boundary.
+// for the completeness boundary. A caller that tests one path against many
+// compiles it once and uses Pattern.Contains.
 func Contains(p, q *xpath.Path) bool {
-	if !p.Absolute || !q.Absolute {
+	return Compile(p).Contains(Compile(q))
+}
+
+// Contains reports whether c ⊑ d: every disjunct of c is contained in some
+// disjunct of d. (Sound: each disjunct of d is contained in d.)
+func (c *Pattern) Contains(d *Pattern) bool {
+	if len(c.trees) == 0 || len(d.trees) == 0 {
 		return false
 	}
-	// Disjunctive qualifiers (the Or extension) leave the tree-pattern
-	// formalism; rewrite to DNF and require every left disjunct to be
-	// contained in some right disjunct. (Sound: each right disjunct is
-	// contained in q.)
-	if p.HasOr() || q.HasOr() {
-		pd, ok1 := p.DNF()
-		qd, ok2 := q.DNF()
-		if !ok1 || !ok2 {
-			return false // DNF blow-up: stay conservative
-		}
-		for _, pi := range pd {
-			found := false
-			for _, qi := range qd {
-				if Contains(pi, qi) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
+	for i := range c.trees {
+		found := false
+		for j := range d.trees {
+			if embeds(&d.trees[j], &c.trees[i]) {
+				found = true
+				break
 			}
 		}
-		return true
+		if !found {
+			return false
+		}
 	}
-	P := compile(p)
-	Q := compile(q)
-	h := &homChecker{embed: map[[2]*pnode]int8{}, below: map[[2]*pnode]int8{}}
-	return h.canEmbed(Q, P)
+	return true
 }
 
 // Equivalent reports whether the two expressions are contained in each other
@@ -156,34 +179,59 @@ func DisjointByLabel(p, q *xpath.Path) bool {
 	return lp != xpath.Wildcard && lq != xpath.Wildcard && lp != lq
 }
 
-// homChecker memoizes the two dynamic-programming tables of the classical
-// containment test: embed[q][p] — the pattern subtree rooted at q embeds
-// with h(q) = p — and below[q][p] — q embeds at some node strictly below p.
-type homChecker struct {
-	embed map[[2]*pnode]int8 // 0 unknown, 1 true, 2 false
-	below map[[2]*pnode]int8
+// memoInline is the memo size, in entries, that embeds keeps on its stack;
+// the patterns Trigger compares (a rule linearization against an update
+// locator) fit in it.
+const memoInline = 256
+
+// embeds reports whether there is a homomorphism from q into p that maps
+// root to root and output to output. Since output must map to output, a
+// pair whose output labels disagree is refused before any search.
+func embeds(q, p *tree) bool {
+	if !labelOK(&q.nodes[q.out], &p.nodes[p.out]) {
+		return false
+	}
+	n := len(q.nodes) * len(p.nodes)
+	var buf [memoInline]int8
+	memo := buf[:]
+	if 2*n > len(buf) {
+		memo = make([]int8, 2*n)
+	}
+	h := homChecker{q: q, p: p, np: len(p.nodes), embed: memo[:n], below: memo[n : 2*n]}
+	return h.canEmbed(0, 0)
 }
 
-func (h *homChecker) canEmbed(q, p *pnode) bool {
-	key := [2]*pnode{q, p}
+// homChecker memoizes the two dynamic-programming tables of the classical
+// containment test, indexed by q node × p node: embed — the pattern subtree
+// rooted at the q node embeds with h(q) = p — and below — the q node embeds
+// at some node strictly below p.
+type homChecker struct {
+	q, p         *tree
+	np           int
+	embed, below []int8 // 0 unknown, 1 true, 2 false
+}
+
+func (h *homChecker) canEmbed(qi, pi int32) bool {
+	key := int(qi)*h.np + int(pi)
 	if v := h.embed[key]; v != 0 {
 		return v == 1
 	}
 	// Optimistically mark false to terminate; patterns are trees (acyclic),
 	// so no recursive self-dependency actually occurs.
 	h.embed[key] = 2
-	ok := h.labelOK(q, p) && h.consOK(q, p)
+	q, p := &h.q.nodes[qi], &h.p.nodes[pi]
+	ok := (qi != h.q.out || pi == h.p.out) && labelOK(q, p) && consOK(q, p)
 	if ok {
 		for _, qc := range q.children {
-			if qc.descendant {
-				if !h.canEmbedBelow(qc, p) {
+			if h.q.nodes[qc].descendant {
+				if !h.canEmbedBelow(qc, pi) {
 					ok = false
 					break
 				}
 			} else {
 				found := false
 				for _, pc := range p.children {
-					if !pc.descendant && h.canEmbed(qc, pc) {
+					if !h.p.nodes[pc].descendant && h.canEmbed(qc, pc) {
 						found = true
 						break
 					}
@@ -204,14 +252,14 @@ func (h *homChecker) canEmbed(q, p *pnode) bool {
 // canEmbedBelow reports whether q embeds at some pattern node reachable from
 // p by one or more edges. Any edge of P guarantees at least one tree level,
 // so walking one or more P edges witnesses "strictly below".
-func (h *homChecker) canEmbedBelow(q, p *pnode) bool {
-	key := [2]*pnode{q, p}
+func (h *homChecker) canEmbedBelow(qi, pi int32) bool {
+	key := int(qi)*h.np + int(pi)
 	if v := h.below[key]; v != 0 {
 		return v == 1
 	}
 	h.below[key] = 2
-	for _, pc := range p.children {
-		if h.canEmbed(q, pc) || h.canEmbedBelow(q, pc) {
+	for _, pc := range h.p.nodes[pi].children {
+		if h.canEmbed(qi, pc) || h.canEmbedBelow(qi, pc) {
 			h.below[key] = 1
 			return true
 		}
@@ -220,10 +268,10 @@ func (h *homChecker) canEmbedBelow(q, p *pnode) bool {
 }
 
 // labelOK: the q node's test admits the p node's label. The reserved root
-// and output-marker labels only match themselves; the wildcard does not
-// match them, since they stand for positions, not elements.
-func (h *homChecker) labelOK(q, p *pnode) bool {
-	if q.label == rootLabel || q.label == outputMarker || p.label == rootLabel || p.label == outputMarker {
+// label only matches itself; the wildcard does not match it, since it
+// stands for the document, not an element.
+func labelOK(q, p *pnode) bool {
+	if q.label == rootLabel || p.label == rootLabel {
 		return q.label == p.label
 	}
 	if q.label == xpath.Wildcard {
@@ -238,7 +286,7 @@ func (h *homChecker) labelOK(q, p *pnode) bool {
 
 // consOK: every value constraint required by q is implied by some constraint
 // p places on the node.
-func (h *homChecker) consOK(q, p *pnode) bool {
+func consOK(q, p *pnode) bool {
 	for _, qc := range q.cons {
 		ok := false
 		for _, pc := range p.cons {

@@ -67,6 +67,16 @@ go test -run 'TestQuickIndexedEvalMatchesReference|TestQuickSelectsAgreesWithEva
 # above runs them; CI's timed policy fuzz run stays in CI only.
 go test -run 'TestCombine|TestEvalSetAlgebra|TestEvalScopeMatchesTreeFold|FuzzParse' ./internal/store ./internal/policy
 
+# The compiled containment test against the frozen per-call one: random
+# paths with value comparisons, or and nested descendant qualifiers, every
+# rule expansion of the Table 1 and coverage policies against the paths
+# Trigger compares, and FuzzContains's seed corpus; the compiled Trigger
+# against the frozen per-call algorithm under Table 1, Table 3 and the
+# five coverage policies; and FuzzParse's DTD seed corpus. `go test ./...`
+# above runs them; CI's cross-mode job calls the same line, and its timed
+# fuzz runs stay in CI only.
+go test -run 'TestQuickContainmentSound|TestContainsMatchesReferenceOnPolicies|FuzzContains|TestTriggerAllMatchesReference|FuzzParse' ./internal/pattern ./internal/core ./internal/dtd
+
 # Differential fuzzing: replay generated statement scripts against the row,
 # column and vectorized engines and require identical results and errors;
 # the mode fuzzer does the same one layer up across enforcement modes.
@@ -79,6 +89,7 @@ go test -short -run 'TestDifferentialEngines|TestModeDifferentialFuzz' ./interna
 go test -short -bench 'BenchmarkFig10_Request(MonetSQL|Postgres|MonetCol)' -benchtime 1x -run '^$' .
 go test -short -bench 'BenchmarkHotWrite_SignsVsRewrite' -benchtime 1x -run '^$' .
 go test -short -bench 'BenchmarkFig12_(Reannot|Fannot)MonetSQL' -benchtime 1x -run '^$' .
+go test -short -bench 'BenchmarkAblation_TriggerCost' -benchtime 1x -run '^$' .
 
 # Smoke the multi-user cohort scale benchmarks (-short population: 200
 # users over 10 distinct policies; the million-subject register skips).
