@@ -133,3 +133,16 @@ func TestExplainCompoundAndPointLookup(t *testing.T) {
 		t.Fatal("expected error for nested EXPLAIN")
 	}
 }
+
+// TestExplainUnionChain: a UNION chain runs as one node over all of its
+// operands, not as a left-deep tree of binary UNIONs.
+func TestExplainUnionChain(t *testing.T) {
+	db, _ := explainFixture(t, sqldb.EngineColumn)
+	checkPlan(t, explainLines(t, db, `SELECT id FROM a UNION SELECT id FROM b UNION SELECT id FROM c`), []string{
+		"UNION",
+		"  scan a (a): full scan [scan=row] → 1 rows",
+		"  scan b (b): full scan [scan=row] → 2 rows",
+		"  scan c (c): full scan [scan=row] → 3 rows",
+		"output: 6 rows",
+	})
+}

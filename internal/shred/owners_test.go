@@ -168,7 +168,7 @@ func TestTranslateAccessibleAddsSignPredicatePerBranch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := xpath.MustParse("//d")
+	p := xpath.MustParse("/a/*/d")
 	plain, err := Translate(m, p)
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +186,7 @@ func TestTranslateAccessibleAddsSignPredicatePerBranch(t *testing.T) {
 	}
 	// The signed query is the plain one plus the predicates: stripping them
 	// must give back the plain text.
-	stripped := strings.ReplaceAll(signed, " AND t2.s = '+'", "")
-	stripped = strings.ReplaceAll(stripped, " AND t3.s = '+'", "")
+	stripped := strings.ReplaceAll(signed, " AND t3.s = '+'", "")
 	if stripped != plain {
 		t.Errorf("signed query diverges beyond the sign predicates:\nplain:  %s\nsigned: %s", plain, signed)
 	}

@@ -25,6 +25,16 @@ import (
 // qualifiers with several schema chains their disjunctive meaning. An
 // expression the schema can never match translates to a query returning no
 // rows.
+//
+// A leading descendant step //l is the exception: it starts one block at
+// l's own table (SELECT t1.id FROM l t1, plus the step's qualifiers) for
+// each label some schema chain from the root reaches, rather than one
+// block per such chain joined down from the root. Each database stores one
+// document and every row of l's table is an l element in it, so the two
+// select the same ids on every document the schema validates; on one it
+// does not, the table scan also finds l elements the schema misplaces, as
+// tree evaluation does. Only the first step starts this way: a later
+// step's table also holds rows under other parents.
 func Translate(m *Mapping, p *xpath.Path) (string, error) {
 	return translate(m, p, false)
 }
@@ -149,19 +159,20 @@ func (tr *translator) mainVariants(p *xpath.Path) ([]variant, error) {
 					next = append(next, variant{block: b, label: root, alias: a})
 				}
 			case xpath.Descendant:
+				// //l is all of l's table (see Translate).
 				for _, l := range tr.labelsMatching(s.Test) {
 					chains, err := tr.m.Schema.PathsFromRoot(l)
 					if err != nil {
 						return nil, err
 					}
-					for _, chain := range chains {
-						b := &selectBlock{}
-						v, err := tr.buildChainFrom(b, "", chain)
-						if err != nil {
-							return nil, err
-						}
-						next = append(next, v)
+					if len(chains) == 0 {
+						continue
 					}
+					v, err := tr.buildChainFrom(&selectBlock{}, "", []string{l})
+					if err != nil {
+						return nil, err
+					}
+					next = append(next, v)
 				}
 			}
 		} else {
@@ -235,8 +246,8 @@ func (tr *translator) stepFrom(v variant, axis xpath.Axis, test string) ([]varia
 }
 
 // buildChainFrom appends a child-axis label chain below the given alias
-// (empty alias anchors at the document root, whose tuple is the only one in
-// its table because each database stores one document).
+// (an empty alias leaves the chain's first table unjoined: every row of it
+// is a candidate).
 func (tr *translator) buildChainFrom(b *selectBlock, parentAlias string, chain []string) (variant, error) {
 	alias := parentAlias
 	label := ""

@@ -411,6 +411,9 @@ func (db *Database) execQueryBody(q *Query, rec *planRec) (*Result, error) {
 	if q.Simple != nil {
 		return db.execSelect(q.Simple, rec)
 	}
+	if q.Op == OpUnion {
+		return db.execUnion(q, rec)
+	}
 	// Children go through execQuery so parenthesized sub-queries honor
 	// their own ORDER BY / LIMIT clauses.
 	rec.linef("%s", q.Op)
@@ -428,72 +431,125 @@ func (db *Database) execQueryBody(q *Query, rec *planRec) (*Result, error) {
 		return nil, fmt.Errorf("sqldb: %s operands have %d and %d columns",
 			q.Op, len(left.Columns), len(right.Columns))
 	}
-	// Set semantics: dedup both sides.
+	// Set semantics: keep each left row whose membership in the right side
+	// is what the operator asks for (absent for EXCEPT, present for
+	// INTERSECT), once. The vectorized executor keys single int-column
+	// operands by an int64 set instead of a formatted string per row.
+	ints := db.engine.Vectorized() && singleIntColumn(left.Rows) && singleIntColumn(right.Rows)
+	in, seen := newRowSet(ints, len(right.Rows)), newRowSet(ints, len(left.Rows))
+	for _, r := range right.Rows {
+		in.add(r)
+	}
 	out := &Result{Columns: left.Columns}
-	// Vectorized set semantics: the annotation workload's compound queries
-	// are single int-column id lists (SELECT id FROM … UNION …). Those
-	// dedup through an int64 set instead of a formatted string key per row.
-	// Equality matches the generic path exactly: a single-column key is
-	// "\x00N" for NULL or "\x00I" + itoa(v), both bijective with the cell.
-	if db.engine.Vectorized() && singleIntColumn(left.Rows) && singleIntColumn(right.Rows) {
-		setOpInts(q.Op, left.Rows, right.Rows, out)
-		if len(out.Rows) == 0 {
-			out.Rows = nil // an empty result is nil on the reference path
+	for _, r := range left.Rows {
+		if in.has(r) == (q.Op == OpIntersect) && seen.add(r) {
+			out.Rows = append(out.Rows, r)
 		}
+	}
+	if ints {
 		db.noteVector(len(left.Rows) + len(right.Rows))
-		return out, nil
-	}
-	key := func(row []Value) string {
-		var b strings.Builder
-		for _, v := range row {
-			b.WriteString(v.key())
-		}
-		return b.String()
-	}
-	switch q.Op {
-	case OpUnion:
-		seen := map[string]bool{}
-		for _, rows := range [][][]Value{left.Rows, right.Rows} {
-			for _, r := range rows {
-				k := key(r)
-				if !seen[k] {
-					seen[k] = true
-					out.Rows = append(out.Rows, r)
-				}
-			}
-		}
-	case OpExcept:
-		drop := map[string]bool{}
-		for _, r := range right.Rows {
-			drop[key(r)] = true
-		}
-		seen := map[string]bool{}
-		for _, r := range left.Rows {
-			k := key(r)
-			if !drop[k] && !seen[k] {
-				seen[k] = true
-				out.Rows = append(out.Rows, r)
-			}
-		}
-	case OpIntersect:
-		keep := map[string]bool{}
-		for _, r := range right.Rows {
-			keep[key(r)] = true
-		}
-		seen := map[string]bool{}
-		for _, r := range left.Rows {
-			k := key(r)
-			if keep[k] && !seen[k] {
-				seen[k] = true
-				out.Rows = append(out.Rows, r)
-			}
-		}
 	}
 	return out, nil
 }
 
+// unionOperands appends the operands of a UNION chain in order. A UNION
+// child with no ORDER BY or LIMIT of its own contributes its operands;
+// any other child is one operand.
+func unionOperands(q *Query, ops []*Query) []*Query {
+	if q.Simple == nil && q.Op == OpUnion && len(q.OrderBy) == 0 && q.Limit < 0 {
+		return unionOperands(q.Right, unionOperands(q.Left, ops))
+	}
+	return append(ops, q)
+}
+
+// execUnion evaluates a UNION chain in one pass: each operand runs once,
+// and the output keeps the first occurrence of each row in operand order.
+// That is the rows, in the order, that folding the parsed tree pairwise
+// gives, with one set for the chain instead of one per binary node. When
+// every operand is a single int column (the translated id queries) the set
+// holds int64s, on every engine.
+func (db *Database) execUnion(q *Query, rec *planRec) (*Result, error) {
+	ops := unionOperands(q.Right, unionOperands(q.Left, nil))
+	rec.linef("%s", OpUnion)
+	rec.push()
+	results := make([]*Result, len(ops))
+	total, ints := 0, true
+	for i, op := range ops {
+		res, err := db.execQuery(op, rec)
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && len(res.Columns) != len(results[0].Columns) {
+			return nil, fmt.Errorf("sqldb: %s operands have %d and %d columns",
+				OpUnion, len(results[0].Columns), len(res.Columns))
+		}
+		results[i] = res
+		total += len(res.Rows)
+		ints = ints && singleIntColumn(res.Rows)
+	}
+	rec.pop()
+	out := &Result{Columns: results[0].Columns}
+	if total > 0 {
+		// The first row is always kept, so an empty result stays nil.
+		out.Rows = make([][]Value, 0, total)
+	}
+	seen := newRowSet(ints, total)
+	for _, res := range results {
+		for _, r := range res.Rows {
+			if seen.add(r) {
+				out.Rows = append(out.Rows, r)
+			}
+		}
+	}
+	if ints && db.engine.Vectorized() {
+		db.noteVector(total)
+	}
+	return out, nil
+}
+
+// rowSet is a set of rows under set semantics.
+type rowSet interface {
+	// add inserts the row and reports whether it was new.
+	add(row []Value) bool
+	has(row []Value) bool
+}
+
+// newRowSet sizes a set for n rows: an intSet when every row is a single
+// int-or-NULL cell, else a keySet.
+func newRowSet(ints bool, n int) rowSet {
+	if ints {
+		return &intSet{ints: make(map[int64]struct{}, n)}
+	}
+	return make(keySet, n)
+}
+
+// keySet keys a row by its cells' keys, joined.
+type keySet map[string]struct{}
+
+func rowKey(row []Value) string {
+	var b strings.Builder
+	for _, v := range row {
+		b.WriteString(v.key())
+	}
+	return b.String()
+}
+
+func (s keySet) add(row []Value) bool {
+	k := rowKey(row)
+	if _, dup := s[k]; dup {
+		return false
+	}
+	s[k] = struct{}{}
+	return true
+}
+
+func (s keySet) has(row []Value) bool {
+	_, ok := s[rowKey(row)]
+	return ok
+}
+
 // singleIntColumn reports whether every row is a single int-or-NULL cell —
-// the shape the vectorized set-operation dedup handles.
+// the shape intSet holds.
 func singleIntColumn(rows [][]Value) bool {
 	for _, r := range rows {
 		if len(r) != 1 || (r[0].Kind != KindInt && r[0].Kind != KindNull) {
@@ -503,78 +559,33 @@ func singleIntColumn(rows [][]Value) bool {
 	return true
 }
 
-// setOpInts is execQueryBody's set-semantics dedup specialized to single
-// int-column operands: int64 set membership, with the lone possible NULL
-// key tracked as a flag. Output row order is identical to the generic
-// string-keyed path.
-func setOpInts(op SetOp, left, right [][]Value, out *Result) {
-	add := func(seen map[int64]bool, nullSeen *bool, r []Value) bool {
-		if r[0].Kind == KindNull {
-			if *nullSeen {
-				return false
-			}
-			*nullSeen = true
-			return true
-		}
-		if seen[r[0].I] {
-			return false
-		}
-		seen[r[0].I] = true
-		return true
+// intSet holds single int-or-NULL cells: int64 membership, with the lone
+// possible NULL tracked as a flag. Equality matches keySet exactly: a
+// single-column key is "\x00N" for NULL or "\x00I" + itoa(v), both
+// bijective with the cell.
+type intSet struct {
+	ints map[int64]struct{}
+	null bool
+}
+
+func (s *intSet) add(r []Value) bool {
+	if s.has(r) {
+		return false
 	}
-	has := func(m map[int64]bool, null bool, r []Value) bool {
-		if r[0].Kind == KindNull {
-			return null
-		}
-		return m[r[0].I]
+	if r[0].Kind == KindNull {
+		s.null = true
+	} else {
+		s.ints[r[0].I] = struct{}{}
 	}
-	switch op {
-	case OpUnion:
-		seen := make(map[int64]bool, len(left)+len(right))
-		var nullSeen bool
-		out.Rows = make([][]Value, 0, len(left)+len(right))
-		for _, rows := range [][][]Value{left, right} {
-			for _, r := range rows {
-				if add(seen, &nullSeen, r) {
-					out.Rows = append(out.Rows, r)
-				}
-			}
-		}
-	case OpExcept:
-		drop := make(map[int64]bool, len(right))
-		var nullDrop bool
-		for _, r := range right {
-			add(drop, &nullDrop, r)
-		}
-		seen := make(map[int64]bool, len(left))
-		var nullSeen bool
-		out.Rows = make([][]Value, 0, len(left))
-		for _, r := range left {
-			if has(drop, nullDrop, r) {
-				continue
-			}
-			if add(seen, &nullSeen, r) {
-				out.Rows = append(out.Rows, r)
-			}
-		}
-	case OpIntersect:
-		keep := make(map[int64]bool, len(right))
-		var nullKeep bool
-		for _, r := range right {
-			add(keep, &nullKeep, r)
-		}
-		seen := make(map[int64]bool, len(left))
-		var nullSeen bool
-		out.Rows = make([][]Value, 0, len(left))
-		for _, r := range left {
-			if !has(keep, nullKeep, r) {
-				continue
-			}
-			if add(seen, &nullSeen, r) {
-				out.Rows = append(out.Rows, r)
-			}
-		}
+	return true
+}
+
+func (s *intSet) has(r []Value) bool {
+	if r[0].Kind == KindNull {
+		return s.null
 	}
+	_, ok := s.ints[r[0].I]
+	return ok
 }
 
 func (db *Database) execSelect(s *SelectStmt, rec *planRec) (*Result, error) {

@@ -85,7 +85,8 @@ func TestQuickSQLParseNeverPanics(t *testing.T) {
 // secondary indexes). It deliberately covers the vectorized operators'
 // edge cases: mixed int/text comparisons, NULLs, IN lists, multi-byte TEXT
 // values (byte→string promotion), transactions and the occasional invalid
-// statement (errors must match too).
+// statement (errors must match too), and UNION chains, which every engine
+// evaluates in one pass.
 func diffScript(r *rand.Rand) []string {
 	stmts := []string{
 		`CREATE TABLE t1 (id INT PRIMARY KEY, pid INT, v TEXT, s TEXT)`,
@@ -158,11 +159,34 @@ func diffScript(r *rand.Rand) []string {
 		}
 		return fmt.Sprintf("INSERT INTO %s VALUES %s", tbl(), strings.Join(rows, ", "))
 	}
+	// unionChain is a 3–12-operand UNION chain over one projection: one
+	// operand now and then parenthesized with its own ORDER BY and LIMIT,
+	// the chain now and then ending in EXCEPT or ordered as a whole.
+	unionChain := func() string {
+		cols := []string{"id", "pid", "v", "id, s"}[r.Intn(4)]
+		operand := func() string { return fmt.Sprintf("SELECT %s FROM %s%s", cols, tbl(), where("")) }
+		parts := make([]string, 3+r.Intn(10))
+		for i := range parts {
+			parts[i] = operand()
+		}
+		if r.Intn(3) == 0 {
+			i := r.Intn(len(parts))
+			parts[i] = fmt.Sprintf("(%s ORDER BY 1 DESC LIMIT %d)", parts[i], r.Intn(4))
+		}
+		chain := strings.Join(parts, " UNION ")
+		switch r.Intn(4) {
+		case 0:
+			chain += " EXCEPT " + operand()
+		case 1:
+			chain += " ORDER BY 1"
+		}
+		return chain
+	}
 	for i := 0; i < 6; i++ {
 		stmts = append(stmts, insert())
 	}
 	for i := 0; i < 40; i++ {
-		switch r.Intn(12) {
+		switch r.Intn(13) {
 		case 0, 1:
 			stmts = append(stmts, insert())
 		case 2:
@@ -188,6 +212,8 @@ func diffScript(r *rand.Rand) []string {
 			stmts = append(stmts, fmt.Sprintf("UPDATE %s SET v = %s%s", tbl(), lit(), where("")))
 		case 10:
 			stmts = append(stmts, fmt.Sprintf("DELETE FROM %s%s", tbl(), where("")))
+		case 11:
+			stmts = append(stmts, unionChain())
 		default:
 			if r.Intn(6) == 0 {
 				stmts = append(stmts, fmt.Sprintf("SELECT nope FROM %s", tbl())) // identical errors

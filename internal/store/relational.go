@@ -139,31 +139,23 @@ func (e *relationalEngine) queryIDs(sqlText string) (map[int64]bool, error) {
 	return ids, nil
 }
 
-// writeSigns is the second phase of Figure 6: for each table, intersect
-// its ids with the computed set and update the matching tuples. The
-// paper's algorithm updated them one statement per tuple; here each
-// table's matches go out as bulk UPDATE … WHERE id IN (…) batches (the pk
-// index resolves the IN list), and the per-table units fan out on the
-// pool. The id set is only read, so sharing it across workers is safe.
+// writeSigns is the second phase of Figure 6: route the computed ids to
+// their tables and update the matching tuples. The paper's algorithm
+// updated them one statement per tuple; here each table's ids go out as
+// bulk UPDATE … WHERE id IN (…) batches (the pk index resolves the IN
+// list), and the per-table units fan out on the pool.
 func (e *relationalEngine) writeSigns(ids map[int64]bool, sign xmltree.Sign) (int, error) {
 	if len(ids) == 0 {
 		return 0, nil
 	}
+	tables, owned, err := e.routeIDs(ids)
+	if err != nil {
+		return 0, err
+	}
 	signLit := "'" + sign.String() + "'"
-	tables := e.m.Tables()
 	counts := make([]int, len(tables))
-	err := e.pl.ForEach(len(tables), func(i int) error {
-		res, err := e.db.Exec("SELECT id FROM " + tables[i].Table)
-		if err != nil {
-			return err
-		}
-		matched := make([]int64, 0, len(res.Rows))
-		for _, row := range res.Rows {
-			if ids[row[0].I] {
-				matched = append(matched, row[0].I)
-			}
-		}
-		n, err := e.bulkUpdateSigns(tables[i].Table, signLit, matched)
+	err = e.pl.ForEach(len(tables), func(i int) error {
+		n, err := e.bulkUpdateSigns(tables[i], signLit, owned[tables[i]])
 		counts[i] = n
 		return err
 	})
@@ -173,6 +165,32 @@ func (e *relationalEngine) writeSigns(ids map[int64]bool, sign xmltree.Sign) (in
 	}
 	e.signs.Add(int64(total))
 	return total, err
+}
+
+// routeIDs groups ids by their owning table, ascending within a table,
+// and lists those tables in order, so the statement sequence is stable.
+// Ids the owner index does not know are found by scanning every table.
+func (e *relationalEngine) routeIDs(set map[int64]bool) ([]string, map[string][]int64, error) {
+	ids := make([]int64, 0, len(set))
+	for id := range set {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	owned, unknown := e.m.GroupByOwner(ids)
+	if len(unknown) > 0 {
+		if owned == nil {
+			owned = map[string][]int64{}
+		}
+		if err := e.scanOwners(unknown, owned); err != nil {
+			return nil, nil, err
+		}
+	}
+	tables := make([]string, 0, len(owned))
+	for t := range owned {
+		tables = append(tables, t)
+	}
+	slices.Sort(tables)
+	return tables, owned, nil
 }
 
 // bulkUpdateSigns sets one table's sign column for the given ids with
@@ -227,26 +245,10 @@ func (e *relationalEngine) EvalScope(x *SetExpr) (map[int64]bool, error) {
 // (databases populated outside the shredder) are found by scanning every
 // table's ids.
 func (e *relationalEngine) ApplySignsWithin(affected, update map[int64]bool, sign, def xmltree.Sign) (updated, reset int, err error) {
-	ids := make([]int64, 0, len(affected))
-	for id := range affected {
-		ids = append(ids, id)
+	tables, owned, err := e.routeIDs(affected)
+	if err != nil {
+		return 0, 0, err
 	}
-	slices.Sort(ids)
-	owned, unknown := e.m.GroupByOwner(ids)
-	if len(unknown) > 0 {
-		if owned == nil {
-			owned = map[string][]int64{}
-		}
-		if err := e.scanOwners(unknown, owned); err != nil {
-			return 0, 0, err
-		}
-	}
-	// Deterministic table order keeps the statement sequence stable.
-	tables := make([]string, 0, len(owned))
-	for t := range owned {
-		tables = append(tables, t)
-	}
-	slices.Sort(tables)
 	signLit := "'" + sign.String() + "'"
 	defLit := "'" + def.String() + "'"
 	for _, t := range tables {

@@ -9,6 +9,7 @@ import (
 	"xmlac/internal/hospital"
 	"xmlac/internal/pool"
 	"xmlac/internal/xmltree"
+	"xmlac/internal/xpath"
 )
 
 // TestApplySignsWithinWithoutOwnerIndex: a database whose owner index
@@ -81,6 +82,62 @@ func TestApplySignsWithinWithoutOwnerIndex(t *testing.T) {
 
 // Registry tests: the seam's name resolution must cover every backend
 // name the evaluation figures use, including the aliases.
+
+// TestAnnotateWithoutOwnerIndex: full annotation routes its sign writes
+// by the owner index too; an index that knows none of the ids takes the
+// per-table id scan, and must end with exactly the signs and counts of
+// the owner-routed path.
+func TestAnnotateWithoutOwnerIndex(t *testing.T) {
+	doc := hospital.Generate(hospital.GenOptions{Seed: 4, Departments: 2, PatientsPerDept: 6, StaffPerDept: 2})
+	q := AnnotationQuery{
+		Expr: Combine(OpUnion, PathLeaf(xpath.MustParse("//patient[treatment]/name")),
+			PathLeaf(xpath.MustParse("//regular[bill > 1000]"))),
+		Sign:    xmltree.SignPlus,
+		Default: xmltree.SignMinus,
+	}
+	for _, name := range []string{"postgres", "monetsql", "monetcol"} {
+		t.Run(name, func(t *testing.T) {
+			var dumps [2]string
+			var stats [2]AnnotateStats
+			for k := range dumps {
+				eng, err := Open(name, Options{Schema: hospital.Schema(), Default: xmltree.SignMinus})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.Load(doc.Clone()); err != nil {
+					t.Fatal(err)
+				}
+				rel := eng.(Relational)
+				if k == 1 {
+					for _, n := range doc.Elements() {
+						rel.Mapping().ForgetOwner(n.ID)
+					}
+				}
+				if stats[k], err = eng.Annotate(context.Background(), q); err != nil {
+					t.Fatal(err)
+				}
+				var b strings.Builder
+				for _, ti := range rel.Mapping().Tables() {
+					res, err := rel.DB().Exec("SELECT id, s FROM " + ti.Table + " ORDER BY id")
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, row := range res.Rows {
+						fmt.Fprintf(&b, "%s %d %s\n", ti.Table, row[0].I, row[1].S)
+					}
+				}
+				dumps[k] = b.String()
+			}
+			if stats[0].Updated == 0 || stats[0].Updated != stats[1].Updated || stats[0].Reset != stats[1].Reset {
+				t.Fatalf("routed (updated, reset) = (%d, %d), scanned (%d, %d)",
+					stats[0].Updated, stats[0].Reset, stats[1].Updated, stats[1].Reset)
+			}
+			if dumps[0] != dumps[1] {
+				t.Fatalf("sign columns differ:\nrouted:\n%s\nscanned:\n%s", dumps[0], dumps[1])
+			}
+		})
+	}
+}
 
 func TestRegistryNamesAndAliases(t *testing.T) {
 	want := []string{"monetcol", "monetsql", "native", "postgres"}

@@ -77,6 +77,17 @@ go test -run 'TestCombine|TestEvalSetAlgebra|TestEvalScopeMatchesTreeFold|FuzzPa
 # fuzz runs stay in CI only.
 go test -run 'TestQuickContainmentSound|TestContainsMatchesReferenceOnPolicies|FuzzContains|TestTriggerAllMatchesReference|FuzzParse' ./internal/pattern ./internal/core ./internal/dtd
 
+# The relational read path: Translate against the frozen root-chain
+# translation and tree evaluation on XMark and hospital documents in all
+# three SQL engines (benchmark queries, Table 1 and c1–c5 rule paths,
+# random paths), the generated-hospital cross-check, the EXPLAIN goldens
+# (a UNION chain is one node), the engine differential with UNION chains,
+# and FuzzExec's seed corpus, which holds one-pass UNION chains to the
+# pairwise fold. `go test ./...` above runs them; this standalone form is
+# what CI's columnar-equivalence job calls, and the timed FuzzExec run
+# stays in CI only.
+go test -run 'TestTranslateMatchesReference|TestTranslateOnGenerated|TestExplain|TestDifferentialEngines|FuzzExec' ./internal/shred ./internal/sqldb
+
 # Differential fuzzing: replay generated statement scripts against the row,
 # column and vectorized engines and require identical results and errors;
 # the mode fuzzer does the same one layer up across enforcement modes.
