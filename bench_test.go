@@ -192,6 +192,7 @@ func benchRequest(b *testing.B, backend xmlac.Backend, mode core.EnforceMode) {
 		b.Fatal(err)
 	}
 	queries := bench.Queries()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]
@@ -354,6 +355,7 @@ func benchAnnotation(b *testing.B, backend xmlac.Backend) {
 		np := np
 		b.Run(np.Name, func(b *testing.B) {
 			sys := benchSystem(b, backend, np.Policy, doc)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sys.Annotate(); err != nil {

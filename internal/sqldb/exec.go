@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -617,141 +618,89 @@ func (db *Database) execSelect(s *SelectStmt, rec *planRec) (*Result, error) {
 	if db.m != nil {
 		db.m.planSeconds.ObserveDuration(time.Since(planStart))
 	}
-
-	// Vectorized single-table scan: when the lone FROM table is a vector
-	// store and every predicate is local to it, the scan's selection vector
-	// feeds the projection directly — no per-row [1]int tuple is ever
-	// materialized. This is the shape of annotation's per-table id sweeps
-	// (SELECT id FROM <table>), the hottest statement of the workload.
-	var singleRids []int
-	useSingle := false
-	if len(b.items) == 1 && !s.Star && db.vectorTable(b.tables[0]) != nil {
-		useSingle = true
-		for _, pp := range preds {
-			if pp.leftAlias != 0 || (pp.src.In == nil && pp.src.Right.IsCol) {
-				useSingle = false
-				break
-			}
-		}
-	}
-	var tuples [][]int
-	if useSingle {
-		rids, desc, err := db.baseScan(b, 0, preds)
-		if err != nil {
-			return nil, err
-		}
-		rec.linef("scan %s (%s): %s → %d rows", b.items[0].Alias, b.items[0].Table, desc, len(rids))
-		singleRids = rids
-	} else {
-		tuples, err = db.joinPlan(b, preds, rec)
-		if err != nil {
-			return nil, err
-		}
+	tuples, err := db.joinPlan(b, preds, rec)
+	if err != nil {
+		return nil, err
 	}
 
-	// Projection.
+	// Projection. Every result row is carved from one arena. On the
+	// vectorized engine named columns read straight off the typed vectors
+	// (no interface call per cell); elsewhere, and for SELECT *, cells come
+	// through store.get.
+	n := len(b.items)
+	count := len(tuples) / n
 	out := &Result{}
-	switch {
-	case s.CountStar:
-		n := len(tuples)
-		if useSingle {
-			n = len(singleRids)
-		}
+	if s.CountStar {
 		out.Columns = []string{"count"}
-		out.Rows = [][]Value{{NewInt(int64(n))}}
+		out.Rows = [][]Value{{NewInt(int64(count))}}
 		return out, nil
-	case s.Star:
+	}
+	type proj struct {
+		alias, col int
+		vc         *vcol // the typed vector, nil when read through store.get
+	}
+	var projs []proj
+	vectorized := !s.Star && db.engine.Vectorized()
+	if s.Star {
 		for i, t := range b.tables {
-			for _, c := range t.Columns {
+			for j, c := range t.Columns {
+				projs = append(projs, proj{alias: i, col: j})
 				out.Columns = append(out.Columns, b.items[i].Alias+"."+c.Name)
 			}
 		}
-		for _, tu := range tuples {
-			var row []Value
-			for i, t := range b.tables {
-				for j := range t.Columns {
-					row = append(row, t.store.get(tu[i], j))
-				}
-			}
-			out.Rows = append(out.Rows, row)
+	}
+	for _, c := range s.Columns { // empty under SELECT *
+		ai, ci, err := b.resolve(c)
+		if err != nil {
+			return nil, err
 		}
-	default:
-		type proj struct{ alias, col int }
-		var projs []proj
-		for _, c := range s.Columns {
-			ai, ci, err := b.resolve(c)
-			if err != nil {
-				return nil, err
-			}
-			projs = append(projs, proj{ai, ci})
-			out.Columns = append(out.Columns, c.String())
+		pj := proj{alias: ai, col: ci}
+		if vs := db.vectorTable(b.tables[ai]); vs != nil {
+			pj.vc = &vs.cols[ci]
 		}
-		if useSingle {
-			if len(singleRids) > 0 {
-				vs := b.tables[0].store.(*vecStore)
-				arena := make([]Value, len(singleRids)*len(projs))
-				out.Rows = make([][]Value, 0, len(singleRids))
-				for _, rid := range singleRids {
-					row := arena[:len(projs):len(projs)]
-					arena = arena[len(projs):]
-					for k, pj := range projs {
-						row[k] = vs.cols[pj.col].get(rid)
-					}
-					out.Rows = append(out.Rows, row)
-				}
-				db.noteVector(len(singleRids))
-			}
-			break
-		}
-		// Vectorized projection: when every table in FROM exposes typed
-		// vectors, result rows are carved from one arena allocation and the
-		// cells read straight off the vectors — no interface call per cell,
-		// no slice allocation per row.
-		if vecs, ok := db.vectorProjTables(b); ok && len(tuples) > 0 {
-			arena := make([]Value, len(tuples)*len(projs))
-			out.Rows = make([][]Value, 0, len(tuples))
-			for _, tu := range tuples {
-				row := arena[:len(projs):len(projs)]
-				arena = arena[len(projs):]
-				for k, pj := range projs {
-					row[k] = vecs[pj.alias].cols[pj.col].get(tu[pj.alias])
-				}
-				out.Rows = append(out.Rows, row)
-			}
-			db.noteVector(len(tuples))
-			break
-		}
-		for _, tu := range tuples {
-			row := make([]Value, len(projs))
+		projs = append(projs, pj)
+		out.Columns = append(out.Columns, c.String())
+	}
+	if count > 0 {
+		w := len(projs)
+		arena := make([]Value, count*w)
+		out.Rows = make([][]Value, count)
+		for i := range out.Rows {
+			tu := tuples[i*n : i*n+n]
+			row := arena[i*w : i*w+w : i*w+w]
 			for k, pj := range projs {
-				row[k] = b.tables[pj.alias].store.get(tu[pj.alias], pj.col)
+				if pj.vc != nil {
+					row[k] = pj.vc.get(tu[pj.alias])
+				} else {
+					row[k] = b.tables[pj.alias].store.get(tu[pj.alias], pj.col)
+				}
 			}
-			out.Rows = append(out.Rows, row)
+			out.Rows[i] = row
+		}
+		if vectorized {
+			db.noteVector(count)
 		}
 	}
 	if s.Distinct {
-		seen := map[string]bool{}
-		var rows [][]Value
+		seen := newRowSet(singleIntColumn(out.Rows), len(out.Rows))
+		kept := out.Rows[:0]
 		for _, r := range out.Rows {
-			var kb strings.Builder
-			for _, v := range r {
-				kb.WriteString(v.key())
-			}
-			k := kb.String()
-			if !seen[k] {
-				seen[k] = true
-				rows = append(rows, r)
+			if seen.add(r) {
+				kept = append(kept, r)
 			}
 		}
-		out.Rows = rows
+		out.Rows = kept
 	}
 	return out, nil
 }
 
 // joinPlan materializes the join of all FROM items as rid tuples, using
 // greedy hash joins over equality predicates, with base-table filter
-// pushdown and primary-key point lookups.
-func (db *Database) joinPlan(b *binding, preds []*planPred, rec *planRec) ([][]int, error) {
+// pushdown and primary-key point lookups. The relation is flat: tuple i
+// is tuples[i*n : i*n+n] for n FROM items, so each join step allocates one
+// array. With one FROM item a tuple is its rid, and the base scan's rid
+// list is the relation.
+func (db *Database) joinPlan(b *binding, preds []*planPred, rec *planRec) ([]int, error) {
 	n := len(b.items)
 	// Base rid lists with single-alias predicates pushed down.
 	base := make([][]int, n)
@@ -775,17 +724,16 @@ func (db *Database) joinPlan(b *binding, preds []*planPred, rec *planRec) ([][]i
 	}
 	bound[start] = true
 	order = append(order, start)
-	tuples := make([][]int, 0, len(base[start]))
-	for _, rid := range base[start] {
-		tu := make([]int, n)
-		for k := range tu {
-			tu[k] = -1
-		}
-		tu[start] = rid
-		tuples = append(tuples, tu)
-	}
+	tuples := base[start]
 	if n > 1 {
-		rec.linef("join: start %s → %d tuples", b.items[start].Alias, len(tuples))
+		tuples = make([]int, len(base[start])*n)
+		for k := range tuples {
+			tuples[k] = -1
+		}
+		for i, rid := range base[start] {
+			tuples[i*n+start] = rid
+		}
+		rec.linef("join: start %s → %d tuples", b.items[start].Alias, len(base[start]))
 	}
 	tuples = applyReadyPreds(b, preds, bound, tuples, rec)
 
@@ -831,12 +779,12 @@ func (db *Database) joinPlan(b *binding, preds []*planPred, rec *planRec) ([][]i
 		}
 		tuples = db.hashJoin(b, tuples, base[next], next, joinOn)
 		if len(joinOn) > 0 {
-			rec.linef("join: hash %s on %s → %d tuples", b.items[next].Alias, predNames(joinOn), len(tuples))
+			rec.linef("join: hash %s on %s → %d tuples", b.items[next].Alias, predNames(joinOn), len(tuples)/n)
 		} else {
-			rec.linef("join: cross %s → %d tuples", b.items[next].Alias, len(tuples))
+			rec.linef("join: cross %s → %d tuples", b.items[next].Alias, len(tuples)/n)
 		}
 		if db.m != nil {
-			db.m.joinTuples.Add(int64(len(tuples)))
+			db.m.joinTuples.Add(int64(len(tuples) / n))
 		}
 		bound[next] = true
 		order = append(order, next)
@@ -858,7 +806,8 @@ func (db *Database) joinPlan(b *binding, preds []*planPred, rec *planRec) ([][]i
 // baseScan returns the rids of one relation with its single-alias predicates
 // applied, plus a description of the access path chosen for plan output.
 // A primary-key equality against a literal becomes an index point lookup; a
-// single-column filter uses the engine's column scan path.
+// single-column filter uses the engine's column scan path. The list is the
+// caller's to reorder or compact: it is never an index bucket.
 func (db *Database) baseScan(b *binding, alias int, preds []*planPred) ([]int, string, error) {
 	rids, desc, scanned, err := db.baseScanPath(b, alias, preds)
 	if err == nil && db.m != nil {
@@ -890,24 +839,6 @@ func (db *Database) vectorTable(t *Table) *vecStore {
 	return vs
 }
 
-// vectorProjTables returns every bound table's typed-vector store when the
-// vectorized projection may run — the engine opts in and all FROM tables
-// are vector stores — else ok is false.
-func (db *Database) vectorProjTables(b *binding) (vecs []*vecStore, ok bool) {
-	if !db.engine.Vectorized() {
-		return nil, false
-	}
-	vecs = make([]*vecStore, len(b.tables))
-	for i, t := range b.tables {
-		vs, isVec := t.store.(*vecStore)
-		if !isVec {
-			return nil, false
-		}
-		vecs[i] = vs
-	}
-	return vecs, true
-}
-
 // vecPKInts returns an int64 → rid map over the live rows' primary keys,
 // rebuilt lazily under the table's index mutex when the version moves (the
 // same protocol as secondaryFor). nil when the pk column is not an int
@@ -934,6 +865,60 @@ func (db *Database) vecPKInts(t *Table, vs *vecStore) map[int64]int {
 	return vs.pkCache
 }
 
+// pkInLookup resolves an IN list through the primary-key index: every live
+// row it names, once, in IN-list order. On the vectorized path int keys
+// probe the typed pk cache directly, skipping Value.key's per-key string
+// allocation.
+func (db *Database) pkInLookup(t *Table, in []Value) []int {
+	var pkInts map[int64]int
+	if vs := db.vectorTable(t); vs != nil {
+		pkInts = db.vecPKInts(t, vs)
+	}
+	rids := make([]int, 0, len(in))
+	for _, v := range in {
+		cv, err := coerce(v, t.Columns[t.pkCol].Type)
+		if err != nil {
+			continue // untypable key matches nothing
+		}
+		var rid int
+		var ok bool
+		if pkInts != nil && cv.Kind == KindInt {
+			rid, ok = pkInts[cv.I]
+		} else {
+			rid, ok = t.pkIndex.lookup(cv.key())
+		}
+		if ok && t.store.live(rid) {
+			rids = append(rids, rid)
+		}
+	}
+	return firstOccurrences(rids)
+}
+
+// firstOccurrences drops, in place, every repeat of a rid after its first
+// occurrence. A batch's keys usually arrive ascending, and a strictly
+// ascending list has no repeats, which one pass shows; any other list is
+// checked against a sorted copy.
+func firstOccurrences(rids []int) []int {
+	ascending := true
+	for i := 1; i < len(rids) && ascending; i++ {
+		ascending = rids[i-1] < rids[i]
+	}
+	if ascending {
+		return rids
+	}
+	sorted := slices.Clone(rids)
+	slices.Sort(sorted)
+	kept := make([]bool, len(sorted))
+	out := rids[:0]
+	for _, rid := range rids {
+		if i, _ := slices.BinarySearch(sorted, rid); !kept[i] {
+			kept[i] = true
+			out = append(out, rid)
+		}
+	}
+	return out
+}
+
 // baseScanPath chooses and runs the access path; scanned is how many rows
 // (or index keys) were examined, which the metrics layer accumulates.
 func (db *Database) baseScanPath(b *binding, alias int, preds []*planPred) (rids []int, desc string, scanned int, err error) {
@@ -946,33 +931,10 @@ func (db *Database) baseScanPath(b *binding, alias int, preds []*planPred) (rids
 			local = append(local, pp)
 		}
 	}
-	// IN-list lookup via primary key index. On the vectorized path int keys
-	// probe the typed pk cache directly, skipping Value.key's per-key
-	// string allocation.
+	// IN-list lookup via primary key index.
 	for _, pp := range local {
 		if pp.src.In != nil && t.pkCol == pp.leftCol && t.pkIndex != nil {
-			var pkInts map[int64]int
-			if vs := db.vectorTable(t); vs != nil {
-				pkInts = db.vecPKInts(t, vs)
-			}
-			seen := map[int]bool{}
-			for _, v := range pp.src.In {
-				cv, err := coerce(v, t.Columns[t.pkCol].Type)
-				if err != nil {
-					continue // untypable key matches nothing
-				}
-				var rid int
-				var ok bool
-				if pkInts != nil && cv.Kind == KindInt {
-					rid, ok = pkInts[cv.I]
-				} else {
-					rid, ok = t.pkIndex.lookup(cv.key())
-				}
-				if ok && t.store.live(rid) && !seen[rid] {
-					seen[rid] = true
-					rids = append(rids, rid)
-				}
-			}
+			rids = db.pkInLookup(t, pp.src.In)
 			pp.applied = true
 			desc = fmt.Sprintf("pk index IN-lookup (%d keys)%s", len(pp.src.In), db.scanTag(t))
 			return db.filterRids(t, rids, local, pp), desc, len(pp.src.In), nil
@@ -1012,8 +974,9 @@ func (db *Database) baseScanPath(b *binding, alias int, preds []*planPred) (rids
 			if err != nil {
 				continue
 			}
-			var cand []int
-			for _, rid := range ix.lookup(lit) {
+			bucket := ix.lookup(lit)
+			cand := make([]int, 0, len(bucket))
+			for _, rid := range bucket {
 				if t.store.live(rid) {
 					cand = append(cand, rid)
 				}
@@ -1037,22 +1000,20 @@ func (db *Database) baseScanPath(b *binding, alias int, preds []*planPred) (rids
 		if ix == nil {
 			continue
 		}
-		seen := map[int]bool{}
 		for _, v := range pp.src.In {
 			cv, err := coerce(v, t.Columns[pp.leftCol].Type)
 			if err != nil {
 				continue // untypable key matches nothing
 			}
 			for _, rid := range ix.lookup(cv) {
-				if t.store.live(rid) && !seen[rid] {
-					seen[rid] = true
+				if t.store.live(rid) {
 					rids = append(rids, rid)
 				}
 			}
 		}
 		pp.applied = true
 		desc = fmt.Sprintf("secondary index IN-lookup on %s (%d keys)%s", t.Columns[pp.leftCol].Name, len(pp.src.In), db.scanTag(t))
-		return db.filterRids(t, rids, local, pp), desc, len(pp.src.In), nil
+		return db.filterRids(t, firstOccurrences(rids), local, pp), desc, len(pp.src.In), nil
 	}
 	// Table scan. The vectorized path runs the first predicate as a
 	// full-column filter over the typed vector, producing a selection
@@ -1077,6 +1038,9 @@ func (db *Database) baseScanPath(b *binding, alias int, preds []*planPred) (rids
 		pp.applied = true
 		desc = fmt.Sprintf("column scan on %s [scan=row]", t.Columns[pp.leftCol].Name)
 		return rids, desc, t.RowCount(), nil
+	}
+	if len(local) == 0 {
+		rids = make([]int, 0, t.RowCount())
 	}
 	t.store.scan(func(rid int) bool {
 		ok := true
@@ -1136,16 +1100,16 @@ func (db *Database) vectorScan(t *Table, vs *vecStore, local []*planPred) (rids 
 }
 
 // filterRids applies the residual local predicates to an index lookup's
-// rid list. On a vectorized table the residual predicates refine a copy
-// of the list as a selection vector; otherwise each rid is checked row at
-// a time.
+// rid list, compacting it in place: every caller passes a list it built,
+// never an index bucket. On a vectorized table the residual predicates
+// refine the list as a selection vector; otherwise each rid is checked row
+// at a time.
 func (db *Database) filterRids(t *Table, rids []int, local []*planPred, skip *planPred) []int {
 	residual := len(local)
 	if skip != nil {
 		residual--
 	}
 	if vs := db.vectorTable(t); vs != nil && residual > 0 && len(rids) > 0 {
-		sel := append(make([]int, 0, len(rids)), rids...) // never mutate index buckets
 		processed := 0
 		for _, pp := range local {
 			if pp == skip {
@@ -1153,41 +1117,33 @@ func (db *Database) filterRids(t *Table, rids []int, local []*planPred, skip *pl
 			}
 			var n int
 			if pp.src.In != nil {
-				sel, n = vs.refineIn(sel, pp.leftCol, pp.src.In)
+				rids, n = vs.refineIn(rids, pp.leftCol, pp.src.In)
 			} else {
-				sel, n = vs.refineColumn(sel, pp.leftCol, pp.src.Op, pp.src.Right.Lit)
+				rids, n = vs.refineColumn(rids, pp.leftCol, pp.src.Op, pp.src.Right.Lit)
 			}
 			processed += n
-			pp.applied = true
 		}
 		db.noteVector(processed)
-		for _, pp := range local {
-			pp.applied = true
-		}
-		return sel
-	}
-	var out []int
-	for _, rid := range rids {
-		ok := true
-		for _, pp := range local {
-			if pp == skip {
-				continue
+	} else if residual > 0 {
+		out := rids[:0]
+		for _, rid := range rids {
+			ok := true
+			for _, pp := range local {
+				if pp != skip && !evalLocal(t, rid, pp) {
+					ok = false
+					break
+				}
 			}
-			if !evalLocal(t, rid, pp) {
-				ok = false
-				break
+			if ok {
+				out = append(out, rid)
 			}
-			pp.applied = true
 		}
-		if ok {
-			out = append(out, rid)
-		}
+		rids = out
 	}
-	// Mark all local preds applied even when rids was empty.
 	for _, pp := range local {
 		pp.applied = true
 	}
-	return out
+	return rids
 }
 
 func evalLocal(t *Table, rid int, pp *planPred) bool {
@@ -1204,109 +1160,128 @@ func evalLocal(t *Table, rid int, pp *planPred) bool {
 }
 
 // hashJoin joins the current tuples with relation `next` on the given
-// equality predicates (nil means cross product).
-func (db *Database) hashJoin(b *binding, tuples [][]int, rids []int, next int, on []*planPred) [][]int {
-	t := b.tables[next]
+// equality predicates (nil means cross product). The output keeps probe
+// order, then build-rid order, and is allocated once.
+func (db *Database) hashJoin(b *binding, tuples []int, rids []int, next int, on []*planPred) []int {
+	n := len(b.items)
 	if len(on) == 0 {
-		out := make([][]int, 0, len(tuples)*len(rids))
-		for _, tu := range tuples {
+		out := make([]int, 0, len(tuples)*len(rids))
+		for i := 0; i < len(tuples); i += n {
 			for _, rid := range rids {
-				ntu := make([]int, len(tu))
-				copy(ntu, tu)
-				ntu[next] = rid
-				out = append(out, ntu)
+				out = append(out, tuples[i:i+n]...)
+				out[len(out)-n+next] = rid
 			}
 		}
 		return out
 	}
 	// Build side: hash the new relation on its join columns.
+	t := b.tables[next]
 	newCols := make([]int, len(on))
-	boundSide := make([]struct{ alias, col int }, len(on))
+	boundSide := make([]joinCol, len(on))
 	for k, pp := range on {
 		if pp.leftAlias == next {
 			newCols[k] = pp.leftCol
-			boundSide[k] = struct{ alias, col int }{pp.rightAlias, pp.rightCol}
+			boundSide[k] = joinCol{pp.rightAlias, pp.rightCol}
 		} else {
 			newCols[k] = pp.rightCol
-			boundSide[k] = struct{ alias, col int }{pp.leftAlias, pp.leftCol}
+			boundSide[k] = joinCol{pp.leftAlias, pp.leftCol}
 		}
 	}
-	// Single-column joins between int columns — the shredder's pid = id
-	// chains, which is nearly every join this engine sees — hash the raw
-	// int64 instead of a formatted string key. On the vectorized engine the
-	// build and probe read the typed []int64 vectors directly.
 	if len(on) == 1 {
-		if out, ok := db.vecIntHashJoin(b, t, tuples, rids, next, newCols[0], boundSide[0]); ok {
-			return out
-		}
-		if out, ok := intHashJoin(b, t, tuples, rids, next, newCols[0], boundSide[0]); ok {
+		if out, ok := db.intHashJoin(b, tuples, rids, next, newCols[0], boundSide[0]); ok {
 			return out
 		}
 	}
 	build := make(map[string][]int, len(rids))
-	var kb strings.Builder
+	var kb []byte
 	for _, rid := range rids {
-		kb.Reset()
+		kb = kb[:0]
 		for _, c := range newCols {
-			kb.WriteString(t.store.get(rid, c).key())
+			kb = append(kb, t.store.get(rid, c).key()...)
 		}
-		k := kb.String()
-		build[k] = append(build[k], rid)
+		build[string(kb)] = append(build[string(kb)], rid)
 	}
-	var out [][]int
-	for _, tu := range tuples {
-		kb.Reset()
+	// Probe once per tuple, keeping its bucket, so the output is sized
+	// before it is written.
+	hits := make([][]int, len(tuples)/n)
+	total := 0
+	for i := range hits {
+		kb = kb[:0]
 		null := false
 		for _, bs := range boundSide {
-			v := b.tables[bs.alias].store.get(tu[bs.alias], bs.col)
+			v := b.tables[bs.alias].store.get(tuples[i*n+bs.alias], bs.col)
 			if v.IsNull() {
 				null = true
 				break
 			}
-			kb.WriteString(v.key())
+			kb = append(kb, v.key()...)
 		}
 		if null {
 			continue // NULL never joins
 		}
-		for _, rid := range build[kb.String()] {
-			ntu := make([]int, len(tu))
-			copy(ntu, tu)
-			ntu[next] = rid
-			out = append(out, ntu)
+		hits[i] = build[string(kb)]
+		total += len(hits[i])
+	}
+	out := make([]int, 0, total*n)
+	for i, hit := range hits {
+		for _, rid := range hit {
+			out = append(out, tuples[i*n:i*n+n]...)
+			out[len(out)-n+next] = rid
 		}
 	}
 	return out
 }
 
-// vecIntHashJoin is the vectorized int hash join: when both join columns
-// are typed int64 vectors, the build and probe phases run over the raw
-// arrays — no boxed Values, no interface calls per row. Output tuple order
-// is identical to intHashJoin (probe in tuple order, build buckets in rid
-// order). ok is false when either table is not vectorized or either column
-// is not an int vector; the row fast path then gets its turn.
-func (db *Database) vecIntHashJoin(b *binding, t *Table, tuples [][]int, rids []int, next, newCol int,
-	bs struct{ alias, col int }) ([][]int, bool) {
-	vs := db.vectorTable(t)
-	pvs := db.vectorTable(b.tables[bs.alias])
-	if vs == nil || pvs == nil {
-		return nil, false
+// joinCol is a bound column of an equi-join: its FROM position and column.
+type joinCol struct{ alias, col int }
+
+// intKeys reads one join column as int64 keys: straight off the typed
+// vector when the table has one, through store.get otherwise.
+type intKeys struct {
+	st    store
+	col   int
+	vals  []int64
+	nulls []bool
+	vec   bool
+}
+
+func (db *Database) intKeysOf(t *Table, col int) intKeys {
+	k := intKeys{st: t.store, col: col}
+	if vs := db.vectorTable(t); vs != nil {
+		k.vals, k.nulls, k.vec = vs.intColumn(col)
 	}
-	bvals, bnulls, ok := vs.intColumn(newCol)
-	if !ok {
-		return nil, false
+	return k
+}
+
+// key returns the cell at rid; null reports NULL, and ok is false for a
+// value that is neither an int nor NULL.
+func (k *intKeys) key(rid int) (v int64, null, ok bool) {
+	if k.vec {
+		return k.vals[rid], k.nulls[rid], true
 	}
-	pvals, pnulls, ok := pvs.intColumn(bs.col)
-	if !ok {
-		return nil, false
+	switch c := k.st.get(rid, k.col); c.Kind {
+	case KindInt:
+		return c.I, false, true
+	case KindNull:
+		return 0, true, true
 	}
-	// Flat build table: open addressing (linear probing) into a power-of-two
-	// slot array, with the rids of equal keys threaded through a parallel
-	// chain array. Compared to a map[int64][]int this needs three flat
-	// slices total instead of a map plus a slice per distinct key — and the
-	// slices come from a pool, so steady-state joins allocate nothing for
-	// the build side. Build entries are inserted in reverse so each chain
-	// walks rids in build order, keeping the output tuple order identical
-	// to intHashJoin.
+	return 0, false, false
+}
+
+// intHashJoin is hashJoin's single-column equi-join between int values on
+// every engine — the shredder's pid = id chains, which is nearly every
+// join this executor sees. It hashes the raw int64 instead of a formatted
+// string key, into a flat build table: open addressing (linear probing)
+// into a power-of-two slot array, with the rids of equal keys threaded
+// through a parallel chain array. The arrays come from a pool, so
+// steady-state joins allocate only their output. ok is false, leaving the
+// string-key join to run, when a value on either side is neither an int
+// nor NULL.
+func (db *Database) intHashJoin(b *binding, tuples, rids []int, next, newCol int, bs joinCol) ([]int, bool) {
+	n := len(b.items)
+	count := len(tuples) / n
+	build := db.intKeysOf(b.tables[next], newCol)
+	probe := db.intKeysOf(b.tables[bs.alias], bs.col)
 	size := 1
 	for size < 2*len(rids)+2 {
 		size <<= 1
@@ -1314,84 +1289,63 @@ func (db *Database) vecIntHashJoin(b *binding, t *Table, tuples [][]int, rids []
 	mask := uint64(size - 1)
 	sc := joinScratchPool.Get().(*joinScratch)
 	defer joinScratchPool.Put(sc)
-	if cap(sc.slotKey) < size {
-		sc.slotKey = make([]int64, size)
-		sc.slotHead = make([]int32, size)
-	}
-	slotKey := sc.slotKey[:size]
-	slotHead := sc.slotHead[:size]
+	slotKey, slotHead, chain, heads := sc.arrays(size, len(rids), count)
 	for i := range slotHead {
 		slotHead[i] = -1
 	}
-	if cap(sc.chain) < len(rids) {
-		sc.chain = make([]int32, len(rids))
-	}
-	chain := sc.chain[:len(rids)]
+	// Build entries are inserted in reverse, so each chain walks its rids
+	// in build order.
 	for i := len(rids) - 1; i >= 0; i-- {
-		rid := rids[i]
-		if bnulls[rid] {
+		k, null, ok := build.key(rids[i])
+		if !ok {
+			return nil, false
+		}
+		if null {
 			continue // NULL never joins
 		}
-		k := bvals[rid]
 		h := hashInt64(k) & mask
-		for {
-			if slotHead[h] < 0 {
-				slotKey[h] = k
-				chain[i] = -1
-				slotHead[h] = int32(i)
-				break
-			}
-			if slotKey[h] == k {
-				chain[i] = slotHead[h]
-				slotHead[h] = int32(i)
-				break
-			}
+		for slotHead[h] >= 0 && slotKey[h] != k {
 			h = (h + 1) & mask
 		}
-	}
-	probe := func(prid int) int32 {
-		k := pvals[prid]
-		h := hashInt64(k) & mask
-		for {
-			head := slotHead[h]
-			if head < 0 {
-				return -1
-			}
-			if slotKey[h] == k {
-				return head
-			}
-			h = (h + 1) & mask
+		if slotHead[h] < 0 {
+			slotKey[h] = k
 		}
+		chain[i] = slotHead[h]
+		slotHead[h] = int32(i)
 	}
-	// Counting pass sizes the output exactly, so every result tuple is
-	// carved from one arena allocation instead of a make per tuple.
+	// Probe once per tuple, keeping its chain head, and count the output
+	// so it is allocated once.
 	total := 0
-	for _, tu := range tuples {
-		prid := tu[bs.alias]
-		if pnulls[prid] {
+	for i := range heads {
+		heads[i] = -1
+		k, null, ok := probe.key(tuples[i*n+bs.alias])
+		if !ok {
+			return nil, false
+		}
+		if null {
 			continue
 		}
-		for e := probe(prid); e >= 0; e = chain[e] {
+		h := hashInt64(k) & mask
+		for slotHead[h] >= 0 && slotKey[h] != k {
+			h = (h + 1) & mask
+		}
+		heads[i] = slotHead[h]
+		for e := heads[i]; e >= 0; e = chain[e] {
 			total++
 		}
 	}
-	width := len(b.tables)
-	out := make([][]int, 0, total)
-	arena := make([]int, total*width)
-	for _, tu := range tuples {
-		prid := tu[bs.alias]
-		if pnulls[prid] {
-			continue
-		}
-		for e := probe(prid); e >= 0; e = chain[e] {
-			ntu := arena[:width:width]
-			arena = arena[width:]
-			copy(ntu, tu)
-			ntu[next] = rids[e]
-			out = append(out, ntu)
+	out := make([]int, total*n)
+	w := 0
+	for i, head := range heads {
+		for e := head; e >= 0; e = chain[e] {
+			copy(out[w:w+n], tuples[i*n:i*n+n])
+			out[w+next] = rids[e]
+			w += n
 		}
 	}
-	db.noteVector(len(rids) + len(tuples))
+	if build.vec && probe.vec {
+		db.noteVector(len(rids) + count)
+	}
 	return out, true
 }
 
@@ -1402,58 +1356,37 @@ func hashInt64(k int64) uint64 {
 	return h ^ (h >> 31)
 }
 
-// joinScratch holds the flat build-table arrays vecIntHashJoin reuses
-// across executions; concurrent readers each take their own from the pool.
+// joinScratch holds the flat build-table and probe arrays intHashJoin
+// reuses across executions; concurrent readers each take their own from
+// the pool.
 type joinScratch struct {
 	slotKey  []int64
 	slotHead []int32
 	chain    []int32
+	heads    []int32
+}
+
+// arrays returns the scratch arrays at the given lengths, growing any
+// that is too short.
+func (sc *joinScratch) arrays(slots, build, probe int) (slotKey []int64, slotHead, chain, heads []int32) {
+	if cap(sc.slotKey) < slots {
+		sc.slotKey = make([]int64, slots)
+		sc.slotHead = make([]int32, slots)
+	}
+	if cap(sc.chain) < build {
+		sc.chain = make([]int32, build)
+	}
+	if cap(sc.heads) < probe {
+		sc.heads = make([]int32, probe)
+	}
+	return sc.slotKey[:slots], sc.slotHead[:slots], sc.chain[:build], sc.heads[:probe]
 }
 
 var joinScratchPool = sync.Pool{New: func() any { return &joinScratch{} }}
 
-// intHashJoin is hashJoin's fast path for a single equi-join between int
-// values: int64 map keys skip the per-row string formatting of Value.key.
-// It reports false — leaving the generic path to run — when it meets a
-// non-int, non-null value on either side.
-func intHashJoin(b *binding, t *Table, tuples [][]int, rids []int, next, newCol int,
-	bs struct{ alias, col int }) ([][]int, bool) {
-	build := make(map[int64][]int, len(rids))
-	for _, rid := range rids {
-		v := t.store.get(rid, newCol)
-		switch v.Kind {
-		case KindInt:
-			build[v.I] = append(build[v.I], rid)
-		case KindNull:
-			// NULL never joins; leave it out of the build side.
-		default:
-			return nil, false
-		}
-	}
-	out := make([][]int, 0, len(tuples))
-	probe := b.tables[bs.alias]
-	for _, tu := range tuples {
-		v := probe.store.get(tu[bs.alias], bs.col)
-		switch v.Kind {
-		case KindInt:
-		case KindNull:
-			continue
-		default:
-			return nil, false
-		}
-		for _, rid := range build[v.I] {
-			ntu := make([]int, len(tu))
-			copy(ntu, tu)
-			ntu[next] = rid
-			out = append(out, ntu)
-		}
-	}
-	return out, true
-}
-
 // applyReadyPreds filters tuples by every unapplied predicate whose aliases
-// are all bound.
-func applyReadyPreds(b *binding, preds []*planPred, bound []bool, tuples [][]int, rec *planRec) [][]int {
+// are all bound, compacting the flat relation in place.
+func applyReadyPreds(b *binding, preds []*planPred, bound []bool, tuples []int, rec *planRec) []int {
 	var ready []*planPred
 	for _, pp := range preds {
 		if pp.applied {
@@ -1474,8 +1407,10 @@ func applyReadyPreds(b *binding, preds []*planPred, bound []bool, tuples [][]int
 	if len(ready) == 0 {
 		return tuples
 	}
-	out := tuples[:0]
-	for _, tu := range tuples {
+	n := len(b.items)
+	w := 0
+	for i := 0; i < len(tuples); i += n {
+		tu := tuples[i : i+n]
 		ok := true
 		for _, pp := range ready {
 			if !evalTuple(b, tu, pp) {
@@ -1484,11 +1419,12 @@ func applyReadyPreds(b *binding, preds []*planPred, bound []bool, tuples [][]int
 			}
 		}
 		if ok {
-			out = append(out, tu)
+			copy(tuples[w:w+n], tu)
+			w += n
 		}
 	}
-	rec.linef("filter: %s → %d tuples", predNames(ready), len(out))
-	return out
+	rec.linef("filter: %s → %d tuples", predNames(ready), w/n)
+	return tuples[:w]
 }
 
 func evalTuple(b *binding, tu []int, pp *planPred) bool {
@@ -1645,27 +1581,9 @@ func (db *Database) filterSingle(t *Table, where []Predicate) (rids []int, desc 
 	for _, pp := range preds {
 		if pp.src.In != nil && t.pkIndex != nil && pp.leftCol == t.pkCol {
 			desc = fmt.Sprintf("pk index IN-lookup (%d keys)%s", len(pp.src.In), db.scanTag(t))
-			var pkInts map[int64]int
-			if vs := db.vectorTable(t); vs != nil {
-				pkInts = db.vecPKInts(t, vs)
-			}
-			seen := map[int]bool{}
-			for _, v := range pp.src.In {
-				cv, cerr := coerce(v, t.Columns[t.pkCol].Type)
-				if cerr != nil {
-					continue // untypable key matches nothing
-				}
-				var rid int
-				var ok bool
-				if pkInts != nil && cv.Kind == KindInt {
-					rid, ok = pkInts[cv.I]
-				} else {
-					rid, ok = t.pkIndex.lookup(cv.key())
-				}
-				if !ok || !t.store.live(rid) || seen[rid] {
-					continue
-				}
-				seen[rid] = true
+			rids = db.pkInLookup(t, pp.src.In)
+			kept := rids[:0]
+			for _, rid := range rids {
 				keep := true
 				for _, other := range preds {
 					if other != pp && !evalLocal(t, rid, other) {
@@ -1674,10 +1592,10 @@ func (db *Database) filterSingle(t *Table, where []Predicate) (rids []int, desc 
 					}
 				}
 				if keep {
-					rids = append(rids, rid)
+					kept = append(kept, rid)
 				}
 			}
-			return rids, desc, nil
+			return kept, desc, nil
 		}
 	}
 	// Point lookup.
@@ -1703,6 +1621,9 @@ func (db *Database) filterSingle(t *Table, where []Predicate) (rids []int, desc 
 	if vs := db.vectorTable(t); vs != nil {
 		rids, desc = db.vectorScan(t, vs, preds)
 		return rids, desc, nil
+	}
+	if len(preds) == 0 {
+		rids = make([]int, 0, t.RowCount())
 	}
 	t.store.scan(func(rid int) bool {
 		for _, pp := range preds {

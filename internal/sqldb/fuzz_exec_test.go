@@ -24,7 +24,9 @@ const execFuzzMaxTuples = 10000
 // document on the row, the column and the vectorized engine. Only queries
 // and EXPLAIN of a query execute, so the databases stay as loaded; every
 // other statement is only parsed. It requires no panic, the same result
-// or error from every engine for a query, and, for every UNION chain in
+// or error from every engine for a query, the rows, in order, or the error
+// of the frozen reference executor (ref_exec_test.go) for every SELECT
+// block, set-operation operands included, and, for every UNION chain in
 // the query, the rows, in order, of refUnion's pairwise fold. The seed
 // corpus (testdata/fuzz/FuzzExec) is the root-chain SQL translation of the
 // 55 benchmark queries and the c3 rules, UNION chains of up to 15 join
@@ -78,6 +80,9 @@ func FuzzExec(f *testing.F) {
 				first, firstErr = res, err
 			} else if !isExplain && (!sameError(err, firstErr) || (err == nil && !reflect.DeepEqual(res, first))) {
 				t.Fatalf("%s = %+v (%v), %s = %+v (%v)", engines[i], res, err, engines[0], first, firstErr)
+			}
+			if d := sqldb.RefMismatch(db, q); d != "" {
+				t.Fatalf("%s: %s", engines[i], d)
 			}
 			unionChains(q, false, func(u *sqldb.Query) {
 				body := *u

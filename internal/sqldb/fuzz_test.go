@@ -231,7 +231,9 @@ func diffScript(r *rand.Rand) []string {
 // column and the vectorized engine and requires identical results and
 // errors statement by statement. Divergence in any vectorized operator —
 // filter, selection refinement, join, index rebuild, bulk update — fails
-// here with the offending statement.
+// here with the offending statement. Every SELECT block of a query, set
+// operands included, must also match the frozen reference executor
+// (ref_exec_test.go) on each engine, rows in order or error.
 func TestDifferentialEngines(t *testing.T) {
 	scripts := 30
 	if testing.Short() {
@@ -245,6 +247,13 @@ func TestDifferentialEngines(t *testing.T) {
 			dbs[i] = Open(e)
 		}
 		for si, sql := range stmts {
+			if q, ok := parseQuery(sql); ok {
+				for i, db := range dbs {
+					if d := refMismatch(db, q); d != "" {
+						t.Fatalf("seed %d stmt %d %q on %s: %s", seed, si, sql, engines[i], d)
+					}
+				}
+			}
 			ref, refErr := dbs[0].Exec(sql)
 			for i := 1; i < len(dbs); i++ {
 				res, err := dbs[i].Exec(sql)
@@ -260,4 +269,14 @@ func TestDifferentialEngines(t *testing.T) {
 			}
 		}
 	}
+}
+
+// parseQuery parses sql and reports whether it is a query.
+func parseQuery(sql string) (*Query, bool) {
+	st, err := ParseStatement(sql)
+	if err != nil {
+		return nil, false
+	}
+	q, ok := st.(*Query)
+	return q, ok
 }

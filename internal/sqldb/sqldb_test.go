@@ -325,6 +325,15 @@ func TestDistinct(t *testing.T) {
 		if len(r.Rows) != 3 {
 			t.Fatalf("distinct rows = %d", len(r.Rows))
 		}
+		// A single int column with repeats and NULLs: each value once, NULL
+		// included, in first-occurrence order.
+		mustExec(t, db, `CREATE TABLE ages (id INT PRIMARY KEY, age INT)`)
+		mustExec(t, db, `INSERT INTO ages VALUES (1, 30), (2, NULL), (3, 25), (4, 30), (5, NULL), (6, 25), (7, 41)`)
+		r = mustExec(t, db, `SELECT DISTINCT age FROM ages`)
+		want := [][]Value{{NewInt(30)}, {Null}, {NewInt(25)}, {NewInt(41)}}
+		if !reflect.DeepEqual(r.Rows, want) {
+			t.Fatalf("distinct ages = %v, want %v", r.Rows, want)
+		}
 	})
 }
 
@@ -509,7 +518,7 @@ func colOf(db *Database, table, col string) int {
 func TestQuickJoinMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		for _, eng := range []Engine{EngineRow, EngineColumn} {
+		for _, eng := range []Engine{EngineRow, EngineColumn, EngineColumnVector} {
 			db := Open(eng)
 			mustQ := func(s string) *Result {
 				res, err := db.Exec(s)

@@ -125,18 +125,27 @@ func (e *relationalEngine) leafIDs(p *xpath.Path) (map[int64]bool, error) {
 	return e.queryIDs(sqlText)
 }
 
-// queryIDs runs an id query and returns the id set. The error prefix
-// predates the store seam and is kept verbatim.
+// queryIDs runs an id query and returns the id set.
 func (e *relationalEngine) queryIDs(sqlText string) (map[int64]bool, error) {
-	res, err := e.db.Exec(sqlText)
+	res, err := e.execIDQuery(sqlText)
 	if err != nil {
-		return nil, fmt.Errorf("core: annotation query failed: %w\nSQL: %s", err, truncateSQL(sqlText))
+		return nil, err
 	}
 	ids := make(map[int64]bool, len(res.Rows))
 	for _, row := range res.Rows {
 		ids[row[0].I] = true
 	}
 	return ids, nil
+}
+
+// execIDQuery runs an id query. The error prefix predates the store seam
+// and is kept verbatim.
+func (e *relationalEngine) execIDQuery(sqlText string) (*sqldb.Result, error) {
+	res, err := e.db.Exec(sqlText)
+	if err != nil {
+		return nil, fmt.Errorf("core: annotation query failed: %w\nSQL: %s", err, truncateSQL(sqlText))
+	}
+	return res, nil
 }
 
 // writeSigns is the second phase of Figure 6: route the computed ids to
@@ -343,17 +352,22 @@ func (e *relationalEngine) RawQuery(ctx context.Context, q *xpath.Path) (*Reques
 		return nil, err
 	}
 	sp = obs.Start(parent, "eval-query")
-	ids, err := e.queryIDs(sqlText)
+	res, err := e.execIDQuery(sqlText)
+	var ids []int64
+	if err == nil {
+		// Sort, then compact: the ascending distinct ids, with no set.
+		ids = make([]int64, len(res.Rows))
+		for i, row := range res.Rows {
+			ids[i] = row[0].I
+		}
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+	}
 	sp.SetAttr("matched", len(ids)).Finish()
 	if err != nil {
 		return nil, err
 	}
-	idList := make([]int64, 0, len(ids))
-	for id := range ids {
-		idList = append(idList, id)
-	}
-	slices.Sort(idList)
-	return &RequestResult{IDs: idList, Checked: len(ids)}, nil
+	return &RequestResult{IDs: ids, Checked: len(ids)}, nil
 }
 
 // probeSigns probes each id's owning table only, falling back to

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -54,4 +55,34 @@ func TestQuickXMLParseNeverPanics(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// xmlFuzzInputCap bounds FuzzParse's inputs: longer documents only slow
+// the fuzzer down.
+const xmlFuzzInputCap = 64 << 10
+
+// FuzzParse: ParseString never panics; a document it accepts serializes,
+// through String, to a text that parses back to the same String; and where
+// the reference decoder ParseStd accepts the input too, both build the
+// same tree. The seed corpus (testdata/fuzz/FuzzParse) holds the quick
+// test's three seeds, the hospital document, the benchmark's lot and
+// bidder fragments, a serialized XMark f = 0.0001 document and the inputs
+// the fuzzer has found.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		if len(text) > xmlFuzzInputCap {
+			return
+		}
+		doc, err := ParseString(text)
+		if err != nil {
+			return
+		}
+		out := doc.String()
+		if re, err := ParseString(out); err != nil || re.String() != out {
+			t.Fatalf("%q serializes as %q, which does not reparse to itself (%v)", text, out, err)
+		}
+		if std, err := ParseStd(strings.NewReader(text)); err == nil && !equalTrees(doc.Root(), std.Root()) {
+			t.Fatalf("parsers disagree on %q:\nfast: %s\nstd:  %s", text, out, std)
+		}
+	})
 }

@@ -55,10 +55,12 @@ go test -run 'TestCrossModeEquivalence|TestRecursiveSchemaOnlyRewrite|TestStatic
 # The label-indexed XPath evaluator against the frozen forward reference:
 # random trees, paths and update sequences, the 55 benchmark queries across
 # a write, the shared-qualifier memo, the native scan counter, the refused
-# self-graft, and FuzzEval's seed corpus. `go test ./...` above runs them;
-# this standalone form is what CI's blocking job calls (with -race and a
-# timed fuzz run, which stays in CI only).
-go test -run 'TestQuickIndexedEvalMatchesReference|TestQuickSelectsAgreesWithEval|TestEvalDecidesSharedQualifiersOnce|TestEvalDeepChainQualifiers|TestEvalVisitedCountsIndexCandidates|TestBenchmarkQueriesMatchReference|FuzzEval|TestInsertSubtreeUnderItselfRejected|TestElementsByLabel' ./internal/xpath ./internal/xmltree
+# self-graft, and FuzzEval's seed corpus; and FuzzParse's XML seed corpus,
+# which holds the fast scanner to a serialize-and-reparse round trip and to
+# the encoding/xml reader's trees. `go test ./...` above runs them; this
+# standalone form is what CI's blocking job calls (with -race and timed
+# fuzz runs, which stay in CI only).
+go test -run 'TestQuickIndexedEvalMatchesReference|TestQuickSelectsAgreesWithEval|TestEvalDecidesSharedQualifiersOnce|TestEvalDeepChainQualifiers|TestEvalVisitedCountsIndexCandidates|TestBenchmarkQueriesMatchReference|FuzzEval|TestInsertSubtreeUnderItselfRejected|TestElementsByLabel|FuzzParse' ./internal/xpath ./internal/xmltree
 
 # The one node-set evaluator every engine runs: the set algebra on every
 # registered engine (nil expression included), EvalScope against union and
@@ -82,11 +84,13 @@ go test -run 'TestQuickContainmentSound|TestContainsMatchesReferenceOnPolicies|F
 # three SQL engines (benchmark queries, Table 1 and c1–c5 rule paths,
 # random paths), the generated-hospital cross-check, the EXPLAIN goldens
 # (a UNION chain is one node), the engine differential with UNION chains,
-# and FuzzExec's seed corpus, which holds one-pass UNION chains to the
-# pairwise fold. `go test ./...` above runs them; this standalone form is
-# what CI's columnar-equivalence job calls, and the timed FuzzExec run
-# stays in CI only.
-go test -run 'TestTranslateMatchesReference|TestTranslateOnGenerated|TestExplain|TestDifferentialEngines|FuzzExec' ./internal/shred ./internal/sqldb
+# FuzzExec's seed corpus, which holds one-pass UNION chains to the
+# pairwise fold, the SELECT executor against its frozen reference on
+# every access path and engine, and the allocation bound (a SELECT's
+# allocations do not grow with its rows). `go test ./...` above runs
+# them; this standalone form is what CI's columnar-equivalence job calls,
+# and the timed FuzzExec run stays in CI only.
+go test -run 'TestTranslateMatchesReference|TestTranslateOnGenerated|TestExplain|TestDifferentialEngines|FuzzExec|TestSelectMatchesReference|TestQuickJoinMatchesReference|TestSelectAllocsPerJoinStep' ./internal/shred ./internal/sqldb
 
 # Differential fuzzing: replay generated statement scripts against the row,
 # column and vectorized engines and require identical results and errors;
