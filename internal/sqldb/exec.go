@@ -618,7 +618,7 @@ func (db *Database) execSelect(s *SelectStmt, rec *planRec) (*Result, error) {
 	if db.m != nil {
 		db.m.planSeconds.ObserveDuration(time.Since(planStart))
 	}
-	tuples, err := db.joinPlan(b, preds, rec)
+	tuples, err := db.joinPlan(b, preds, rec, db.scanPlan(s, b, preds))
 	if err != nil {
 		return nil, err
 	}
@@ -694,13 +694,32 @@ func (db *Database) execSelect(s *SelectStmt, rec *planRec) (*Result, error) {
 	return out, nil
 }
 
+// scanPlan reports whether EXPLAIN lists a SELECT as its base scan alone:
+// one vector table, named columns, and every predicate a literal filter on
+// that table. The scan applies every such filter but a primary-key literal
+// that does not coerce, which matches nothing and is applied unlisted.
+func (db *Database) scanPlan(s *SelectStmt, b *binding, preds []*planPred) bool {
+	if len(b.items) != 1 || s.Star || db.vectorTable(b.tables[0]) == nil {
+		return false
+	}
+	for _, pp := range preds {
+		if pp.leftAlias != 0 || (pp.src.In == nil && pp.src.Right.IsCol) {
+			return false
+		}
+	}
+	return true
+}
+
 // joinPlan materializes the join of all FROM items as rid tuples, using
 // greedy hash joins over equality predicates, with base-table filter
 // pushdown and primary-key point lookups. The relation is flat: tuple i
 // is tuples[i*n : i*n+n] for n FROM items, so each join step allocates one
 // array. With one FROM item a tuple is its rid, and the base scan's rid
 // list is the relation.
-func (db *Database) joinPlan(b *binding, preds []*planPred, rec *planRec) ([]int, error) {
+//
+// With scanPlan set (see Database.scanPlan), the start relation's leftover
+// filter is applied without an EXPLAIN line.
+func (db *Database) joinPlan(b *binding, preds []*planPred, rec *planRec, scanPlan bool) ([]int, error) {
 	n := len(b.items)
 	// Base rid lists with single-alias predicates pushed down.
 	base := make([][]int, n)
@@ -735,7 +754,11 @@ func (db *Database) joinPlan(b *binding, preds []*planPred, rec *planRec) ([]int
 		}
 		rec.linef("join: start %s → %d tuples", b.items[start].Alias, len(base[start]))
 	}
-	tuples = applyReadyPreds(b, preds, bound, tuples, rec)
+	startRec := rec
+	if scanPlan {
+		startRec = nil
+	}
+	tuples = applyReadyPreds(b, preds, bound, tuples, startRec)
 
 	for len(order) < n {
 		// Choose the next unbound alias that shares an unapplied equi-join

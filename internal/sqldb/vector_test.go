@@ -142,6 +142,39 @@ func TestVectorExplainAnnotation(t *testing.T) {
 	}
 }
 
+// TestExplainUncoercibleKey pins the plan of a primary-key equality whose
+// literal does not coerce to the key's type, so the point lookup matches
+// nothing and leaves its filter to the plan. The row engines list that
+// filter; the vectorized engine lists a named-column SELECT over one table
+// as its scan alone and lists the filter only under SELECT *.
+func TestExplainUncoercibleKey(t *testing.T) {
+	filtered := "scan n (n): pk index point lookup [scan=%s] → 0 rows\nfilter: id = 'x' → 0 tuples\noutput: 0 rows\n"
+	scanOnly := "scan n (n): pk index point lookup [scan=vector] → 0 rows\noutput: 0 rows\n"
+	for _, c := range []struct {
+		engine    Engine
+		sql, want string
+	}{
+		{EngineRow, `SELECT id FROM n WHERE id = 'x'`, fmt.Sprintf(filtered, "row")},
+		{EngineColumn, `SELECT id FROM n WHERE id = 'x'`, fmt.Sprintf(filtered, "row")},
+		{EngineColumnVector, `SELECT id FROM n WHERE id = 'x'`, scanOnly},
+		{EngineRow, `SELECT * FROM n WHERE id = 'x'`, fmt.Sprintf(filtered, "row")},
+		{EngineColumn, `SELECT * FROM n WHERE id = 'x'`, fmt.Sprintf(filtered, "row")},
+		{EngineColumnVector, `SELECT * FROM n WHERE id = 'x'`, fmt.Sprintf(filtered, "vector")},
+	} {
+		db := Open(c.engine)
+		mustExec(t, db, `CREATE TABLE n (id INT PRIMARY KEY, pid INT, v TEXT, s TEXT)`)
+		mustExec(t, db, `INSERT INTO n VALUES (1, 0, 'root', '+'), (2, 1, 'a', '-')`)
+		res := mustExec(t, db, "EXPLAIN "+c.sql)
+		var got strings.Builder
+		for _, row := range res.Rows {
+			got.WriteString(row[0].S + "\n")
+		}
+		if got.String() != c.want {
+			t.Errorf("engine %d, EXPLAIN %s:\n%swant:\n%s", c.engine, c.sql, got.String(), c.want)
+		}
+	}
+}
+
 // TestVectorBulkUpdateAndRollback: the WHERE-less sign reset and the IN
 // rewrite take the bulk path outside transactions, and inside a
 // transaction the engine falls back to the undo-logged row path so

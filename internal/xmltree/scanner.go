@@ -19,37 +19,36 @@ import (
 // Supported syntax: elements with attributes (single- or double-quoted),
 // character data with the five predefined entities and numeric character
 // references, CDATA sections, comments, processing instructions, an
-// optional XML declaration and DOCTYPE declarations. The trees match
-// encoding/xml's token stream as ParseStd reads it: each run of character
-// data between two pieces of markup, and each CDATA section, is its own
-// text node; literal line endings (\r\n and \r) read as \n; a DOCTYPE
-// ends at the first '>' outside quotes and comments that closes every '<'
-// opened inside it; and a name with one inner colon keeps its local part
-// (a:b is b), as encoding/xml's Name.Local does, while end tags must
-// repeat the start tag's full name.
+// optional XML declaration and an optional DOCTYPE (without internal-subset
+// markup declarations containing '>'). Namespace prefixes are kept as part
+// of the name, matching encoding/xml's Local-name behavior only for
+// unprefixed documents — the generators here emit none.
+//
+// The trees equal ParseStd's on documents of elements, attributes and
+// character data without prefixed names or carriage returns, which is all
+// that Document.String writes. Elsewhere they may differ: a text run split
+// by comments, processing instructions or CDATA sections is one text node
+// here and one per piece there, a literal \r is kept, a comment may hold
+// "--", and a DOCTYPE ends at the first '>' outside square brackets.
 
 type scanner struct {
 	src []byte
 	pos int
-	// names interns element and attribute names with their local parts: a
-	// document uses few distinct names but mentions them constantly, so
-	// interning removes the per-mention string allocation and split.
-	names map[string]qname
+	// names interns element and attribute names: a document uses few
+	// distinct names but mentions them constantly, so interning removes the
+	// per-mention string allocation.
+	names map[string]string
 }
 
-// qname is an interned name and its local part (see localName).
-type qname struct{ full, local string }
-
-func (s *scanner) intern(b []byte) qname {
+func (s *scanner) intern(b []byte) string {
 	if s.names == nil {
-		s.names = make(map[string]qname, 64)
+		s.names = make(map[string]string, 64)
 	}
 	if n, ok := s.names[string(b)]; ok { // compiler avoids the alloc here
 		return n
 	}
-	full := string(b)
-	n := qname{full, localName(full)}
-	s.names[full] = n
+	n := string(b)
+	s.names[n] = n
 	return n
 }
 
@@ -68,7 +67,6 @@ func parseFast(data []byte) (*Document, error) {
 	s := &scanner{src: data}
 	var doc *Document
 	var cur *Node
-	var open []string // full names of the open elements, innermost last
 	var text strings.Builder
 	flushText := func() {
 		if text.Len() == 0 {
@@ -90,10 +88,8 @@ func parseFast(data []byte) (*Document, error) {
 		if c != '<' {
 			// Character data.
 			start := s.pos
-			if i := bytes.IndexByte(s.src[s.pos:], '<'); i >= 0 {
-				s.pos += i
-			} else {
-				s.pos = len(s.src)
+			for s.pos < len(s.src) && s.src[s.pos] != '<' {
+				s.pos++
 			}
 			if cur != nil {
 				decoded, err := decodeEntities(s.src[start:s.pos])
@@ -106,15 +102,14 @@ func parseFast(data []byte) (*Document, error) {
 			}
 			continue
 		}
-		// '<' dispatch: markup ends the character data before it.
+		// '<' dispatch.
 		if s.pos+1 >= len(s.src) {
 			return nil, s.errf("unexpected end of input after '<'")
 		}
-		flushText()
 		switch s.src[s.pos+1] {
 		case '!':
 			if s.hasPrefix("<!--") {
-				if err := s.skipComment(); err != nil {
+				if err := s.skipUntil("<!--", "-->"); err != nil {
 					return nil, err
 				}
 				continue
@@ -128,8 +123,7 @@ func parseFast(data []byte) (*Document, error) {
 				if cur == nil {
 					return nil, s.errf("CDATA outside the root element")
 				}
-				text.WriteString(normalizeNewlines(string(s.src[start:end])))
-				flushText()
+				text.Write(s.src[start:end])
 				s.pos = end + 3
 				continue
 			}
@@ -141,12 +135,13 @@ func parseFast(data []byte) (*Document, error) {
 			}
 			return nil, s.errf("unsupported markup declaration")
 		case '?':
-			if err := s.skipUntil("?>"); err != nil {
+			if err := s.skipUntil("<?", "?>"); err != nil {
 				return nil, err
 			}
 			continue
 		case '/':
 			// End tag.
+			flushText()
 			s.pos += 2
 			name, err := s.name()
 			if err != nil {
@@ -154,19 +149,19 @@ func parseFast(data []byte) (*Document, error) {
 			}
 			s.skipWS()
 			if s.pos >= len(s.src) || s.src[s.pos] != '>' {
-				return nil, s.errf("malformed end tag </%s", name.full)
+				return nil, s.errf("malformed end tag </%s", name)
 			}
 			s.pos++
 			if cur == nil {
-				return nil, s.errf("unbalanced end tag </%s>", name.full)
+				return nil, s.errf("unbalanced end tag </%s>", name)
 			}
-			if top := open[len(open)-1]; top != name.full {
-				return nil, s.errf("end tag </%s> does not match <%s>", name.full, top)
+			if cur.Label != name {
+				return nil, s.errf("end tag </%s> does not match <%s>", name, cur.Label)
 			}
-			open = open[:len(open)-1]
 			cur = cur.parent
 		default:
 			// Start tag.
+			flushText()
 			s.pos++
 			name, err := s.name()
 			if err != nil {
@@ -176,13 +171,13 @@ func parseFast(data []byte) (*Document, error) {
 			if doc == nil {
 				// Guess one node per 32 bytes of input (XMark text runs
 				// about one per 25) to spare the id index most rehashing.
-				doc = newDocument(name.local, len(s.src)/32)
+				doc = newDocument(name, len(s.src)/32)
 				n = doc.root
 			} else {
 				if cur == nil {
-					return nil, s.errf("multiple root elements (<%s>)", name.full)
+					return nil, s.errf("multiple root elements (<%s>)", name)
 				}
-				n = doc.AddElement(cur, name.local)
+				n = doc.AddElement(cur, name)
 			}
 			selfClose, err := s.attributes(n)
 			if err != nil {
@@ -190,7 +185,6 @@ func parseFast(data []byte) (*Document, error) {
 			}
 			if !selfClose {
 				cur = n
-				open = append(open, name.full)
 			}
 		}
 	}
@@ -223,8 +217,10 @@ func (s *scanner) hasPrefix(p string) bool {
 	return s.pos+len(p) <= len(s.src) && string(s.src[s.pos:s.pos+len(p)]) == p
 }
 
-func (s *scanner) skipUntil(end string) error {
-	i := indexFrom(s.src, s.pos, end)
+// skipUntil consumes a construct that starts with open at s.pos and ends
+// at the first end after open, so "<!-->" does not close itself.
+func (s *scanner) skipUntil(open, end string) error {
+	i := indexFrom(s.src, s.pos+len(open), end)
 	if i < 0 {
 		return s.errf("unterminated %q construct", end)
 	}
@@ -232,54 +228,32 @@ func (s *scanner) skipUntil(end string) error {
 	return nil
 }
 
+// indexFrom finds sub in src at or after from without copying src[from:],
+// so a document of many comments, CDATA sections or PIs parses in linear
+// time.
 func indexFrom(src []byte, from int, sub string) int {
-	i := strings.Index(string(src[from:]), sub)
+	i := bytes.Index(src[from:], []byte(sub))
 	if i < 0 {
 		return -1
 	}
 	return from + i
 }
 
-// skipComment consumes a comment. As encoding/xml reads it, the comment
-// ends at the first "--" after its "<!--", which must be followed by '>'.
-func (s *scanner) skipComment() error {
-	end := indexFrom(s.src, s.pos+len("<!--"), "--")
-	if end < 0 || end+2 >= len(s.src) || s.src[end+2] != '>' {
-		return s.errf("unterminated comment or \"--\" inside one")
-	}
-	s.pos = end + len("-->")
-	return nil
-}
-
-// skipDoctype consumes a DOCTYPE declaration as encoding/xml reads a
-// declaration: it ends at the first '>' outside quotes and comments that
-// closes every '<' opened inside it. The internal subset's markup
-// declarations nest that way.
+// skipDoctype consumes a DOCTYPE declaration, honoring an internal subset
+// in square brackets.
 func (s *scanner) skipDoctype() error {
-	s.pos += len("<!")
 	depth := 0
-	var quote byte
 	for s.pos < len(s.src) {
-		switch c := s.src[s.pos]; {
-		case quote != 0:
-			if c == quote {
-				quote = 0
-			}
-		case c == '"' || c == '\'':
-			quote = c
-		case c == '>':
+		switch s.src[s.pos] {
+		case '[':
+			depth++
+		case ']':
+			depth--
+		case '>':
 			if depth == 0 {
 				s.pos++
 				return nil
 			}
-			depth--
-		case c == '<' && s.hasPrefix("<!--"):
-			if err := s.skipComment(); err != nil {
-				return err
-			}
-			continue
-		case c == '<':
-			depth++
 		}
 		s.pos++
 	}
@@ -297,7 +271,7 @@ func (s *scanner) skipWS() {
 	}
 }
 
-func (s *scanner) name() (qname, error) {
+func (s *scanner) name() (string, error) {
 	start := s.pos
 	for s.pos < len(s.src) {
 		c := s.src[s.pos]
@@ -305,34 +279,14 @@ func (s *scanner) name() (qname, error) {
 			break
 		}
 		if c == '<' {
-			return qname{}, s.errf("'<' inside a name")
+			return "", s.errf("'<' inside a name")
 		}
 		s.pos++
 	}
 	if s.pos == start {
-		return qname{}, s.errf("expected a name")
+		return "", s.errf("expected a name")
 	}
 	return s.intern(s.src[start:s.pos]), nil
-}
-
-// localName is the local part of a name with one inner colon (a:b is b),
-// else the name itself, as encoding/xml splits names. A local part that
-// would open other markup (a:!b, a:?b) stays whole, so the element still
-// serializes to a start tag; encoding/xml rejects such names.
-func localName(name string) string {
-	prefix, local, ok := strings.Cut(name, ":")
-	if !ok || prefix == "" || local == "" || strings.Contains(local, ":") || local[0] == '!' || local[0] == '?' {
-		return name
-	}
-	return local
-}
-
-// normalizeNewlines reads the literal line endings \r\n and \r as \n.
-func normalizeNewlines(s string) string {
-	if !strings.Contains(s, "\r") {
-		return s
-	}
-	return strings.ReplaceAll(strings.ReplaceAll(s, "\r\n", "\n"), "\r", "\n")
 }
 
 // attributes parses the attribute list and tag close of a start tag; it
@@ -354,11 +308,10 @@ func (s *scanner) attributes(n *Node) (bool, error) {
 			}
 			return false, s.errf("stray '/' in start tag <%s", n.Label)
 		}
-		name, err := s.name()
+		key, err := s.name()
 		if err != nil {
 			return false, err
 		}
-		key := name.local
 		s.skipWS()
 		if s.pos >= len(s.src) || s.src[s.pos] != '=' {
 			return false, s.errf("attribute %s missing '='", key)
@@ -401,12 +354,14 @@ func (s *scanner) attributes(n *Node) (bool, error) {
 }
 
 // decodeEntities expands the predefined entities and numeric character
-// references and reads literal line endings as \n (a character reference
-// to \r stays \r); the fast path (no '&' or '\r') avoids allocation.
+// references; the fast path (no '&') avoids allocation.
 func decodeEntities(b []byte) (string, error) {
-	amp := bytes.IndexByte(b, '&')
-	if cr := bytes.IndexByte(b, '\r'); cr >= 0 && (amp < 0 || cr < amp) {
-		amp = cr
+	amp := -1
+	for i, c := range b {
+		if c == '&' {
+			amp = i
+			break
+		}
 	}
 	if amp < 0 {
 		return string(b), nil
@@ -417,13 +372,6 @@ func decodeEntities(b []byte) (string, error) {
 	i := amp
 	for i < len(b) {
 		c := b[i]
-		if c == '\r' {
-			out.WriteByte('\n')
-			if i++; i < len(b) && b[i] == '\n' {
-				i++
-			}
-			continue
-		}
 		if c != '&' {
 			out.WriteByte(c)
 			i++

@@ -43,6 +43,90 @@ func TestFastParserCommentsPIDoctype(t *testing.T) {
 	}
 }
 
+// TestFastParserCommentOpener: a comment's closing "-->" is searched for
+// after its "<!--", so "<!-->" opens a comment without closing it.
+func TestFastParserCommentOpener(t *testing.T) {
+	doc, err := ParseString(`<a><!-->--></a>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.String(); got != `<a/>` {
+		t.Fatalf("parsed as %s", got)
+	}
+	for _, c := range []string{`<a><!--></a>`, `<a><?></a>`} {
+		if _, err := ParseString(c); err == nil {
+			t.Errorf("ParseString(%q): expected error", c)
+		}
+	}
+}
+
+// TestFastParserPrefixedNames: a prefixed name is one name, as the XPath
+// lexer, the DTD parser and the relational mapping read it. p:l stays
+// p:l, attributes that share a local part all load, xmlns:p is an
+// ordinary attribute, x:sign is not the access annotation, and the
+// document serializes with its prefixes.
+func TestFastParserPrefixedNames(t *testing.T) {
+	src := `<r xmlns:p="urn:p"><p:l a:id="1" b:id="2" href="h" xlink:href="x">t</p:l><l x:sign="+"/><q:l/></r>`
+	doc, err := ParseString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := doc.Root()
+	if got := root.Attrs["xmlns:p"]; got != "urn:p" {
+		t.Errorf("xmlns:p = %q", got)
+	}
+	var labels []string
+	for _, c := range root.Children() {
+		labels = append(labels, c.Label)
+	}
+	if strings.Join(labels, " ") != "p:l l q:l" {
+		t.Fatalf("children = %v", labels)
+	}
+	pl, l := root.Children()[0], root.Children()[1]
+	want := map[string]string{"a:id": "1", "b:id": "2", "href": "h", "xlink:href": "x"}
+	if len(pl.Attrs) != len(want) {
+		t.Errorf("p:l attributes = %v", pl.Attrs)
+	}
+	for k, v := range want {
+		if pl.Attrs[k] != v {
+			t.Errorf("p:l @%s = %q, want %q (all: %v)", k, pl.Attrs[k], v, pl.Attrs)
+		}
+	}
+	if l.Sign != SignNone || l.Attrs["x:sign"] != "+" {
+		t.Errorf("l: sign %v, attributes %v", l.Sign, l.Attrs)
+	}
+	if got := doc.String(); got != src { // src lists attributes sorted, as String does
+		t.Errorf("serialized as %s", got)
+	}
+}
+
+// TestFastParserCommentsWithoutCopying: the end of each comment, CDATA
+// section and processing instruction is found without copying the rest
+// of the input, so the parse's allocations do not grow with their number
+// (a copy per construct made parsing quadratic in the input).
+func TestFastParserCommentsWithoutCopying(t *testing.T) {
+	doc := func(n int) []byte {
+		var b strings.Builder
+		b.WriteString("<a>")
+		for i := 0; i < n; i++ {
+			b.WriteString("<!-- c --><?p d?><![CDATA[]]>")
+		}
+		b.WriteString("</a>")
+		return []byte(b.String())
+	}
+	allocs := func(src []byte) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := parseFast(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(doc(10)), allocs(doc(5000))
+	if large > small+16 {
+		t.Fatalf("parsing 5,000 comments, PIs and CDATA sections made %.0f allocations against %.0f for 10", large, small)
+	}
+}
+
 func TestFastParserErrors(t *testing.T) {
 	cases := []string{
 		``,

@@ -80,6 +80,22 @@ func TestEvalWildcard(t *testing.T) {
 	}
 }
 
+// TestEvalPrefixedNames: the lexer reads p:l as one name and the parser
+// keeps it as the element's label, so //p:l selects the p:l elements and
+// no other l.
+func TestEvalPrefixedNames(t *testing.T) {
+	doc := mustDoc(t, `<r xmlns:p="urn:p"><p:l a:id="1" b:id="2"/><l/><q:l><p:l/></q:l></r>`)
+	if got := evalLabels(t, doc, "//p:l"); !reflect.DeepEqual(got, []string{"p:l", "p:l"}) {
+		t.Fatalf("//p:l = %v", got)
+	}
+	if got := evalLabels(t, doc, "//l"); !reflect.DeepEqual(got, []string{"l"}) {
+		t.Fatalf("//l = %v", got)
+	}
+	if got := evalLabels(t, doc, "/r/q:l/p:l"); !reflect.DeepEqual(got, []string{"p:l"}) {
+		t.Fatalf("/r/q:l/p:l = %v", got)
+	}
+}
+
 func TestEvalExistencePredicates(t *testing.T) {
 	doc := mustDoc(t, hospitalDoc)
 	// Patients with a treatment: the first two.

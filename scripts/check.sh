@@ -56,8 +56,9 @@ go test -run 'TestCrossModeEquivalence|TestRecursiveSchemaOnlyRewrite|TestStatic
 # random trees, paths and update sequences, the 55 benchmark queries across
 # a write, the shared-qualifier memo, the native scan counter, the refused
 # self-graft, and FuzzEval's seed corpus; and FuzzParse's XML seed corpus,
-# which holds the fast scanner to a serialize-and-reparse round trip and to
-# the encoding/xml reader's trees. `go test ./...` above runs them; this
+# which holds the fast scanner to a serialize-and-reparse round trip and,
+# on documents of elements, attributes and text, to the encoding/xml
+# reader's trees. `go test ./...` above runs them; this
 # standalone form is what CI's blocking job calls (with -race and timed
 # fuzz runs, which stay in CI only).
 go test -run 'TestQuickIndexedEvalMatchesReference|TestQuickSelectsAgreesWithEval|TestEvalDecidesSharedQualifiersOnce|TestEvalDeepChainQualifiers|TestEvalVisitedCountsIndexCandidates|TestBenchmarkQueriesMatchReference|FuzzEval|TestInsertSubtreeUnderItselfRejected|TestElementsByLabel|FuzzParse' ./internal/xpath ./internal/xmltree
