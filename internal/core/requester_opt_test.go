@@ -148,6 +148,76 @@ func TestRequestBatchBoundary(t *testing.T) {
 	}
 }
 
+// signCheckBatchAllocs is how many allocations each extra 256-id sign
+// probe batch may add to a routed request: room for the batch's statement
+// and result, none for the ids in it.
+const signCheckBatchAllocs = 50
+
+// TestSignCheckAllocsPerBatch: the routed sign check (monetsql, postgres)
+// allocates per 256-id probe batch, not per matched id. Over documents
+// <a> with 100 and then 10,000 <b> children, a request for //b may make at
+// most signCheckBatchAllocs more allocations per extra batch (1,950 for
+// the 39 extra batches), granted and, when a rule denies the last b,
+// denied.
+func TestSignCheckAllocsPerBatch(t *testing.T) {
+	schema := dtd.MustParse(`
+<!ELEMENT a (b*)>
+<!ELEMENT b (#PCDATA)>
+`)
+	policies := []struct {
+		name, text string
+		granted    bool
+	}{
+		{"granted", "default deny\nconflict deny\nrule R1 allow //b\n", true},
+		{"denied", "default deny\nconflict deny\nrule R1 allow //b\nrule R2 deny //b[. = \"x\"]\n", false},
+	}
+	build := func(t *testing.T, b Backend, pol string, n int) *System {
+		t.Helper()
+		sys, err := NewSystem(Config{Schema: schema, Policy: policy.MustParse(pol), Backend: b, Optimize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var xml strings.Builder
+		xml.WriteString("<a>")
+		for i := 1; i < n; i++ {
+			xml.WriteString("<b>v</b>")
+		}
+		xml.WriteString("<b>x</b></a>")
+		doc, err := xmltree.ParseString(xml.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Load(doc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Annotate(); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	batches := func(n int) int { return (n + 255) / 256 }
+	q := xpath.MustParse("//b")
+	for _, b := range []Backend{BackendColumn, BackendRow} {
+		for _, pol := range policies {
+			t.Run(b.String()+"/"+pol.name, func(t *testing.T) {
+				allocs := func(n int) float64 {
+					sys := build(t, b, pol.text, n)
+					if _, err := sys.Request(q); (err == nil) != pol.granted {
+						t.Fatalf("n = %d: err = %v, want granted = %v", n, err, pol.granted)
+					}
+					return testing.AllocsPerRun(5, func() { _, _ = sys.Request(q) })
+				}
+				small, large := allocs(100), allocs(10000)
+				bound := small + float64(signCheckBatchAllocs*(batches(10000)-batches(100)))
+				t.Logf("%.0f allocations at 100 ids, %.0f at 10,000 (bound %.0f)", small, large, bound)
+				if large > bound {
+					t.Errorf("%.0f allocations at 10,000 ids, %.0f at 100; at most %.0f allowed", large, small, bound)
+				}
+			})
+		}
+	}
+}
+
 // TestRequestCheckedDeduplicatesWitnesses pins the duplicate-id semantics:
 // a translated qualifier query returns one row per witness, but Checked
 // counts distinct matched nodes on every backend and every mode. The
@@ -332,8 +402,12 @@ func TestRoutedRequestsSurviveDeletes(t *testing.T) {
 				return sys
 			}
 			ref, routed := build(true), build(false)
-			if got := routed.Engine().(store.Relational).Mapping().OwnerRanges(); got == 0 {
-				t.Fatal("owner index is empty after load")
+			var ids []int64
+			for _, n := range routed.Document().Elements() {
+				ids = append(ids, n.ID)
+			}
+			if _, unknown := routed.Engine().(store.Relational).Mapping().GroupByOwner(ids); len(unknown) != 0 {
+				t.Fatalf("owner index does not route %d of %d ids after load", len(unknown), len(ids))
 			}
 			del := xpath.MustParse("//patient/treatment")
 			if _, err := ref.DeleteAndReannotate(del); err != nil {

@@ -51,7 +51,7 @@ type Mapping struct {
 	// owners routes universal identifiers to their owning table (built as
 	// documents are shredded, maintained on insert/delete). Nil for
 	// hand-constructed mappings; every routing method degrades gracefully.
-	owners *OwnerIndex
+	owners *ownerIndex
 }
 
 // reservedSuffix disambiguates element names that collide with SQL keywords
@@ -66,7 +66,7 @@ func BuildMapping(schema *dtd.Schema) (*Mapping, error) {
 		// its schemas for the same reason.
 		return nil, fmt.Errorf("shred: schema is recursive (cycle %v)", cyc)
 	}
-	m := &Mapping{Schema: schema, ByElement: map[string]*TableInfo{}, owners: &OwnerIndex{}}
+	m := &Mapping{Schema: schema, ByElement: map[string]*TableInfo{}, owners: &ownerIndex{}}
 	used := map[string]bool{}
 	for _, name := range schema.Names() {
 		e := schema.Element(name)
@@ -75,6 +75,7 @@ func BuildMapping(schema *dtd.Schema) (*Mapping, error) {
 			tbl += reservedSuffix
 		}
 		used[tbl] = true
+		m.owners.position(tbl)
 		ti := &TableInfo{Element: name, Table: tbl, HasValue: e.HasText()}
 		for _, a := range e.Attrs {
 			ti.Attrs = append(ti.Attrs, a.Name)

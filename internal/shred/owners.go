@@ -1,123 +1,132 @@
 package shred
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Owner routing. Universal identifiers are unique across the whole shredded
 // database, so every id belongs to exactly one table — but the id alone does
 // not say which. The reference request path therefore probes every table of
-// the mapping with sign-check IN batches. The OwnerIndex removes that
-// cross-product: it records, as a compact range map, which table owns each
-// id. Documents are shredded in document order with monotonically increasing
-// identifiers, so consecutive same-table nodes collapse into one range and
-// the index stays proportional to the document's table-switching frequency,
-// not its size.
+// the mapping with sign-check IN batches. The owner index removes that
+// cross-product: xmltree allocates identifiers densely from 1, so it keeps
+// one slot per id holding the owning table's position plus one (0 for an
+// unknown id), and each table name once.
 
-// ownerRange says ids in [start, end) live in table.
-type ownerRange struct {
-	start, end int64
-	table      string
-}
+// ownerSlack is how far past the slot table's end an id may land and still
+// grow it. An id further out (one set by hand on a built document, say)
+// stays unknown, and its probes take the every-table fallback.
+const ownerSlack = 1 << 12
 
-// OwnerIndex maps universal identifiers to their owning table. The zero
+// ownerIndex maps universal identifiers to their owning table. The zero
 // value is ready to use. All methods are safe for concurrent use.
-type OwnerIndex struct {
+type ownerIndex struct {
 	mu     sync.RWMutex
-	ranges []ownerRange // sorted by start, non-overlapping
+	tables []string       // position → table name
+	pos    map[string]int // table name → position
+	slots  []uint32       // id → owning table's position + 1; 0 is unknown
 }
 
-// Record notes that id lives in table. Ascending insertions (the shredding
-// walk order) extend the tail range in O(1); out-of-order or re-recorded ids
-// fall back to a general insert that keeps the ranges sorted and coalesced.
-func (ix *OwnerIndex) Record(id int64, table string) {
+// position returns the table's position, registering a new name at the
+// end; GroupByOwner reports tables in position order. Caller holds the
+// write lock or owns ix.
+func (ix *ownerIndex) position(table string) int {
+	if p, ok := ix.pos[table]; ok {
+		return p
+	}
+	if ix.pos == nil {
+		ix.pos = map[string]int{}
+	}
+	ix.pos[table] = len(ix.tables)
+	ix.tables = append(ix.tables, table)
+	return len(ix.tables) - 1
+}
+
+// slot returns id's slot, 0 when the id lies outside the table. Caller
+// holds at least the read lock.
+func (ix *ownerIndex) slot(id int64) uint32 {
+	if id < 0 || id >= int64(len(ix.slots)) {
+		return 0
+	}
+	return ix.slots[id]
+}
+
+// record notes that id lives in table, overwriting any earlier owner.
+func (ix *ownerIndex) record(id int64, table string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	n := len(ix.ranges)
-	if n == 0 || id >= ix.ranges[n-1].end {
-		if n > 0 && ix.ranges[n-1].end == id && ix.ranges[n-1].table == table {
-			ix.ranges[n-1].end = id + 1
-			return
-		}
-		ix.ranges = append(ix.ranges, ownerRange{start: id, end: id + 1, table: table})
-		return
+	n := int64(len(ix.slots))
+	if id < 0 || id > 2*n+ownerSlack {
+		return // stays unknown
 	}
-	ix.forgetLocked(id)
-	i := sort.Search(len(ix.ranges), func(k int) bool { return ix.ranges[k].end > id })
-	// Coalesce with an adjacent same-table neighbor where possible.
-	if i < len(ix.ranges) && ix.ranges[i].start == id+1 && ix.ranges[i].table == table {
-		ix.ranges[i].start = id
-		if i > 0 && ix.ranges[i-1].end == id && ix.ranges[i-1].table == table {
-			ix.ranges[i-1].end = ix.ranges[i].end
-			ix.ranges = append(ix.ranges[:i], ix.ranges[i+1:]...)
-		}
-		return
+	if id >= n {
+		ix.slots = append(ix.slots, make([]uint32, id+1-n)...)
 	}
-	if i > 0 && ix.ranges[i-1].end == id && ix.ranges[i-1].table == table {
-		ix.ranges[i-1].end = id + 1
-		return
-	}
-	ix.ranges = append(ix.ranges, ownerRange{})
-	copy(ix.ranges[i+1:], ix.ranges[i:])
-	ix.ranges[i] = ownerRange{start: id, end: id + 1, table: table}
+	ix.slots[id] = uint32(ix.position(table) + 1)
 }
 
-// Lookup returns the owning table of id, or "" when the id was never
+// lookup returns the owning table of id, or "" when the id was never
 // recorded (e.g. a database populated outside the shredder).
-func (ix *OwnerIndex) Lookup(id int64) (string, bool) {
+func (ix *ownerIndex) lookup(id int64) (string, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if r, ok := ix.find(id); ok {
-		return r.table, true
+	if s := ix.slot(id); s != 0 {
+		return ix.tables[s-1], true
 	}
 	return "", false
 }
 
-// find locates the range containing id. Caller holds at least the read lock.
-func (ix *OwnerIndex) find(id int64) (ownerRange, bool) {
-	i := sort.Search(len(ix.ranges), func(k int) bool { return ix.ranges[k].end > id })
-	if i < len(ix.ranges) && ix.ranges[i].start <= id {
-		return ix.ranges[i], true
-	}
-	return ownerRange{}, false
-}
-
-// Forget removes one id from the index (a deleted tuple). Interior removals
-// split their range in two.
-func (ix *OwnerIndex) Forget(id int64) {
+// forget removes ids from the index (deleted tuples).
+func (ix *ownerIndex) forget(ids ...int64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.forgetLocked(id)
-}
-
-func (ix *OwnerIndex) forgetLocked(id int64) {
-	i := sort.Search(len(ix.ranges), func(k int) bool { return ix.ranges[k].end > id })
-	if i >= len(ix.ranges) || ix.ranges[i].start > id {
-		return
-	}
-	r := &ix.ranges[i]
-	switch {
-	case r.start == id && r.end == id+1:
-		ix.ranges = append(ix.ranges[:i], ix.ranges[i+1:]...)
-	case r.start == id:
-		r.start = id + 1
-	case r.end == id+1:
-		r.end = id
-	default:
-		tail := ownerRange{start: id + 1, end: r.end, table: r.table}
-		r.end = id
-		ix.ranges = append(ix.ranges, ownerRange{})
-		copy(ix.ranges[i+2:], ix.ranges[i+1:])
-		ix.ranges[i+1] = tail
+	for _, id := range ids {
+		if ix.slot(id) != 0 {
+			ix.slots[id] = 0
+		}
 	}
 }
 
-// Len returns the number of stored ranges — the routing structure's size.
-func (ix *OwnerIndex) Len() int {
+// group splits ids by owning table with one read lock: a counting sort by
+// table position, so each group keeps the order ids had and every group
+// shares one backing array.
+func (ix *ownerIndex) group(ids []int64) (owned []OwnedIDs, unknown []int64) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.ranges)
+	// Count the ids of each slot (slot 0 holds the unknown ones), then turn
+	// the counts into where each slot's ids go: the unknown ids first, then
+	// each table in position order.
+	next := make([]int, len(ix.tables)+1)
+	for _, id := range ids {
+		next[ix.slot(id)]++
+	}
+	groups, off := 0, 0
+	for s, c := range next {
+		if s > 0 && c > 0 {
+			groups++
+		}
+		next[s], off = off, off+c
+	}
+	sorted := make([]int64, len(ids))
+	for _, id := range ids {
+		s := ix.slot(id)
+		sorted[next[s]] = id
+		next[s]++
+	}
+	// next[s] now ends slot s's ids, which begin where slot s-1's end.
+	unknown = sorted[:next[0]:next[0]]
+	if groups > 0 {
+		owned = make([]OwnedIDs, 0, groups)
+	}
+	for s := 1; s < len(next); s++ {
+		if begin, end := next[s-1], next[s]; end > begin {
+			owned = append(owned, OwnedIDs{Table: ix.tables[s-1], IDs: sorted[begin:end:end]})
+		}
+	}
+	return owned, unknown
+}
+
+// OwnedIDs is one table's share of the ids given to GroupByOwner.
+type OwnedIDs struct {
+	Table string
+	IDs   []int64
 }
 
 // RecordOwner notes that the tuple with the given universal identifier was
@@ -126,7 +135,7 @@ func (m *Mapping) RecordOwner(id int64, table string) {
 	if m.owners == nil {
 		return
 	}
-	m.owners.Record(id, table)
+	m.owners.record(id, table)
 }
 
 // OwnerTable returns the table owning the id, or "" when unknown.
@@ -134,7 +143,7 @@ func (m *Mapping) OwnerTable(id int64) string {
 	if m.owners == nil {
 		return ""
 	}
-	t, _ := m.owners.Lookup(id)
+	t, _ := m.owners.lookup(id)
 	return t
 }
 
@@ -143,34 +152,16 @@ func (m *Mapping) ForgetOwner(ids ...int64) {
 	if m.owners == nil {
 		return
 	}
-	for _, id := range ids {
-		m.owners.Forget(id)
-	}
+	m.owners.forget(ids...)
 }
 
-// GroupByOwner splits ids by their owning table. Ids the index does not know
-// (hand-loaded databases, mappings built without shredding) are returned in
-// unknown; the caller falls back to probing every table for those.
-func (m *Mapping) GroupByOwner(ids []int64) (owned map[string][]int64, unknown []int64) {
+// GroupByOwner splits ids by their owning table, tables in the mapping's
+// declaration order, each table's ids in the order given. Ids the index does not know (hand-loaded
+// databases, mappings built without shredding) are returned in unknown;
+// the caller falls back to probing every table for those.
+func (m *Mapping) GroupByOwner(ids []int64) (owned []OwnedIDs, unknown []int64) {
 	if m.owners == nil {
 		return nil, ids
 	}
-	owned = map[string][]int64{}
-	for _, id := range ids {
-		if t, ok := m.owners.Lookup(id); ok {
-			owned[t] = append(owned[t], id)
-		} else {
-			unknown = append(unknown, id)
-		}
-	}
-	return owned, unknown
-}
-
-// OwnerRanges returns the routing index's range count (0 when the mapping
-// has no owner index) — exposed for tests and diagnostics.
-func (m *Mapping) OwnerRanges() int {
-	if m.owners == nil {
-		return 0
-	}
-	return m.owners.Len()
+	return m.owners.group(ids)
 }

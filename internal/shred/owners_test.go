@@ -2,6 +2,7 @@ package shred
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,88 +13,145 @@ import (
 )
 
 func TestOwnerIndexAscendingCoalesces(t *testing.T) {
-	ix := &OwnerIndex{}
+	ix := &ownerIndex{}
 	// Shredding order: a run of "a" ids, one "b" id, more "a" ids.
 	for id := int64(1); id <= 5; id++ {
-		ix.Record(id, "a")
+		ix.record(id, "a")
 	}
-	ix.Record(6, "b")
-	ix.Record(7, "a")
-	ix.Record(8, "a")
-	if got := ix.Len(); got != 3 {
-		t.Errorf("Len() = %d, want 3 ranges", got)
-	}
+	ix.record(6, "b")
+	ix.record(7, "a")
+	ix.record(8, "a")
 	for id, want := range map[int64]string{1: "a", 5: "a", 6: "b", 7: "a", 8: "a"} {
-		if got, ok := ix.Lookup(id); !ok || got != want {
-			t.Errorf("Lookup(%d) = %q, %v; want %q", id, got, ok, want)
+		if got, ok := ix.lookup(id); !ok || got != want {
+			t.Errorf("lookup(%d) = %q, %v; want %q", id, got, ok, want)
 		}
 	}
-	if _, ok := ix.Lookup(9); ok {
-		t.Error("Lookup(9) should miss")
+	if _, ok := ix.lookup(9); ok {
+		t.Error("lookup(9) should miss")
 	}
-	if _, ok := ix.Lookup(0); ok {
-		t.Error("Lookup(0) should miss")
+	if _, ok := ix.lookup(0); ok {
+		t.Error("lookup(0) should miss")
+	}
+	if !slices.Equal(ix.tables, []string{"a", "b"}) {
+		t.Errorf("tables = %v, want each name once", ix.tables)
 	}
 }
 
 func TestOwnerIndexForgetSplitsAndRemoves(t *testing.T) {
-	ix := &OwnerIndex{}
+	ix := &ownerIndex{}
 	for id := int64(1); id <= 9; id++ {
-		ix.Record(id, "a")
+		ix.record(id, "a")
 	}
-	ix.Forget(5) // interior: split
-	if _, ok := ix.Lookup(5); ok {
-		t.Error("Lookup(5) after Forget should miss")
+	ix.forget(5) // interior
+	if _, ok := ix.lookup(5); ok {
+		t.Error("lookup(5) after forget should miss")
 	}
 	for _, id := range []int64{1, 4, 6, 9} {
-		if got, ok := ix.Lookup(id); !ok || got != "a" {
-			t.Errorf("Lookup(%d) = %q, %v after split", id, got, ok)
+		if got, ok := ix.lookup(id); !ok || got != "a" {
+			t.Errorf("lookup(%d) = %q, %v after forget(5)", id, got, ok)
 		}
 	}
-	if got := ix.Len(); got != 2 {
-		t.Errorf("Len() after split = %d, want 2", got)
+	ix.forget(1) // first id
+	ix.forget(4)
+	if _, ok := ix.lookup(1); ok {
+		t.Error("lookup(1) should miss")
 	}
-	ix.Forget(1) // range head
-	ix.Forget(4) // range tail
-	if _, ok := ix.Lookup(1); ok {
-		t.Error("Lookup(1) should miss")
-	}
-	if _, ok := ix.Lookup(4); ok {
-		t.Error("Lookup(4) should miss")
+	if _, ok := ix.lookup(4); ok {
+		t.Error("lookup(4) should miss")
 	}
 	for _, id := range []int64{2, 3} {
-		if _, ok := ix.Lookup(id); !ok {
-			t.Errorf("Lookup(%d) should still hit", id)
+		if _, ok := ix.lookup(id); !ok {
+			t.Errorf("lookup(%d) should still hit", id)
 		}
 	}
-	ix.Forget(2)
-	ix.Forget(3) // empties the first range entirely
-	if got, ok := ix.Lookup(7); !ok || got != "a" {
-		t.Errorf("Lookup(7) = %q, %v", got, ok)
+	ix.forget(2, 3)
+	if got, ok := ix.lookup(7); !ok || got != "a" {
+		t.Errorf("lookup(7) = %q, %v", got, ok)
 	}
-	ix.Forget(100) // unknown id: no-op
+	ix.forget(100, -1) // unknown ids: no-op
 }
 
 func TestOwnerIndexRerecordOverwrites(t *testing.T) {
-	ix := &OwnerIndex{}
+	ix := &ownerIndex{}
 	for id := int64(1); id <= 4; id++ {
-		ix.Record(id, "a")
+		ix.record(id, "a")
 	}
 	// A mapping reused across documents re-records ids; the newest table
 	// must win.
-	ix.Record(2, "b")
-	if got, _ := ix.Lookup(2); got != "b" {
-		t.Errorf("Lookup(2) = %q, want b (overwrite)", got)
+	ix.record(2, "b")
+	if got, _ := ix.lookup(2); got != "b" {
+		t.Errorf("lookup(2) = %q, want b (overwrite)", got)
 	}
 	for _, id := range []int64{1, 3, 4} {
-		if got, _ := ix.Lookup(id); got != "a" {
-			t.Errorf("Lookup(%d) = %q, want a", id, got)
+		if got, _ := ix.lookup(id); got != "a" {
+			t.Errorf("lookup(%d) = %q, want a", id, got)
 		}
 	}
-	// Re-recording with the same table coalesces back into one range.
-	ix.Record(2, "a")
-	if got := ix.Len(); got != 1 {
-		t.Errorf("Len() after re-coalesce = %d, want 1", got)
+	owned, unknown := ix.group([]int64{1, 2, 3, 4})
+	want := []OwnedIDs{{Table: "a", IDs: []int64{1, 3, 4}}, {Table: "b", IDs: []int64{2}}}
+	if !reflect.DeepEqual(owned, want) || len(unknown) != 0 {
+		t.Errorf("group = %v, %v; want %v and no unknown", owned, unknown, want)
+	}
+	ix.record(2, "a")
+	if got, _ := ix.lookup(2); got != "a" {
+		t.Errorf("lookup(2) = %q, want a after re-recording", got)
+	}
+}
+
+// TestOwnerIndexFarIDStaysUnknown: an id far past the slot table's end
+// (one set by hand on a built document) neither grows the table nor
+// routes; GroupByOwner hands it back as unknown for the every-table
+// fallback.
+func TestOwnerIndexFarIDStaysUnknown(t *testing.T) {
+	ix := &ownerIndex{}
+	for id := int64(1); id <= 3; id++ {
+		ix.record(id, "b")
+	}
+	before := len(ix.slots)
+	const far = int64(1) << 40
+	ix.record(far, "a")
+	if len(ix.slots) != before {
+		t.Errorf("recording id 1<<40 grew the table from %d to %d slots", before, len(ix.slots))
+	}
+	if got, ok := ix.lookup(far); ok {
+		t.Errorf("lookup(1<<40) = %q, want unknown", got)
+	}
+	ix.record(-3, "a")
+	if _, ok := ix.lookup(-3); ok {
+		t.Error("lookup(-3) should miss")
+	}
+	ix.forget(far)
+	owned, unknown := ix.group([]int64{1, far, 2, -5})
+	want := []OwnedIDs{{Table: "b", IDs: []int64{1, 2}}}
+	if !reflect.DeepEqual(owned, want) || !slices.Equal(unknown, []int64{far, -5}) {
+		t.Errorf("group = %v, %v; want %v and [1<<40 -5] unknown", owned, unknown, want)
+	}
+	// An id just past the end grows the table: ids arrive densely.
+	ix.record(int64(before)+10, "a")
+	if got, ok := ix.lookup(int64(before) + 10); !ok || got != "a" {
+		t.Errorf("lookup(%d) = %q, %v; want a", before+10, got, ok)
+	}
+}
+
+// TestGroupByOwnerTableOrder: groups come in the mapping's declaration
+// order, each keeping its ids' order, whatever the order the ids arrive
+// in.
+func TestGroupByOwnerTableOrder(t *testing.T) {
+	m, err := BuildMapping(dtd.MustParse(`
+<!ELEMENT z (m*, a*)>
+<!ELEMENT m (#PCDATA)>
+<!ELEMENT a (#PCDATA)>
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, table := range map[int64]string{1: "z", 2: "m", 3: "a", 4: "m", 5: "a", 6: "z"} {
+		m.RecordOwner(id, table)
+	}
+	owned, unknown := m.GroupByOwner([]int64{6, 5, 4, 3, 2, 1, 7})
+	want := []OwnedIDs{{Table: "z", IDs: []int64{6, 1}}, {Table: "m", IDs: []int64{4, 2}}, {Table: "a", IDs: []int64{5, 3}}}
+	if !reflect.DeepEqual(owned, want) || !slices.Equal(unknown, []int64{7}) {
+		t.Errorf("GroupByOwner = %v, %v; want %v and [7]", owned, unknown, want)
 	}
 }
 
@@ -136,7 +194,7 @@ func TestMappingRecordsOwnersOnShred(t *testing.T) {
 	if len(unknown) != 0 {
 		t.Errorf("unknown ids = %v", unknown)
 	}
-	if !reflect.DeepEqual(owned, map[string][]int64{"c": ids}) {
+	if !reflect.DeepEqual(owned, []OwnedIDs{{Table: "c", IDs: ids}}) {
 		t.Errorf("GroupByOwner = %v", owned)
 	}
 }
@@ -151,9 +209,6 @@ func TestMappingWithoutOwnerIndexDegrades(t *testing.T) {
 	owned, unknown := m.GroupByOwner([]int64{1, 2})
 	if owned != nil || !reflect.DeepEqual(unknown, []int64{1, 2}) {
 		t.Errorf("GroupByOwner = %v, %v; want all unknown", owned, unknown)
-	}
-	if m.OwnerRanges() != 0 {
-		t.Errorf("OwnerRanges = %d", m.OwnerRanges())
 	}
 }
 

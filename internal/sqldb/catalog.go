@@ -212,7 +212,7 @@ func (t *Table) insertRow(vals []Value) (int, error) {
 	}
 	t.bump()
 	if t.pkCol >= 0 {
-		k := row[t.pkCol].key()
+		k := row[t.pkCol]
 		if _, exists := t.pkIndex.lookup(k); exists {
 			return 0, fmt.Errorf("sqldb: table %q: duplicate primary key %s", t.Name, row[t.pkCol])
 		}

@@ -862,55 +862,16 @@ func (db *Database) vectorTable(t *Table) *vecStore {
 	return vs
 }
 
-// vecPKInts returns an int64 → rid map over the live rows' primary keys,
-// rebuilt lazily under the table's index mutex when the version moves (the
-// same protocol as secondaryFor). nil when the pk column is not an int
-// vector. The bulk sign-update IN-lookups use it to skip the per-key
-// string formatting of Value.key.
-func (db *Database) vecPKInts(t *Table, vs *vecStore) map[int64]int {
-	c := &vs.cols[t.pkCol]
-	if c.kind != vInt {
-		return nil
-	}
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	if !vs.pkBuilt || vs.pkVer != t.version {
-		m := make(map[int64]int, vs.nlive)
-		for rid, dead := range vs.dead {
-			if !dead && !c.nulls[rid] {
-				m[c.ints[rid]] = rid
-			}
-		}
-		vs.pkCache = m
-		vs.pkVer = t.version
-		vs.pkBuilt = true
-	}
-	return vs.pkCache
-}
-
 // pkInLookup resolves an IN list through the primary-key index: every live
-// row it names, once, in IN-list order. On the vectorized path int keys
-// probe the typed pk cache directly, skipping Value.key's per-key string
-// allocation.
-func (db *Database) pkInLookup(t *Table, in []Value) []int {
-	var pkInts map[int64]int
-	if vs := db.vectorTable(t); vs != nil {
-		pkInts = db.vecPKInts(t, vs)
-	}
+// row it names, once, in IN-list order.
+func (t *Table) pkInLookup(in []Value) []int {
 	rids := make([]int, 0, len(in))
 	for _, v := range in {
 		cv, err := coerce(v, t.Columns[t.pkCol].Type)
 		if err != nil {
 			continue // untypable key matches nothing
 		}
-		var rid int
-		var ok bool
-		if pkInts != nil && cv.Kind == KindInt {
-			rid, ok = pkInts[cv.I]
-		} else {
-			rid, ok = t.pkIndex.lookup(cv.key())
-		}
-		if ok && t.store.live(rid) {
+		if rid, ok := t.pkIndex.lookup(cv); ok && t.store.live(rid) {
 			rids = append(rids, rid)
 		}
 	}
@@ -957,7 +918,7 @@ func (db *Database) baseScanPath(b *binding, alias int, preds []*planPred) (rids
 	// IN-list lookup via primary key index.
 	for _, pp := range local {
 		if pp.src.In != nil && t.pkCol == pp.leftCol && t.pkIndex != nil {
-			rids = db.pkInLookup(t, pp.src.In)
+			rids = t.pkInLookup(pp.src.In)
 			pp.applied = true
 			desc = fmt.Sprintf("pk index IN-lookup (%d keys)%s", len(pp.src.In), db.scanTag(t))
 			return db.filterRids(t, rids, local, pp), desc, len(pp.src.In), nil
@@ -972,7 +933,7 @@ func (db *Database) baseScanPath(b *binding, alias int, preds []*planPred) (rids
 				return nil, desc, 0, nil //nolint:nilerr // untypable key matches nothing
 			}
 			pp.applied = true
-			rid, ok := t.pkIndex.lookup(lit.key())
+			rid, ok := t.pkIndex.lookup(lit)
 			if ok && t.store.live(rid) {
 				rids = []int{rid}
 			}
@@ -1535,11 +1496,11 @@ func (db *Database) execUpdate(s *UpdateStmt) (*Result, error) {
 			old := t.store.get(rid, so.col)
 			if so.col == t.pkCol && t.pkIndex != nil {
 				if !old.Equal(so.val) {
-					if _, exists := t.pkIndex.lookup(so.val.key()); exists {
+					if _, exists := t.pkIndex.lookup(so.val); exists {
 						return nil, fmt.Errorf("sqldb: duplicate primary key %s", so.val)
 					}
-					t.pkIndex.remove(old.key())
-					t.pkIndex.insert(so.val.key(), rid)
+					t.pkIndex.remove(old)
+					t.pkIndex.insert(so.val, rid)
 				}
 			}
 			db.record(undoUpdate{table: s.Table, rid: rid, col: so.col, old: old})
@@ -1565,7 +1526,7 @@ func (db *Database) execDelete(s *DeleteStmt) (*Result, error) {
 			row[c] = t.store.get(rid, c)
 		}
 		if t.pkIndex != nil {
-			t.pkIndex.remove(row[t.pkCol].key())
+			t.pkIndex.remove(row[t.pkCol])
 		}
 		db.record(undoDelete{table: s.Table, rid: rid, row: row})
 		t.store.delete(rid)
@@ -1604,7 +1565,7 @@ func (db *Database) filterSingle(t *Table, where []Predicate) (rids []int, desc 
 	for _, pp := range preds {
 		if pp.src.In != nil && t.pkIndex != nil && pp.leftCol == t.pkCol {
 			desc = fmt.Sprintf("pk index IN-lookup (%d keys)%s", len(pp.src.In), db.scanTag(t))
-			rids = db.pkInLookup(t, pp.src.In)
+			rids = t.pkInLookup(pp.src.In)
 			kept := rids[:0]
 			for _, rid := range rids {
 				keep := true
@@ -1629,7 +1590,7 @@ func (db *Database) filterSingle(t *Table, where []Predicate) (rids []int, desc 
 			if cerr != nil {
 				return nil, desc, nil // untypable key matches nothing
 			}
-			rid, ok := t.pkIndex.lookup(lit.key())
+			rid, ok := t.pkIndex.lookup(lit)
 			if !ok || !t.store.live(rid) {
 				return nil, desc, nil
 			}

@@ -319,23 +319,13 @@ func refBaseScan(db *Database, b *refBinding, alias int, preds []*refPred) (rids
 	}
 	for _, pp := range local {
 		if pp.src.In != nil && t.pkCol == pp.leftCol && t.pkIndex != nil {
-			var pkInts map[int64]int
-			if vs := refVectorTable(db, t); vs != nil {
-				pkInts = db.vecPKInts(t, vs)
-			}
 			seen := map[int]bool{}
 			for _, v := range pp.src.In {
 				cv, err := coerce(v, t.Columns[t.pkCol].Type)
 				if err != nil {
 					continue
 				}
-				var rid int
-				var ok bool
-				if pkInts != nil && cv.Kind == KindInt {
-					rid, ok = pkInts[cv.I]
-				} else {
-					rid, ok = t.pkIndex.lookup(cv.key())
-				}
+				rid, ok := t.pkIndex.lookup(cv)
 				if ok && t.store.live(rid) && !seen[rid] {
 					seen[rid] = true
 					rids = append(rids, rid)
@@ -352,7 +342,7 @@ func refBaseScan(db *Database, b *refBinding, alias int, preds []*refPred) (rids
 				return nil
 			}
 			pp.applied = true
-			rid, ok := t.pkIndex.lookup(lit.key())
+			rid, ok := t.pkIndex.lookup(lit)
 			if ok && t.store.live(rid) {
 				rids = []int{rid}
 			}

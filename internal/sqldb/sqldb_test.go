@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -281,6 +282,58 @@ func TestDuplicatePrimaryKeyRejected(t *testing.T) {
 		setupPeople(t, db)
 		if _, err := db.Exec(`INSERT INTO people VALUES (1, 'dup', 1)`); err == nil {
 			t.Fatal("expected duplicate pk error")
+		}
+	})
+}
+
+// TestPrimaryKeyTextAndNullKeys: a text primary key and a NULL key go
+// through the index by value, with every lookup, the uniqueness check
+// (one NULL key per table), UPDATE, DELETE and rollback working as for
+// int keys, on every engine.
+func TestPrimaryKeyTextAndNullKeys(t *testing.T) {
+	both(t, func(t *testing.T, db *Database) {
+		mustExec(t, db, `CREATE TABLE k (name TEXT PRIMARY KEY, v INT)`)
+		mustExec(t, db, `INSERT INTO k VALUES ('a', 1), ('b', 2), ('7', 3), (NULL, 4)`)
+		for _, dup := range []string{`INSERT INTO k VALUES ('a', 9)`, `INSERT INTO k VALUES (NULL, 9)`, `INSERT INTO k VALUES (7, 9)`} {
+			if _, err := db.Exec(dup); err == nil {
+				t.Errorf("%s: expected duplicate pk error", dup)
+			}
+		}
+		ints := func(sql string) []int64 {
+			t.Helper()
+			var out []int64
+			for _, row := range mustExec(t, db, sql).Rows {
+				out = append(out, row[0].I)
+			}
+			return out
+		}
+		if got := ints(`SELECT v FROM k WHERE name IN ('b', 'zz', 'a', 'b', 7)`); !slices.Equal(got, []int64{2, 1, 3}) {
+			t.Errorf("IN lookup = %v, want [2 1 3] in IN-list order", got)
+		}
+		mustExec(t, db, `UPDATE k SET name = 'c' WHERE name = 'a'`)
+		if _, err := db.Exec(`UPDATE k SET name = 'b' WHERE name = 'c'`); err == nil {
+			t.Error("UPDATE onto an existing text key: expected duplicate pk error")
+		}
+		if got := ints(`SELECT v FROM k WHERE name = 'c'`); !slices.Equal(got, []int64{1}) {
+			t.Errorf("lookup after pk update = %v, want [1]", got)
+		}
+		if got := ints(`SELECT v FROM k WHERE name = 'a'`); len(got) != 0 {
+			t.Errorf("stale pk entry: %v", got)
+		}
+		mustExec(t, db, `BEGIN`)
+		mustExec(t, db, `DELETE FROM k WHERE name IN ('b', 'c')`)
+		mustExec(t, db, `INSERT INTO k VALUES ('b', 5)`)
+		mustExec(t, db, `ROLLBACK`)
+		if got := ints(`SELECT v FROM k WHERE name IN ('c', 'b')`); !slices.Equal(got, []int64{1, 2}) {
+			t.Errorf("after rollback = %v, want [1 2]", got)
+		}
+		mustExec(t, db, `CREATE TABLE n (id INT PRIMARY KEY, v INT)`)
+		mustExec(t, db, `INSERT INTO n VALUES (NULL, 1), (5, 2)`)
+		if _, err := db.Exec(`INSERT INTO n VALUES (NULL, 3)`); err == nil {
+			t.Error("second NULL in an INT key: expected duplicate pk error")
+		}
+		if got := ints(`SELECT v FROM n WHERE id IN ('5', 'x', 6)`); !slices.Equal(got, []int64{2}) {
+			t.Errorf("coerced IN lookup = %v, want [2]", got)
 		}
 	})
 }

@@ -167,18 +167,47 @@ func (s *colStore) scanColumn(col int, fn func(rid int, v Value) bool) {
 
 func (s *colStore) liveCount() int { return s.nlive }
 
-// hashIndex is an equality index from value keys to rids (unique).
+// hashIndex is the primary-key index: a unique map from a coerced key to
+// its rid. Int keys, which every shredded table's id is, go through ints
+// without formatting a string; NULL and text keys go through other, keyed
+// by the value itself.
 type hashIndex struct {
-	m map[string]int
+	ints  map[int64]int
+	other map[Value]int
 }
 
-func newHashIndex() *hashIndex { return &hashIndex{m: map[string]int{}} }
+func newHashIndex() *hashIndex { return &hashIndex{ints: map[int64]int{}, other: map[Value]int{}} }
 
-func (ix *hashIndex) insert(key string, rid int) { ix.m[key] = rid }
+// otherKey is a NULL or text key as the index stores it: every NULL is
+// one key, and a text key is its string alone.
+func otherKey(k Value) Value {
+	if k.Kind == KindNull {
+		return Null
+	}
+	return Value{Kind: KindText, S: k.S}
+}
 
-func (ix *hashIndex) lookup(key string) (int, bool) {
-	rid, ok := ix.m[key]
+func (ix *hashIndex) insert(k Value, rid int) {
+	if k.Kind == KindInt {
+		ix.ints[k.I] = rid
+		return
+	}
+	ix.other[otherKey(k)] = rid
+}
+
+func (ix *hashIndex) lookup(k Value) (int, bool) {
+	if k.Kind == KindInt {
+		rid, ok := ix.ints[k.I]
+		return rid, ok
+	}
+	rid, ok := ix.other[otherKey(k)]
 	return rid, ok
 }
 
-func (ix *hashIndex) remove(key string) { delete(ix.m, key) }
+func (ix *hashIndex) remove(k Value) {
+	if k.Kind == KindInt {
+		delete(ix.ints, k.I)
+	} else {
+		delete(ix.other, otherKey(k))
+	}
+}

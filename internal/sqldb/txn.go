@@ -45,7 +45,7 @@ func (u undoInsert) undo(db *Database) error {
 		return fmt.Errorf("sqldb: rollback: table %q vanished", u.table)
 	}
 	if t.pkIndex != nil {
-		t.pkIndex.remove(t.store.get(u.rid, t.pkCol).key())
+		t.pkIndex.remove(t.store.get(u.rid, t.pkCol))
 	}
 	t.store.delete(u.rid)
 	t.bump()
@@ -68,8 +68,8 @@ func (u undoUpdate) undo(db *Database) error {
 	if u.col == t.pkCol && t.pkIndex != nil {
 		cur := t.store.get(u.rid, u.col)
 		if !cur.Equal(u.old) {
-			t.pkIndex.remove(cur.key())
-			t.pkIndex.insert(u.old.key(), u.rid)
+			t.pkIndex.remove(cur)
+			t.pkIndex.insert(u.old, u.rid)
 		}
 	}
 	t.store.set(u.rid, u.col, u.old)
@@ -91,7 +91,7 @@ func (u undoDelete) undo(db *Database) error {
 	}
 	t.store.restore(u.rid, u.row)
 	if t.pkIndex != nil {
-		t.pkIndex.insert(u.row[t.pkCol].key(), u.rid)
+		t.pkIndex.insert(u.row[t.pkCol], u.rid)
 	}
 	t.bump()
 	return nil

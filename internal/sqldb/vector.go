@@ -160,14 +160,6 @@ type vecStore struct {
 	cols  []vcol
 	dead  []bool
 	nlive int
-
-	// pkCache maps the int primary-key value of every live row to its rid.
-	// Like the secondary indexes it rebuilds lazily when the table version
-	// moves; Database.vecPKInts owns the protocol (built and read under the
-	// table's index mutex).
-	pkCache map[int64]int
-	pkVer   uint64
-	pkBuilt bool
 }
 
 func newVecStore(cols []Column) *vecStore {

@@ -157,14 +157,14 @@ func (e *relationalEngine) writeSigns(ids map[int64]bool, sign xmltree.Sign) (in
 	if len(ids) == 0 {
 		return 0, nil
 	}
-	tables, owned, err := e.routeIDs(ids)
+	owned, err := e.routeIDs(ids)
 	if err != nil {
 		return 0, err
 	}
 	signLit := "'" + sign.String() + "'"
-	counts := make([]int, len(tables))
-	err = e.pl.ForEach(len(tables), func(i int) error {
-		n, err := e.bulkUpdateSigns(tables[i], signLit, owned[tables[i]])
+	counts := make([]int, len(owned))
+	err = e.pl.ForEach(len(owned), func(i int) error {
+		n, err := e.bulkUpdateSigns(owned[i].Table, signLit, owned[i].IDs)
 		counts[i] = n
 		return err
 	})
@@ -176,10 +176,10 @@ func (e *relationalEngine) writeSigns(ids map[int64]bool, sign xmltree.Sign) (in
 	return total, err
 }
 
-// routeIDs groups ids by their owning table, ascending within a table,
-// and lists those tables in order, so the statement sequence is stable.
-// Ids the owner index does not know are found by scanning every table.
-func (e *relationalEngine) routeIDs(set map[int64]bool) ([]string, map[string][]int64, error) {
+// routeIDs groups ids by their owning table, tables in the mapping's
+// order, so the statement sequence is stable. When the owner index does
+// not know every id, all of them are routed by scanning every table.
+func (e *relationalEngine) routeIDs(set map[int64]bool) ([]shred.OwnedIDs, error) {
 	ids := make([]int64, 0, len(set))
 	for id := range set {
 		ids = append(ids, id)
@@ -187,19 +187,9 @@ func (e *relationalEngine) routeIDs(set map[int64]bool) ([]string, map[string][]
 	slices.Sort(ids)
 	owned, unknown := e.m.GroupByOwner(ids)
 	if len(unknown) > 0 {
-		if owned == nil {
-			owned = map[string][]int64{}
-		}
-		if err := e.scanOwners(unknown, owned); err != nil {
-			return nil, nil, err
-		}
+		return e.scanOwners(ids)
 	}
-	tables := make([]string, 0, len(owned))
-	for t := range owned {
-		tables = append(tables, t)
-	}
-	slices.Sort(tables)
-	return tables, owned, nil
+	return owned, nil
 }
 
 // bulkUpdateSigns sets one table's sign column for the given ids with
@@ -250,31 +240,31 @@ func (e *relationalEngine) EvalScope(x *SetExpr) (map[int64]bool, error) {
 // ApplySignsWithin rewrites signs inside the affected set only,
 // following the two-phase discipline of Figure 6: per owning table, split
 // the affected ids by target sign and write them as bulk batches. The
-// owner index routes each id to its table; ids it does not know
-// (databases populated outside the shredder) are found by scanning every
-// table's ids.
+// owner index routes each id to its table; when it does not know them all
+// (databases populated outside the shredder), every table's ids are
+// scanned instead.
 func (e *relationalEngine) ApplySignsWithin(affected, update map[int64]bool, sign, def xmltree.Sign) (updated, reset int, err error) {
-	tables, owned, err := e.routeIDs(affected)
+	owned, err := e.routeIDs(affected)
 	if err != nil {
 		return 0, 0, err
 	}
 	signLit := "'" + sign.String() + "'"
 	defLit := "'" + def.String() + "'"
-	for _, t := range tables {
+	for _, o := range owned {
 		var toSign, toDefault []int64
-		for _, id := range owned[t] {
+		for _, id := range o.IDs {
 			if update[id] {
 				toSign = append(toSign, id)
 			} else {
 				toDefault = append(toDefault, id)
 			}
 		}
-		n, err := e.bulkUpdateSigns(t, signLit, toSign)
+		n, err := e.bulkUpdateSigns(o.Table, signLit, toSign)
 		updated += n
 		if err != nil {
 			return updated, reset, err
 		}
-		n, err = e.bulkUpdateSigns(t, defLit, toDefault)
+		n, err = e.bulkUpdateSigns(o.Table, defLit, toDefault)
 		reset += n
 		if err != nil {
 			return updated, reset, err
@@ -284,26 +274,31 @@ func (e *relationalEngine) ApplySignsWithin(affected, update map[int64]bool, sig
 	return updated, reset, nil
 }
 
-// scanOwners adds each of ids to its owning table's list in owned by
-// scanning every table's ids — the reference routing, for ids the owner
-// index does not know.
-func (e *relationalEngine) scanOwners(ids []int64, owned map[string][]int64) error {
+// scanOwners groups ids by owning table, in the mapping's order, by
+// scanning every table's ids — the reference routing, for when the owner
+// index does not know them all.
+func (e *relationalEngine) scanOwners(ids []int64) ([]shred.OwnedIDs, error) {
 	want := make(map[int64]bool, len(ids))
 	for _, id := range ids {
 		want[id] = true
 	}
+	var owned []shred.OwnedIDs
 	for _, ti := range e.m.Tables() {
 		res, err := e.db.Exec("SELECT id FROM " + ti.Table)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		var mine []int64
 		for _, row := range res.Rows {
 			if want[row[0].I] {
-				owned[ti.Table] = append(owned[ti.Table], row[0].I)
+				mine = append(mine, row[0].I)
 			}
 		}
+		if len(mine) > 0 {
+			owned = append(owned, shred.OwnedIDs{Table: ti.Table, IDs: mine})
+		}
 	}
-	return nil
+	return owned, nil
 }
 
 // Request evaluates a query against the annotated store: RawQuery's
@@ -322,21 +317,43 @@ func (e *relationalEngine) Request(ctx context.Context, q *xpath.Path) (*Request
 	}
 	sp := obs.Start(obs.FromContext(ctx), "check-access")
 	defer sp.Finish()
-	var accessible map[int64]bool
+	var granted []int64
 	if e.pushdown {
 		sp.SetAttr("mode", "pushdown")
 		var signedSQL string
 		if signedSQL, err = shred.TranslateAccessible(e.m, q); err == nil {
-			accessible, err = e.queryIDs(signedSQL)
+			var signed *sqldb.Result
+			if signed, err = e.execIDQuery(signedSQL); err == nil {
+				granted = ascendingIDs(signed)
+			}
 		}
 	} else {
 		sp.SetAttr("mode", "routed")
-		accessible, err = e.probeSigns(res.IDs)
+		granted, err = e.probeSigns(res.IDs)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return CheckMatches(sp, res, func(id int64, _ *xmltree.Node) bool { return accessible[id] })
+	// One merge pass: CheckMatches walks the ascending matches in order,
+	// so a cursor over the ascending granted ids decides each in turn.
+	j := 0
+	return CheckMatches(sp, res, func(id int64, _ *xmltree.Node) bool {
+		for j < len(granted) && granted[j] < id {
+			j++
+		}
+		return j < len(granted) && granted[j] == id
+	})
+}
+
+// ascendingIDs returns the distinct ids of an id query's rows, ascending:
+// sort, then compact, with no set.
+func ascendingIDs(res *sqldb.Result) []int64 {
+	ids := make([]int64, len(res.Rows))
+	for i, row := range res.Rows {
+		ids[i] = row[0].I
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // RawQuery evaluates a query against the shredded tables with no sign
@@ -355,13 +372,7 @@ func (e *relationalEngine) RawQuery(ctx context.Context, q *xpath.Path) (*Reques
 	res, err := e.execIDQuery(sqlText)
 	var ids []int64
 	if err == nil {
-		// Sort, then compact: the ascending distinct ids, with no set.
-		ids = make([]int64, len(res.Rows))
-		for i, row := range res.Rows {
-			ids[i] = row[0].I
-		}
-		slices.Sort(ids)
-		ids = slices.Compact(ids)
+		ids = ascendingIDs(res)
 	}
 	sp.SetAttr("matched", len(ids)).Finish()
 	if err != nil {
@@ -370,41 +381,38 @@ func (e *relationalEngine) RawQuery(ctx context.Context, q *xpath.Path) (*Reques
 	return &RequestResult{IDs: ids, Checked: len(ids)}, nil
 }
 
-// probeSigns probes each id's owning table only, falling back to
-// probing every table for the ids the owner index does not know
+// probeSigns returns the accessible ones of ids, which ascend and are
+// distinct, ascending. It probes each id's owning table only, falling
+// back to probing every table for the ids the owner index does not know
 // (databases populated outside the shredder); a table's probes are
 // batched IN lists resolved through the primary-key index.
-func (e *relationalEngine) probeSigns(idList []int64) (map[int64]bool, error) {
-	owned, unknown := e.m.GroupByOwner(idList)
-	accessible := map[int64]bool{}
-	// Deterministic table order keeps the probe sequence stable.
-	tables := make([]string, 0, len(owned))
-	for t := range owned {
-		tables = append(tables, t)
-	}
-	slices.Sort(tables)
-	for _, t := range tables {
-		if err := e.probeSignsTable(t, owned[t], accessible); err != nil {
+func (e *relationalEngine) probeSigns(ids []int64) ([]int64, error) {
+	owned, unknown := e.m.GroupByOwner(ids)
+	granted := make([]int64, 0, len(ids))
+	for _, o := range owned {
+		if err := e.probeSignsTable(o.Table, o.IDs, &granted); err != nil {
 			return nil, err
 		}
 	}
 	if len(unknown) > 0 {
 		for _, ti := range e.m.Tables() {
-			if err := e.probeSignsTable(ti.Table, unknown, accessible); err != nil {
+			if err := e.probeSignsTable(ti.Table, unknown, &granted); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return accessible, nil
+	// Each table's answers ascend, and tables answer in turn.
+	slices.Sort(granted)
+	return granted, nil
 }
 
-// probeSignsTable issues the batched sign probes for one table, adding the
-// accessible ids to the shared set.
-func (e *relationalEngine) probeSignsTable(table string, idList []int64, accessible map[int64]bool) error {
-	return e.execBatches("SELECT id FROM "+table+" WHERE "+shred.SignColumn+" = '+' AND id IN (?)", idList,
+// probeSignsTable issues the batched sign probes for one table, appending
+// the accessible ids to granted in IN-list order.
+func (e *relationalEngine) probeSignsTable(table string, ids []int64, granted *[]int64) error {
+	return e.execBatches("SELECT id FROM "+table+" WHERE "+shred.SignColumn+" = '+' AND id IN (?)", ids,
 		func(res *sqldb.Result) {
 			for _, row := range res.Rows {
-				accessible[row[0].I] = true
+				*granted = append(*granted, row[0].I)
 			}
 		})
 }

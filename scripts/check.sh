@@ -88,10 +88,13 @@ go test -run 'TestQuickContainmentSound|TestContainsMatchesReferenceOnPolicies|F
 # FuzzExec's seed corpus, which holds one-pass UNION chains to the
 # pairwise fold, the SELECT executor against its frozen reference on
 # every access path and engine, and the allocation bound (a SELECT's
-# allocations do not grow with its rows). `go test ./...` above runs
+# allocations do not grow with its rows); the sign check against RawQuery
+# decided by a full s = '+' scan, on every relational engine and in three
+# owner-index states, its allocation bound (per 256-id probe batch, not
+# per matched id) and the dense owner index. `go test ./...` above runs
 # them; this standalone form is what CI's columnar-equivalence job calls,
 # and the timed FuzzExec run stays in CI only.
-go test -run 'TestTranslateMatchesReference|TestTranslateOnGenerated|TestExplain|TestDifferentialEngines|FuzzExec|TestSelectMatchesReference|TestQuickJoinMatchesReference|TestSelectAllocsPerJoinStep' ./internal/shred ./internal/sqldb
+go test -run 'TestTranslateMatchesReference|TestTranslateOnGenerated|TestExplain|TestDifferentialEngines|FuzzExec|TestSelectMatchesReference|TestQuickJoinMatchesReference|TestSelectAllocsPerJoinStep|TestSignCheckMatchesAccessibleIDs|TestSignCheckAllocsPerBatch|TestOwnerIndex' . ./internal/core ./internal/shred ./internal/sqldb
 
 # Differential fuzzing: replay generated statement scripts against the row,
 # column and vectorized engines and require identical results and errors;

@@ -6,9 +6,13 @@ package xmlac_test
 // exact error text, returned ids and Checked — to the reference, a
 // default system whose owner index was emptied so that every sign probe
 // falls back to probing every table, on both documents and under all four
-// policy semantics.
+// policy semantics. That reference runs the same probe code as the system
+// under test, so TestSignCheckMatchesAccessibleIDs also holds the check to
+// one that shares none of it: RawQuery's matches decided against a full
+// s = '+' scan of every table.
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -172,5 +176,125 @@ func TestOptimizedRequestPathsMatchReference(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// ownerStates are the owner-index states the sign check must be right in:
+// as the shredder left it, emptied (every probe takes the every-table
+// fallback), and with every other element id forgotten (both routes in
+// one request).
+var ownerStates = []struct {
+	name   string
+	forget func(i int) bool // forget the i-th element in document order
+}{
+	{"full", func(int) bool { return false }},
+	{"emptied", func(int) bool { return true }},
+	{"alternate", func(i int) bool { return i%2 == 1 }},
+}
+
+// signCheckReference decides q as the relational sign check must, from
+// code the check does not run: RawQuery's matches against AccessibleIDs(),
+// a full s = '+' scan of every table. A denial names the smallest
+// inaccessible match.
+func signCheckReference(t *testing.T, eng store.Engine, accessible map[int64]bool, q *xmlac.Path) requestOutcome {
+	t.Helper()
+	raw, err := eng.RawQuery(context.Background(), q)
+	if err != nil {
+		t.Fatalf("RawQuery(%s): %v", q, err)
+	}
+	for _, id := range raw.IDs {
+		if !accessible[id] {
+			return requestOutcome{errText: (&store.DeniedError{ID: id}).Error()}
+		}
+	}
+	return requestOutcome{granted: true, ids: raw.IDs, checked: raw.Checked}
+}
+
+// TestSignCheckMatchesAccessibleIDs holds every relational engine's
+// Request to signCheckReference: the 55 benchmark queries on XMark
+// f = 0.002 under c3, and the hospital queries under all four Table 2
+// semantics, after load, after an insert and after a delete, in each of
+// ownerStates.
+func TestSignCheckMatchesAccessibleIDs(t *testing.T) {
+	type workload struct {
+		name              string
+		fx                requestFixture
+		def, conflict     xmlac.Effect
+		parent, tmplLabel string // insert a copy of the first tmplLabel under every parent
+		del               string
+	}
+	var workloads []workload
+	for _, fx := range requestFixtures() {
+		if fx.name != "hospital" {
+			continue
+		}
+		for _, sem := range semantics {
+			workloads = append(workloads, workload{fx.name + "/" + sem.name, fx, sem.def, sem.conflict,
+				"//patients", "patient", "//patient/treatment"})
+		}
+	}
+	c3 := bench.MidPolicy()
+	workloads = append(workloads, workload{"xmark/c3", requestFixture{
+		schema:  xmlac.XMarkSchema(),
+		gen:     func() *xmlac.Document { return xmlac.GenerateXMark(xmark.Options{Factor: 0.002, Seed: 1}) },
+		base:    c3,
+		queries: bench.Queries(),
+	}, c3.Default, c3.Conflict, "//open_auction", "bidder", "//bidder"})
+
+	granted, denied := 0, 0
+	for _, w := range workloads {
+		for _, b := range []xmlac.Backend{xmlac.BackendColumn, xmlac.BackendRow, xmlac.BackendVector} {
+			for _, st := range ownerStates {
+				t.Run(w.name+"/"+b.String()+"/"+st.name, func(t *testing.T) {
+					sys := buildRequestSystem(t, w.fx, w.def, w.conflict, b)
+					eng := sys.Engine()
+					check := func(stage string) {
+						t.Helper()
+						var forget []int64
+						for i, n := range sys.Document().Elements() {
+							if st.forget(i) {
+								forget = append(forget, n.ID)
+							}
+						}
+						eng.(store.Relational).Mapping().ForgetOwner(forget...)
+						accessible, err := eng.AccessibleIDs()
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, q := range w.fx.queries {
+							want := signCheckReference(t, eng, accessible, q)
+							got := requestOutcome{}
+							if res, err := eng.Request(context.Background(), q); err != nil {
+								got.errText = err.Error()
+							} else {
+								got = requestOutcome{granted: true, ids: res.IDs, checked: res.Checked}
+							}
+							if !got.equal(want) {
+								t.Errorf("%s: query %s: got %+v, want %+v", stage, q, got, want)
+							}
+							if want.granted {
+								granted++
+							} else {
+								denied++
+							}
+						}
+					}
+					check("load")
+					doc := sys.Document()
+					tmpl := doc.ElementsByLabel(w.tmplLabel)[0]
+					if _, err := sys.InsertAndReannotate(xmlac.MustParseXPath(w.parent), tmpl); err != nil {
+						t.Fatal(err)
+					}
+					check("insert")
+					if _, err := sys.DeleteAndReannotate(xmlac.MustParseXPath(w.del)); err != nil {
+						t.Fatal(err)
+					}
+					check("delete")
+				})
+			}
+		}
+	}
+	if granted == 0 || denied == 0 {
+		t.Errorf("%d granted and %d denied requests; the workload must exercise both", granted, denied)
 	}
 }
