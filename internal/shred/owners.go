@@ -10,9 +10,10 @@ import "sync"
 // one slot per id holding the owning table's position plus one (0 for an
 // unknown id), and each table name once.
 
-// ownerSlack is how far past the slot table's end an id may land and still
-// grow it. An id further out (one set by hand on a built document, say)
-// stays unknown, and its probes take the every-table fallback.
+// ownerSlack bounds how far an id may grow the slot table: to at most
+// twice its length plus ownerSlack. An id further out (one set by hand on
+// a built document, say) stays unknown, and its probes take the
+// every-table fallback.
 const ownerSlack = 1 << 12
 
 // ownerIndex maps universal identifiers to their owning table. The zero
