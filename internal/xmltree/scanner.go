@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -36,20 +37,32 @@ type scanner struct {
 	pos int
 	// names interns element and attribute names: a document uses few
 	// distinct names but mentions them constantly, so interning removes the
-	// per-mention string allocation.
-	names map[string]string
+	// per-mention string allocation. It maps each name to its place in
+	// labels, so a start tag reaches its label's element list with the
+	// lookup it makes anyway.
+	names  map[string]int
+	labels []label
 }
 
-func (s *scanner) intern(b []byte) string {
-	if s.names == nil {
-		s.names = make(map[string]string, 64)
+// label is one interned name and the elements so named, in document
+// order: the parse's share of the document's label index.
+type label struct {
+	name     string
+	elements []*Node
+}
+
+// intern returns the place of name b in s.labels, adding it if new.
+func (s *scanner) intern(b []byte) int {
+	if i, ok := s.names[string(b)]; ok { // compiler avoids the alloc here
+		return i
 	}
-	if n, ok := s.names[string(b)]; ok { // compiler avoids the alloc here
-		return n
+	if s.names == nil {
+		s.names = make(map[string]int, 64)
 	}
 	n := string(b)
-	s.names[n] = n
-	return n
+	s.names[n] = len(s.labels)
+	s.labels = append(s.labels, label{name: n})
+	return len(s.labels) - 1
 }
 
 func (s *scanner) errf(format string, args ...any) error {
@@ -62,22 +75,48 @@ func (s *scanner) errf(format string, args ...any) error {
 	return fmt.Errorf("xmltree: parse: line %d: %s", line, fmt.Sprintf(format, args...))
 }
 
-// parseFast is the scanner entry point.
+// parseFast is the scanner entry point. It builds the tree itself rather
+// than through AddElement and AddText: each element takes its children as
+// one exactly sized slice when it closes, and the label index is set once
+// at the end from the interned names' element lists.
 func parseFast(data []byte) (*Document, error) {
 	s := &scanner{src: data}
 	var doc *Document
 	var cur *Node
+	// kids holds the children of the open elements, innermost last; each
+	// open element's children start at its entry in open.
+	var kids []*Node
+	var open []int
+	// A text run is almost always one piece of character data: run holds
+	// that piece as decoded, and text joins pieces only when a comment,
+	// PI or CDATA section splits the run, so one text node costs one copy.
+	var run string
 	var text strings.Builder
+	addText := func(piece string) {
+		switch {
+		case run == "" && text.Len() == 0:
+			run = piece
+		case text.Len() == 0:
+			text.WriteString(run)
+			text.WriteString(piece)
+			run = ""
+		default:
+			text.WriteString(piece)
+		}
+	}
 	flushText := func() {
-		if text.Len() == 0 {
+		t := run
+		if text.Len() > 0 {
+			t = text.String()
+			text.Reset()
+		}
+		run = ""
+		if t = strings.TrimSpace(t); t == "" || cur == nil {
 			return
 		}
-		t := strings.TrimSpace(text.String())
-		text.Reset()
-		if t == "" || cur == nil {
-			return
-		}
-		doc.AddText(cur, t)
+		n := &Node{ID: doc.allocID(), Kind: Text, Value: t, parent: cur}
+		doc.setID(n)
+		kids = append(kids, n)
 	}
 	for {
 		s.skipProlog(doc == nil && cur == nil)
@@ -88,15 +127,13 @@ func parseFast(data []byte) (*Document, error) {
 		if c != '<' {
 			// Character data.
 			start := s.pos
-			for s.pos < len(s.src) && s.src[s.pos] != '<' {
-				s.pos++
-			}
+			s.pos = indexByteFrom(s.src, s.pos, '<')
 			if cur != nil {
 				decoded, err := decodeEntities(s.src[start:s.pos])
 				if err != nil {
 					return nil, s.errf("%v", err)
 				}
-				text.WriteString(decoded)
+				addText(decoded)
 			} else if strings.TrimSpace(string(s.src[start:s.pos])) != "" {
 				return nil, s.errf("character data outside the root element")
 			}
@@ -123,7 +160,7 @@ func parseFast(data []byte) (*Document, error) {
 				if cur == nil {
 					return nil, s.errf("CDATA outside the root element")
 				}
-				text.Write(s.src[start:end])
+				addText(string(s.src[start:end]))
 				s.pos = end + 3
 				continue
 			}
@@ -143,7 +180,7 @@ func parseFast(data []byte) (*Document, error) {
 			// End tag.
 			flushText()
 			s.pos += 2
-			name, err := s.name()
+			name, err := s.nameBytes()
 			if err != nil {
 				return nil, err
 			}
@@ -155,36 +192,47 @@ func parseFast(data []byte) (*Document, error) {
 			if cur == nil {
 				return nil, s.errf("unbalanced end tag </%s>", name)
 			}
-			if cur.Label != name {
+			if cur.Label != string(name) {
 				return nil, s.errf("end tag </%s> does not match <%s>", name, cur.Label)
+			}
+			first := open[len(open)-1]
+			open = open[:len(open)-1]
+			if len(kids) > first {
+				cur.children = slices.Clone(kids[first:])
+				kids = kids[:first]
 			}
 			cur = cur.parent
 		default:
 			// Start tag.
 			flushText()
 			s.pos++
-			name, err := s.name()
+			li, err := s.name()
 			if err != nil {
 				return nil, err
 			}
+			name := s.labels[li].name
 			var n *Node
 			if doc == nil {
-				// Guess one node per 32 bytes of input (XMark text runs
-				// about one per 25) to spare the id index most rehashing.
+				// Guess one node per 32 bytes of input (XMark runs about
+				// one per 24) to spare the id index most regrowth.
 				doc = newDocument(name, len(s.src)/32)
 				n = doc.root
 			} else {
 				if cur == nil {
 					return nil, s.errf("multiple root elements (<%s>)", name)
 				}
-				n = doc.AddElement(cur, name)
+				n = &Node{ID: doc.allocID(), Kind: Element, Label: name, parent: cur}
+				doc.setID(n)
+				kids = append(kids, n)
 			}
+			s.labels[li].elements = append(s.labels[li].elements, n)
 			selfClose, err := s.attributes(n)
 			if err != nil {
 				return nil, err
 			}
 			if !selfClose {
 				cur = n
+				open = append(open, len(kids))
 			}
 		}
 	}
@@ -193,6 +241,12 @@ func parseFast(data []byte) (*Document, error) {
 	}
 	if cur != nil {
 		return nil, fmt.Errorf("xmltree: parse: unexpected end of input inside element %s", cur.Label)
+	}
+	doc.byLabel = make(map[string][]*Node, len(s.labels))
+	for _, l := range s.labels {
+		if len(l.elements) > 0 {
+			doc.byLabel[l.name] = l.elements
+		}
 	}
 	return doc, nil
 }
@@ -226,6 +280,15 @@ func (s *scanner) skipUntil(open, end string) error {
 	}
 	s.pos = i + len(end)
 	return nil
+}
+
+// indexByteFrom returns the position of the first c in src at or after
+// from, or len(src) when there is none.
+func indexByteFrom(src []byte, from int, c byte) int {
+	if i := bytes.IndexByte(src[from:], c); i >= 0 {
+		return from + i
+	}
+	return len(src)
 }
 
 // indexFrom finds sub in src at or after from without copying src[from:],
@@ -271,22 +334,36 @@ func (s *scanner) skipWS() {
 	}
 }
 
-func (s *scanner) name() (string, error) {
+// name scans a name and returns its place in s.labels.
+func (s *scanner) name() (int, error) {
+	b, err := s.nameBytes()
+	if err != nil {
+		return 0, err
+	}
+	return s.intern(b), nil
+}
+
+// nameEnd marks the bytes that end a name; '<' is an error there.
+var nameEnd = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, '>': true, '/': true, '=': true, '<': true}
+
+// nameBytes scans a name in place. An end tag's name is only compared
+// with its start tag's, so it is not interned.
+func (s *scanner) nameBytes() ([]byte, error) {
 	start := s.pos
 	for s.pos < len(s.src) {
 		c := s.src[s.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '>' || c == '/' || c == '=' {
+		if nameEnd[c] {
+			if c == '<' {
+				return nil, s.errf("'<' inside a name")
+			}
 			break
-		}
-		if c == '<' {
-			return "", s.errf("'<' inside a name")
 		}
 		s.pos++
 	}
 	if s.pos == start {
-		return "", s.errf("expected a name")
+		return nil, s.errf("expected a name")
 	}
-	return s.intern(s.src[start:s.pos]), nil
+	return s.src[start:s.pos], nil
 }
 
 // attributes parses the attribute list and tag close of a start tag; it
@@ -308,10 +385,11 @@ func (s *scanner) attributes(n *Node) (bool, error) {
 			}
 			return false, s.errf("stray '/' in start tag <%s", n.Label)
 		}
-		key, err := s.name()
+		ki, err := s.name()
 		if err != nil {
 			return false, err
 		}
+		key := s.labels[ki].name
 		s.skipWS()
 		if s.pos >= len(s.src) || s.src[s.pos] != '=' {
 			return false, s.errf("attribute %s missing '='", key)
@@ -324,9 +402,7 @@ func (s *scanner) attributes(n *Node) (bool, error) {
 		q := s.src[s.pos]
 		s.pos++
 		start := s.pos
-		for s.pos < len(s.src) && s.src[s.pos] != q {
-			s.pos++
-		}
+		s.pos = indexByteFrom(s.src, s.pos, q)
 		if s.pos >= len(s.src) {
 			return false, s.errf("unterminated attribute value for %s", key)
 		}
@@ -356,13 +432,7 @@ func (s *scanner) attributes(n *Node) (bool, error) {
 // decodeEntities expands the predefined entities and numeric character
 // references; the fast path (no '&') avoids allocation.
 func decodeEntities(b []byte) (string, error) {
-	amp := -1
-	for i, c := range b {
-		if c == '&' {
-			amp = i
-			break
-		}
-	}
+	amp := bytes.IndexByte(b, '&')
 	if amp < 0 {
 		return string(b), nil
 	}
@@ -428,11 +498,29 @@ func decodeEntities(b []byte) (string, error) {
 // formatting-preserving DOM). A sign attribute, if present, is decoded into
 // the node's Sign field.
 func Parse(r io.Reader) (*Document, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("xmltree: parse: %w", err)
 	}
 	return parseFast(data)
+}
+
+// readAll is io.ReadAll, except that an in-memory reader's content is
+// copied once at its exact size rather than through every doubling of a
+// growing buffer.
+func readAll(r io.Reader) ([]byte, error) {
+	var n int
+	switch r := r.(type) {
+	case *strings.Reader:
+		n = r.Len()
+	case *bytes.Reader:
+		n = r.Len()
+	default:
+		return io.ReadAll(r)
+	}
+	data := make([]byte, n)
+	_, err := io.ReadFull(r, data)
+	return data, err
 }
 
 // ParseString is Parse over an in-memory string.

@@ -190,16 +190,27 @@ func (n *Node) Path() string {
 // system needs: an id→node index, a per-label element index and the
 // universal-identifier counter used when new nodes are inserted.
 //
+// Ids are allocated densely from 1, so the id index is a slice: byID[id] is
+// the node with that id, nil for an id not in use. An id that SetNodeID
+// places far past the slice's end (more than twice its length plus
+// idSlack) goes to farIDs instead, so a hand-numbered document does not
+// grow the slice to its largest id.
+//
 // The label index is the per-tag node sequence of the paper's native store:
 // byLabel[l] holds every element labeled l, once, in ascending ID order.
 // Every update below keeps it current, so it is never rebuilt; readers that
 // share a document with a writer need the same exclusion the tree does.
 type Document struct {
 	root    *Node
-	byID    map[int64]*Node
+	byID    []*Node
+	farIDs  map[int64]*Node
+	size    int // nodes in byID and farIDs
 	byLabel map[string][]*Node
 	nextID  int64
 }
+
+// idSlack bounds how far past its end one id may grow the id slice.
+const idSlack = 1 << 12
 
 // NewDocument creates a document with a fresh root element of the given
 // label. The root receives id 1, matching the paper's Table 4 where the
@@ -207,9 +218,9 @@ type Document struct {
 func NewDocument(rootLabel string) *Document { return newDocument(rootLabel, 0) }
 
 // newDocument is NewDocument with the id index sized for about sizeHint
-// nodes, so a parse does not rehash it as the tree grows.
+// nodes, so a parse does not regrow it as the tree grows.
 func newDocument(rootLabel string, sizeHint int) *Document {
-	d := &Document{byID: make(map[int64]*Node, sizeHint), byLabel: make(map[string][]*Node), nextID: 1}
+	d := &Document{byID: make([]*Node, 1, sizeHint+2), byLabel: make(map[string][]*Node), nextID: 1}
 	d.root = &Node{ID: d.allocID(), Kind: Element, Label: rootLabel}
 	d.register(d.root)
 	return d
@@ -219,10 +230,49 @@ func newDocument(rootLabel string, sizeHint int) *Document {
 // above every id in use (allocID and SetNodeID keep nextID past them), so
 // appending keeps each label list in ID order.
 func (d *Document) register(n *Node) {
-	d.byID[n.ID] = n
+	d.setID(n)
 	if n.Kind == Element {
 		d.byLabel[n.Label] = append(d.byLabel[n.Label], n)
 	}
+}
+
+// node returns the node with the given id, or nil.
+func (d *Document) node(id int64) *Node {
+	if id >= 0 && id < int64(len(d.byID)) {
+		if n := d.byID[id]; n != nil {
+			return n
+		}
+	}
+	return d.farIDs[id]
+}
+
+// setID enters n into the id index under its id, which must be free.
+func (d *Document) setID(n *Node) {
+	switch l := int64(len(d.byID)); {
+	case n.ID == l:
+		d.byID = append(d.byID, n)
+	case n.ID >= 0 && n.ID < l:
+		d.byID[n.ID] = n
+	case n.ID > l && n.ID <= 2*l+idSlack:
+		d.byID = append(d.byID, make([]*Node, n.ID-l)...)
+		d.byID = append(d.byID, n)
+	default:
+		if d.farIDs == nil {
+			d.farIDs = make(map[int64]*Node)
+		}
+		d.farIDs[n.ID] = n
+	}
+	d.size++
+}
+
+// unsetID removes id, which must be in use, from the id index.
+func (d *Document) unsetID(id int64) {
+	if id >= 0 && id < int64(len(d.byID)) && d.byID[id] != nil {
+		d.byID[id] = nil
+	} else {
+		delete(d.farIDs, id)
+	}
+	d.size--
 }
 
 // searchID finds id in list, a label list in ascending ID order: the index
@@ -273,11 +323,11 @@ func (d *Document) Root() *Node { return d.root }
 
 // NodeByID returns the node with the given universal identifier, or nil if
 // no such node exists (e.g. it was deleted).
-func (d *Document) NodeByID(id int64) *Node { return d.byID[id] }
+func (d *Document) NodeByID(id int64) *Node { return d.node(id) }
 
 // Size returns the number of nodes currently in the document (elements and
 // text nodes).
-func (d *Document) Size() int { return len(d.byID) }
+func (d *Document) Size() int { return d.size }
 
 // ElementCount returns the number of element nodes in the document.
 func (d *Document) ElementCount() int {
@@ -308,7 +358,7 @@ func (d *Document) AddElement(parent *Node, label string) *Node {
 func (d *Document) AddText(parent *Node, value string) *Node {
 	n := &Node{ID: d.allocID(), Kind: Text, Value: value, parent: parent}
 	parent.children = append(parent.children, n)
-	d.byID[n.ID] = n
+	d.setID(n)
 	return n
 }
 
@@ -362,7 +412,7 @@ func (d *Document) Contains(n *Node) bool {
 	if n == nil {
 		return false
 	}
-	return d.byID[n.ID] == n
+	return d.node(n.ID) == n
 }
 
 // DeleteSubtree removes the subtree rooted at n from the document. Deleting
@@ -393,7 +443,7 @@ func (d *Document) DeleteSubtree(n *Node) error {
 	// id, then close each list's gaps at once.
 	gone := map[string][]int{}
 	n.walk(func(m *Node) bool {
-		delete(d.byID, m.ID)
+		d.unsetID(m.ID)
 		if m.Kind == Element {
 			if i, found := searchID(d.byLabel[m.Label], m.ID); found {
 				gone[m.Label] = append(gone[m.Label], i)
@@ -469,10 +519,10 @@ func (d *Document) SetNodeID(n *Node, id int64) error {
 	if id <= 0 {
 		return fmt.Errorf("xmltree: invalid node id %d", id)
 	}
-	if other, taken := d.byID[id]; taken && other != n {
+	if other := d.node(id); other != nil && other != n {
 		return fmt.Errorf("xmltree: node id %d is already in use", id)
 	}
-	delete(d.byID, n.ID)
+	d.unsetID(n.ID)
 	if n.Kind == Element {
 		// Move n to its sorted place: out at the old id, in at the new one.
 		list := d.byLabel[n.Label]
@@ -483,7 +533,7 @@ func (d *Document) SetNodeID(n *Node, id int64) error {
 		d.byLabel[n.Label] = slices.Insert(list, i, n)
 	}
 	n.ID = id
-	d.byID[id] = n
+	d.setID(n)
 	if id >= d.nextID {
 		d.nextID = id + 1
 	}
@@ -493,7 +543,7 @@ func (d *Document) SetNodeID(n *Node, id int64) error {
 // Clone produces a deep copy of the document, preserving node ids and signs.
 // The copy is fully independent of the original.
 func (d *Document) Clone() *Document {
-	out := &Document{byID: make(map[int64]*Node, len(d.byID)), nextID: d.nextID}
+	out := &Document{byID: make([]*Node, len(d.byID)), nextID: d.nextID}
 	var clone func(src *Node, parent *Node) *Node
 	clone = func(src *Node, parent *Node) *Node {
 		n := &Node{
@@ -510,7 +560,7 @@ func (d *Document) Clone() *Document {
 				n.Attrs[k] = v
 			}
 		}
-		out.byID[n.ID] = n
+		out.setID(n)
 		if parent != nil {
 			parent.children = append(parent.children, n)
 		}
@@ -526,7 +576,7 @@ func (d *Document) Clone() *Document {
 	for label, list := range d.byLabel {
 		cp := make([]*Node, len(list))
 		for i, m := range list {
-			cp[i] = out.byID[m.ID]
+			cp[i] = out.node(m.ID)
 		}
 		out.byLabel[label] = cp
 	}

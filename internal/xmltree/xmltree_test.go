@@ -382,3 +382,104 @@ func TestQuickDeleteShrinksSize(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// idIndexMatchesWalk checks the id index against a walk of the tree: every
+// node is found under its id and no other node is counted.
+func idIndexMatchesWalk(d *Document) bool {
+	n := 0
+	ok := true
+	d.Walk(func(m *Node) bool {
+		n++
+		ok = ok && d.NodeByID(m.ID) == m && d.Contains(m)
+		return true
+	})
+	return ok && d.Size() == n
+}
+
+// TestFarNodeIDStaysOutOfSlice: an id set far past the id slice's end is
+// found, moved, cloned and deleted like any other, without growing the
+// slice to it.
+func TestFarNodeIDStaysOutOfSlice(t *testing.T) {
+	d := NewDocument("a")
+	b := d.AddElement(d.Root(), "b")
+	d.AddText(b, "x")
+	slots := len(d.byID)
+	const far = int64(1) << 40
+	if err := d.SetNodeID(b, far); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.byID) != slots {
+		t.Fatalf("id slice grew from %d to %d slots", slots, len(d.byID))
+	}
+	if d.NodeByID(far) != b || d.NodeByID(2) != nil || !idIndexMatchesWalk(d) {
+		t.Fatalf("far id not indexed: NodeByID(far)=%v NodeByID(2)=%v size=%d", d.NodeByID(far), d.NodeByID(2), d.Size())
+	}
+	// Ids allocated after a far id continue past it.
+	c := d.AddElement(d.Root(), "c")
+	if c.ID != far+1 || d.NodeByID(far+1) != c {
+		t.Fatalf("next id = %d, want %d", c.ID, far+1)
+	}
+	// A far id moves back into the slice.
+	if err := d.SetNodeID(c, 2); err != nil {
+		t.Fatal(err)
+	}
+	if d.NodeByID(far+1) != nil || d.NodeByID(2) != c || !idIndexMatchesWalk(d) {
+		t.Fatalf("id 2 not indexed after a move from %d", far+1)
+	}
+	if err := d.SetNodeID(b, 2); err == nil {
+		t.Fatal("SetNodeID to an id in use succeeded")
+	}
+	cp := d.Clone()
+	if cp.NodeByID(far).Label != "b" || !idIndexMatchesWalk(cp) {
+		t.Fatal("clone lost the far id")
+	}
+	if err := d.DeleteSubtree(b); err != nil {
+		t.Fatal(err)
+	}
+	if d.NodeByID(far) != nil || !idIndexMatchesWalk(d) || d.Size() != 2 {
+		t.Fatalf("after deleting the far-id subtree: size %d", d.Size())
+	}
+	if !idIndexMatchesWalk(cp) || cp.Size() != 4 {
+		t.Fatal("deleting from the original changed the clone")
+	}
+}
+
+// TestQuickIDIndexMatchesWalk: under random id changes (near and far),
+// deletes, inserts and clones, and on a reparse, the id index finds every
+// node of the tree and counts nothing else.
+func TestQuickIDIndexMatchesWalk(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		d := randomDoc(r)
+		for step := 0; step < 8; step++ {
+			var nodes []*Node
+			d.Walk(func(n *Node) bool { nodes = append(nodes, n); return true })
+			switch r.Intn(4) {
+			case 0:
+				id := 1 + r.Int63n(int64(2*len(nodes)+2))
+				if r.Intn(2) == 0 {
+					id += 1 << 30
+				}
+				_ = d.SetNodeID(nodes[r.Intn(len(nodes))], id)
+			case 1:
+				if len(nodes) > 1 {
+					_ = d.DeleteSubtree(nodes[1+r.Intn(len(nodes)-1)])
+				}
+			case 2:
+				if p := nodes[r.Intn(len(nodes))]; p.Kind == Element {
+					_, _ = d.InsertSubtree(p, randomDoc(r).Root())
+				}
+			case 3:
+				d = d.Clone()
+			}
+			if !idIndexMatchesWalk(d) {
+				return false
+			}
+		}
+		re, err := ParseString(d.String())
+		return err == nil && idIndexMatchesWalk(re)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
