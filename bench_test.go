@@ -128,10 +128,6 @@ func benchLoadingRelational(b *testing.B, eng sqldb.Engine) {
 
 func BenchmarkFig9_LoadingMonetSQL(b *testing.B) { benchLoadingRelational(b, sqldb.EngineColumn) }
 
-func BenchmarkFig9_LoadingMonetCol(b *testing.B) {
-	benchLoadingRelational(b, sqldb.EngineColumnVector)
-}
-
 func BenchmarkFig9_LoadingPostgres(b *testing.B) { benchLoadingRelational(b, sqldb.EngineRow) }
 
 // ---- Figure 10: response ----
@@ -151,7 +147,6 @@ func benchResponse(b *testing.B, backend xmlac.Backend) {
 
 func BenchmarkFig10_ResponseXQuery(b *testing.B)   { benchResponse(b, xmlac.BackendNative) }
 func BenchmarkFig10_ResponseMonetSQL(b *testing.B) { benchResponse(b, xmlac.BackendColumn) }
-func BenchmarkFig10_ResponseMonetCol(b *testing.B) { benchResponse(b, xmlac.BackendVector) }
 func BenchmarkFig10_ResponsePostgres(b *testing.B) { benchResponse(b, xmlac.BackendRow) }
 
 // ---- Figure 10: request-path before/after (scripts/bench.sh) ----
@@ -168,8 +163,8 @@ func requestBenchFactor() float64 {
 
 // benchRequest measures the all-or-nothing request path over the 55-query
 // workload under one enforcement mode: signs checks the matches against
-// the signs in the store (routed probes, or the folded sign predicate on
-// monetcol), the engine's default read path; rewrite decides them against
+// the signs in the store (a second translation with the sign predicate
+// folded in), the engine's default read path; rewrite decides them against
 // the rewriting enforcer's decision set over the unannotated store, which
 // Annotate builds.
 func benchRequest(b *testing.B, backend xmlac.Backend, mode core.EnforceMode) {
@@ -206,7 +201,6 @@ func benchRequestPair(b *testing.B, backend xmlac.Backend) {
 }
 
 func BenchmarkFig10_RequestMonetSQL(b *testing.B) { benchRequestPair(b, xmlac.BackendColumn) }
-func BenchmarkFig10_RequestMonetCol(b *testing.B) { benchRequestPair(b, xmlac.BackendVector) }
 func BenchmarkFig10_RequestPostgres(b *testing.B) { benchRequestPair(b, xmlac.BackendRow) }
 
 // BenchmarkHotWrite_SignsVsRewrite measures the same read-after-write
@@ -372,7 +366,6 @@ func benchAnnotation(b *testing.B, backend xmlac.Backend) {
 
 func BenchmarkFig11_AnnotationXQuery(b *testing.B)   { benchAnnotation(b, xmlac.BackendNative) }
 func BenchmarkFig11_AnnotationMonetSQL(b *testing.B) { benchAnnotation(b, xmlac.BackendColumn) }
-func BenchmarkFig11_AnnotationMonetCol(b *testing.B) { benchAnnotation(b, xmlac.BackendVector) }
 func BenchmarkFig11_AnnotationPostgres(b *testing.B) { benchAnnotation(b, xmlac.BackendRow) }
 
 // ---- Figure 12: re-annotation vs full annotation ----
@@ -409,8 +402,6 @@ func BenchmarkFig12_ReannotXQuery(b *testing.B)   { benchReannotation(b, xmlac.B
 func BenchmarkFig12_FannotXQuery(b *testing.B)    { benchReannotation(b, xmlac.BackendNative, true) }
 func BenchmarkFig12_ReannotMonetSQL(b *testing.B) { benchReannotation(b, xmlac.BackendColumn, false) }
 func BenchmarkFig12_FannotMonetSQL(b *testing.B)  { benchReannotation(b, xmlac.BackendColumn, true) }
-func BenchmarkFig12_ReannotMonetCol(b *testing.B) { benchReannotation(b, xmlac.BackendVector, false) }
-func BenchmarkFig12_FannotMonetCol(b *testing.B)  { benchReannotation(b, xmlac.BackendVector, true) }
 func BenchmarkFig12_ReannotPostgres(b *testing.B) { benchReannotation(b, xmlac.BackendRow, false) }
 func BenchmarkFig12_FannotPostgres(b *testing.B)  { benchReannotation(b, xmlac.BackendRow, true) }
 

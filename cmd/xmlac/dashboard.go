@@ -202,9 +202,9 @@ func dashboardData(sys *xmlac.System, cat *xmlac.Catalog, mu *xmlac.MultiUser, o
 		})
 	}
 
-	// Vectorized-executor throughput: rows and batches the batch operators
-	// processed, per engine (zero rows means the row reference path served
-	// everything).
+	// Vectorized-executor throughput: rows and batches the column engine's
+	// batch operators processed, per engine (zero rows means the row store
+	// served everything).
 	for _, name := range sortedNames(snap.Counters) {
 		base, labels := parseLabels(name)
 		if base != "store_vector_rows_total" {
@@ -372,7 +372,7 @@ backend {{.Backend}}, semantics {{.Semantics}}
 {{if .Vector}}<table>
 <tr><th>engine</th><th class="num">rows</th><th class="num">batches</th></tr>
 {{range .Vector}}<tr><td>{{.Engine}}</td><td class="num">{{.Rows}}</td><td class="num">{{.Batches}}</td></tr>
-{{end}}</table>{{else}}<p class="muted">no vectorized operators ran (row reference path)</p>{{end}}
+{{end}}</table>{{else}}<p class="muted">no vectorized operators ran (row store only)</p>{{end}}
 
 {{if eq .Mode "catalog"}}<h2>Shard heat</h2>
 {{if .ShardHeat}}<table>

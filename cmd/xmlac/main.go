@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	xmlac [-dtd file] [-policy file] [-doc file] [-backend xquery|monetsql|monetcol|postgres]
+//	xmlac [-dtd file] [-policy file] [-doc file] [-backend xquery|monetsql|postgres]
 //	      [-trace] [-explain] [-slowquery dur] [-enforce auto|signs|rewrite]
 //	      [-audit file] [-audit-max-bytes n] [-audit-max-files n]
 //	      [-serve addr] [-slo spec] [-users list|demo] [-version] op...
@@ -66,7 +66,7 @@ func main() {
 		dtdFile    = flag.String("dtd", "", "DTD file (default: the bundled hospital schema)")
 		policyFile = flag.String("policy", "", "policy file (default: the bundled Table 1 policy)")
 		docFile    = flag.String("doc", "", "XML document file (default: the bundled Figure 2 document)")
-		backend    = flag.String("backend", "xquery", "backend: xquery, monetsql, monetcol or postgres")
+		backend    = flag.String("backend", "xquery", "backend: xquery, monetsql or postgres")
 		optimize   = flag.Bool("optimize", true, "run redundancy elimination on the policy")
 		trace      = flag.Bool("trace", false, "print a span tree for each operation to stderr")
 		explain    = flag.Bool("explain", false, "print the SQL plan before each query (relational backends)")

@@ -46,7 +46,8 @@
 //	GET /debug/pprof/   the Go runtime profiler
 //
 // Every route feeds a per-route http_request_seconds{route=...} histogram
-// in the registry, so the endpoint observes itself.
+// in the registry, so the endpoint observes itself. A q parameter longer
+// than maxQueryBytes is refused with 400 before it is parsed.
 package main
 
 import (
@@ -73,6 +74,21 @@ func (t teeSink) Emit(root *xmlac.Span) {
 	}
 }
 
+// maxQueryBytes bounds the q parameter of /request, /why and /plan. The
+// longest of the 55 benchmark queries is 38 bytes, while a long nested
+// query costs parse time before any access decision is made.
+const maxQueryBytes = 4 << 10
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// line and headers.
+const readHeaderTimeout = 10 * time.Second
+
+// listen serves h on addr until the listener fails.
+func listen(addr string, h http.Handler) error {
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	return srv.ListenAndServe()
+}
+
 // serve blocks on the ops endpoint over one system; it only returns on
 // listener failure. mu is the optional -users multi-user layer sharing the
 // same document.
@@ -82,13 +98,13 @@ func serve(addr string, sys *xmlac.System, mu *xmlac.MultiUser, obsy *xmlac.Obse
 		extra = " /multiuser"
 	}
 	fmt.Printf("serving on %s (/healthz /metrics /dashboard /audit /traces /coverage /forensics /alerts /stream /plan%s /request /why /debug/pprof/)\n", addr, extra)
-	return http.ListenAndServe(addr, newServeMux(sys, mu, obsy, reg, aud, col))
+	return listen(addr, newServeMux(sys, mu, obsy, reg, aud, col))
 }
 
 // serveCatalog blocks on the ops endpoint over a sharded catalog.
 func serveCatalog(addr string, cat *xmlac.Catalog, obsy *xmlac.Observatory, reg *xmlac.MetricsRegistry, aud *xmlac.AuditLog, col *xmlac.TraceCollector) error {
 	fmt.Printf("serving on %s (/healthz /metrics /dashboard /audit /traces /coverage /forensics /alerts /stream /catalog /request /why /debug/pprof/)\n", addr)
-	return http.ListenAndServe(addr, newCatalogMux(cat, obsy, reg, aud, col))
+	return listen(addr, newCatalogMux(cat, obsy, reg, aud, col))
 }
 
 func newServeMux(sys *xmlac.System, mu *xmlac.MultiUser, obsy *xmlac.Observatory, reg *xmlac.MetricsRegistry, aud *xmlac.AuditLog, col *xmlac.TraceCollector) *http.ServeMux {
@@ -306,9 +322,8 @@ func newOpsMux(sys *xmlac.System, cat *xmlac.Catalog, mu *xmlac.MultiUser, obsy 
 			}
 			out["accessible_set"] = sys.Rewriter().AccessExpr()
 			if s := r.URL.Query().Get("q"); s != "" {
-				q, err := xmlac.ParseXPath(s)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
+				q, ok := parseQuery(w, s)
+				if !ok {
 					return
 				}
 				out["query"] = q.String()
@@ -505,11 +520,21 @@ func parseSinceParam(w http.ResponseWriter, r *http.Request) (time.Time, bool) {
 }
 
 // parseQueryParam reads and parses the q= XPath parameter, writing the
-// HTTP error itself when absent or malformed.
+// HTTP error itself when absent, too long or malformed.
 func parseQueryParam(w http.ResponseWriter, r *http.Request) (*xmlac.Path, bool) {
 	s := r.URL.Query().Get("q")
 	if s == "" {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
+		return nil, false
+	}
+	return parseQuery(w, s)
+}
+
+// parseQuery parses a q value, writing a 400 itself when the value is
+// longer than maxQueryBytes, before the parser sees it, or malformed.
+func parseQuery(w http.ResponseWriter, s string) (*xmlac.Path, bool) {
+	if len(s) > maxQueryBytes {
+		http.Error(w, fmt.Sprintf("q parameter is %d bytes, longer than %d", len(s), maxQueryBytes), http.StatusBadRequest)
 		return nil, false
 	}
 	q, err := xmlac.ParseXPath(s)

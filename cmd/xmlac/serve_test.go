@@ -185,6 +185,42 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
+// TestServeRefusesLongQuery: /request, /why and /plan refuse a q longer
+// than maxQueryBytes with 400 before parsing it, so the refusal leaves no
+// audit event; a q of exactly maxQueryBytes is answered.
+func TestServeRefusesLongQuery(t *testing.T) {
+	srv := testMux(t)
+	auditTotal := func() uint64 {
+		var resp struct {
+			Total uint64 `json:"total"`
+		}
+		getJSON(t, srv.URL+"/audit", &resp)
+		return resp.Total
+	}
+	long := "//" + strings.Repeat("a", maxQueryBytes-1)
+	before := auditTotal()
+	for _, route := range []string{"/request", "/why", "/plan"} {
+		res, err := httpGet(srv.URL + route + "?q=" + long)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, res)
+		if res.StatusCode != http.StatusBadRequest || !strings.Contains(body, "longer than 4096") {
+			t.Errorf("GET %s with a %d-byte q: %s %q, want 400", route, len(long), res.Status, body)
+		}
+	}
+	if after := auditTotal(); after != before {
+		t.Errorf("refused queries added %d audit events", after-before)
+	}
+	res, err := httpGet(srv.URL + "/request?q=" + long[:maxQueryBytes])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readAll(t, res); res.StatusCode != http.StatusOK {
+		t.Errorf("GET /request with a %d-byte q: %s %q, want 200", maxQueryBytes, res.Status, body)
+	}
+}
+
 // TestServeRewrite serves a system built as -enforce rewrite builds it:
 // /plan reports the rewrite mode and /request answers from the
 // unannotated store.

@@ -112,7 +112,8 @@ func human(n int64) string {
 
 // ---- Figure 9: loading time ----
 
-// LoadRow is one x-position of Figure 9: loading time per backend.
+// LoadRow is one x-position of Figure 9: each backend's fastest loading
+// time.
 type LoadRow struct {
 	Factor float64
 	Times  map[string]time.Duration // backend label → duration
@@ -121,7 +122,8 @@ type LoadRow struct {
 // Fig9 measures loading: the native store parses the XML text; each
 // relational engine executes the shredded INSERT script statement by
 // statement, exactly the paper's setup ("loading time is the time needed to
-// run these SQL files on a relational database").
+// run these SQL files on a relational database"). Each store reports its
+// fastest trial.
 func Fig9(factors []float64, seed uint64) ([]LoadRow, error) {
 	m, err := shred.BuildMapping(xmark.Schema())
 	if err != nil {
@@ -203,7 +205,7 @@ func Fig9(factors []float64, seed uint64) ([]LoadRow, error) {
 
 // PrintFig9 renders the series of Figure 9.
 func PrintFig9(w io.Writer, rows []LoadRow) {
-	printTimeSeries(w, "Figure 9: avg loading time (seconds) vs document size", rows,
+	printTimeSeries(w, "Figure 9: fastest loading time (seconds) vs document size", rows,
 		func(r LoadRow) (float64, map[string]time.Duration) { return r.Factor, r.Times })
 }
 

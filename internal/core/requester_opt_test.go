@@ -49,8 +49,8 @@ func flatSystem(t *testing.T, b Backend, n int, polText string) *System {
 }
 
 // forgetOwners empties the owner index of a relational system, so every
-// sign probe takes the probe-every-table fallback: the reference the
-// routed probes must agree with.
+// later sign write routes its ids by scanning every table: the reference
+// the owner-routed writes must agree with.
 func forgetOwners(t *testing.T, sys *System) {
 	t.Helper()
 	var ids []int64
@@ -148,81 +148,9 @@ func TestRequestBatchBoundary(t *testing.T) {
 	}
 }
 
-// signCheckBatchAllocs is how many allocations each extra 256-id sign
-// probe batch may add to a routed request: room for the batch's statement
-// and result, none for the ids in it.
-const signCheckBatchAllocs = 50
-
-// TestSignCheckAllocsPerBatch: the routed sign check (monetsql, postgres)
-// allocates per 256-id probe batch, not per matched id. Over documents
-// <a> with 100 and then 10,000 <b> children, a request for //b may make at
-// most signCheckBatchAllocs more allocations per extra batch (1,950 for
-// the 39 extra batches), granted and, when a rule denies the last b,
-// denied.
-func TestSignCheckAllocsPerBatch(t *testing.T) {
-	schema := dtd.MustParse(`
-<!ELEMENT a (b*)>
-<!ELEMENT b (#PCDATA)>
-`)
-	policies := []struct {
-		name, text string
-		granted    bool
-	}{
-		{"granted", "default deny\nconflict deny\nrule R1 allow //b\n", true},
-		{"denied", "default deny\nconflict deny\nrule R1 allow //b\nrule R2 deny //b[. = \"x\"]\n", false},
-	}
-	build := func(t *testing.T, b Backend, pol string, n int) *System {
-		t.Helper()
-		sys, err := NewSystem(Config{Schema: schema, Policy: policy.MustParse(pol), Backend: b, Optimize: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var xml strings.Builder
-		xml.WriteString("<a>")
-		for i := 1; i < n; i++ {
-			xml.WriteString("<b>v</b>")
-		}
-		xml.WriteString("<b>x</b></a>")
-		doc, err := xmltree.ParseString(xml.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.Load(doc); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.Annotate(); err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-	batches := func(n int) int { return (n + 255) / 256 }
-	q := xpath.MustParse("//b")
-	for _, b := range []Backend{BackendColumn, BackendRow} {
-		for _, pol := range policies {
-			t.Run(b.String()+"/"+pol.name, func(t *testing.T) {
-				allocs := func(n int) float64 {
-					sys := build(t, b, pol.text, n)
-					if _, err := sys.Request(q); (err == nil) != pol.granted {
-						t.Fatalf("n = %d: err = %v, want granted = %v", n, err, pol.granted)
-					}
-					return testing.AllocsPerRun(5, func() { _, _ = sys.Request(q) })
-				}
-				small, large := allocs(100), allocs(10000)
-				bound := small + float64(signCheckBatchAllocs*(batches(10000)-batches(100)))
-				t.Logf("%.0f allocations at 100 ids, %.0f at 10,000 (bound %.0f)", small, large, bound)
-				if large > bound {
-					t.Errorf("%.0f allocations at 10,000 ids, %.0f at 100; at most %.0f allowed", large, small, bound)
-				}
-			})
-		}
-	}
-}
-
 // TestRequestCheckedDeduplicatesWitnesses pins the duplicate-id semantics:
 // a translated qualifier query returns one row per witness, but Checked
-// counts distinct matched nodes on every backend and every mode. The
-// reference is the default system with its owner index emptied; on
-// monetcol the default path folds the sign check into the query.
+// counts distinct matched nodes on every backend.
 func TestRequestCheckedDeduplicatesWitnesses(t *testing.T) {
 	schema := dtd.MustParse(`
 <!ELEMENT r (p*)>
@@ -264,120 +192,107 @@ rule R1 allow //r
 		t.Fatalf("native Checked = %d, len(Nodes) = %d, want 3", nres.Checked, len(nres.Nodes))
 	}
 
-	for _, b := range []Backend{BackendColumn, BackendVector, BackendRow} {
-		for _, name := range []string{"reference", "routed"} {
-			t.Run(b.String()+"/"+name, func(t *testing.T) {
-				sys := build(t, b)
-				if name == "reference" {
-					forgetOwners(t, sys)
-				}
-				// The raw translated SQL really does return duplicate rows
-				// (one per witness t); that is what Checked must not count.
-				rel := sys.Engine().(store.Relational)
-				sqlText, err := shred.Translate(rel.Mapping(), q)
+	for _, b := range []Backend{BackendColumn, BackendRow} {
+		t.Run(b.String(), func(t *testing.T) {
+			sys := build(t, b)
+			// The raw translated SQL really does return duplicate rows
+			// (one per witness t); that is what Checked must not count.
+			rel := sys.Engine().(store.Relational)
+			sqlText, err := shred.Translate(rel.Mapping(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := rel.DB().Exec(sqlText)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(raw.Rows) != 6 {
+				t.Fatalf("raw SQL rows = %d, want 6 (2 witnesses per p)", len(raw.Rows))
+			}
+			res, err := sys.Request(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Checked != 3 || len(res.IDs) != 3 {
+				t.Errorf("Checked = %d, len(IDs) = %d, want 3", res.Checked, len(res.IDs))
+			}
+			if res.Checked != nres.Checked {
+				t.Errorf("relational Checked %d != native Checked %d", res.Checked, nres.Checked)
+			}
+		})
+	}
+}
+
+// TestRequestSpanOutcomesAndModes checks a relational request's spans in
+// both enforcement modes: the request span names the mode, and the
+// check-access span records the outcome of the one sign check (signs) or
+// of the decision-set check, which names itself (rewrite).
+func TestRequestSpanOutcomesAndModes(t *testing.T) {
+	granted := xpath.MustParse("//patient/name")
+	denied := xpath.MustParse("//patient")
+
+	for _, b := range []Backend{BackendColumn, BackendRow} {
+		for _, mode := range []EnforceMode{EnforceSigns, EnforceRewrite} {
+			t.Run(b.String()+"/"+mode.String(), func(t *testing.T) {
+				col := &obs.Collector{}
+				sys, err := NewSystem(Config{
+					Schema:   hospital.Schema(),
+					Policy:   policy.MustParse(table1Policy),
+					Backend:  b,
+					Optimize: true,
+					Enforce:  mode,
+					Tracer:   obs.NewTracer(col),
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				raw, err := rel.DB().Exec(sqlText)
-				if err != nil {
+				if err := sys.Load(hospital.Document()); err != nil {
 					t.Fatal(err)
 				}
-				if len(raw.Rows) != 6 {
-					t.Fatalf("raw SQL rows = %d, want 6 (2 witnesses per p)", len(raw.Rows))
-				}
-				res, err := sys.Request(q)
-				if err != nil {
+				if _, err := sys.Annotate(); err != nil {
 					t.Fatal(err)
 				}
-				if res.Checked != 3 || len(res.IDs) != 3 {
-					t.Errorf("Checked = %d, len(IDs) = %d, want 3", res.Checked, len(res.IDs))
+				// The rewriting check names its mode; the sign check is
+				// the only other one and carries no mode.
+				var checkMode any
+				if mode == EnforceRewrite {
+					checkMode = "rewrite"
 				}
-				if res.Checked != nres.Checked {
-					t.Errorf("relational Checked %d != native Checked %d", res.Checked, nres.Checked)
+
+				for _, c := range []struct {
+					q       *xpath.Path
+					outcome string
+				}{{granted, "granted"}, {denied, "denied"}} {
+					col.Reset()
+					_, err := sys.Request(c.q)
+					if (err == nil) != (c.outcome == "granted") || (err != nil && !errors.Is(err, ErrAccessDenied)) {
+						t.Fatalf("%s: err = %v, want %s", c.q, err, c.outcome)
+					}
+					req := col.Root("request")
+					if got := req.Attr("enforce"); got != mode.String() {
+						t.Errorf("%s: request enforce = %v, want %s", c.q, got, mode)
+					}
+					check := req.Child("check-access")
+					if check == nil {
+						t.Fatalf("%s: no check-access span", c.q)
+					}
+					if got := check.Attr("outcome"); got != c.outcome {
+						t.Errorf("%s: outcome = %v, want %s", c.q, got, c.outcome)
+					}
+					if got := check.Attr("mode"); got != checkMode {
+						t.Errorf("%s: check-access mode = %v, want %v", c.q, got, checkMode)
+					}
 				}
 			})
 		}
 	}
 }
 
-// TestRequestSpanOutcomesAndModes checks the check-access span's outcome
-// and mode attributes across the request paths: the reference is the
-// default system with its owner index emptied, and monetcol folds the
-// sign check into the query.
-func TestRequestSpanOutcomesAndModes(t *testing.T) {
-	granted := xpath.MustParse("//patient/name")
-	denied := xpath.MustParse("//patient")
-
-	cases := []struct {
-		name string
-		mod  func(*Config)
-		mode string
-	}{
-		{"reference", nil, "routed"},
-		{"routed", nil, "routed"},
-		{"pushdown", func(c *Config) { c.Backend = BackendVector }, "pushdown"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			col := &obs.Collector{}
-			cfg := Config{
-				Schema:   hospital.Schema(),
-				Policy:   policy.MustParse(table1Policy),
-				Backend:  BackendRow,
-				Optimize: true,
-				Tracer:   obs.NewTracer(col),
-			}
-			if tc.mod != nil {
-				tc.mod(&cfg)
-			}
-			sys, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.Load(hospital.Document()); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sys.Annotate(); err != nil {
-				t.Fatal(err)
-			}
-			if tc.name == "reference" {
-				forgetOwners(t, sys)
-			}
-
-			col.Reset()
-			if _, err := sys.Request(granted); err != nil {
-				t.Fatal(err)
-			}
-			check := col.Root("request").Child("check-access")
-			if check == nil {
-				t.Fatal("no check-access span")
-			}
-			if got := check.Attr("outcome"); got != "granted" {
-				t.Errorf("outcome = %v, want granted", got)
-			}
-			if got := check.Attr("mode"); got != tc.mode {
-				t.Errorf("mode = %v, want %s", got, tc.mode)
-			}
-
-			col.Reset()
-			if _, err := sys.Request(denied); !errors.Is(err, ErrAccessDenied) {
-				t.Fatalf("err = %v, want ErrAccessDenied", err)
-			}
-			check = col.Root("request").Child("check-access")
-			if check == nil {
-				t.Fatal("no check-access span")
-			}
-			if got := check.Attr("outcome"); got != "denied" {
-				t.Errorf("outcome = %v, want denied", got)
-			}
-		})
-	}
-}
-
-// TestRoutedRequestsSurviveDeletes checks that id routing stays correct
-// after deletes drop ids from the owner index: routed results must match a
-// reference system whose owner index was emptied (every probe then takes
-// the probe-every-table fallback) and that saw the same update.
+// TestRoutedRequestsSurviveDeletes checks that the owner index keeps
+// routing re-annotation's sign writes correctly after a delete drops ids
+// from it: requests must then answer as on a reference system that saw
+// the same update with its owner index emptied, so that its sign writes
+// routed every id by scanning every table.
 func TestRoutedRequestsSurviveDeletes(t *testing.T) {
 	queries := []string{"//patient/name", "//patient", "//regular", "//doctor", "//treatment"}
 	for _, b := range []Backend{BackendColumn, BackendRow} {

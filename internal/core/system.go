@@ -29,12 +29,10 @@ const (
 	BackendNative Backend = "xquery"
 	// BackendRow is the relational row store (the PostgreSQL role).
 	BackendRow Backend = "postgres"
-	// BackendColumn is the relational column store (the MonetDB/SQL role).
-	BackendColumn Backend = "monetsql"
-	// BackendVector is the relational column store driven by the
-	// vectorized batch executor (the real-MonetDB role; see
+	// BackendColumn is the relational column store, typed column vectors
+	// run by vectorized batch operators (the MonetDB/SQL role; see
 	// internal/sqldb/vector.go).
-	BackendVector Backend = "monetcol"
+	BackendColumn Backend = "monetsql"
 )
 
 // String returns the registry name.

@@ -13,7 +13,7 @@ import (
 	"xmlac/internal/xpath"
 )
 
-var allBackends = []Backend{BackendNative, BackendRow, BackendColumn, BackendVector}
+var allBackends = []Backend{BackendNative, BackendRow, BackendColumn}
 
 func newHospitalSystem(t *testing.T, b Backend, doc *xmltree.Document) *System {
 	t.Helper()
@@ -423,7 +423,7 @@ func TestSystemRejectsRootDeletion(t *testing.T) {
 // empty name selects the native store, and an unknown name fails in
 // store.Open with the registered engines listed.
 func TestBackendNames(t *testing.T) {
-	names := map[Backend]string{BackendNative: "xquery", BackendRow: "postgres", BackendColumn: "monetsql", BackendVector: "monetcol"}
+	names := map[Backend]string{BackendNative: "xquery", BackendRow: "postgres", BackendColumn: "monetsql"}
 	for b, want := range names {
 		if b.String() != want {
 			t.Errorf("%q.String() = %q, want %q", string(b), b.String(), want)

@@ -103,7 +103,7 @@ func TestExplainJoinChain(t *testing.T) {
 }
 
 func TestExplainCompoundAndPointLookup(t *testing.T) {
-	db, _ := explainFixture(t, sqldb.EngineColumn)
+	db, _ := explainFixture(t, sqldb.EngineRow)
 
 	checkPlan(t, explainLines(t, db, `SELECT id FROM b UNION SELECT id FROM c`), []string{
 		"UNION",
@@ -137,7 +137,7 @@ func TestExplainCompoundAndPointLookup(t *testing.T) {
 // TestExplainUnionChain: a UNION chain runs as one node over all of its
 // operands, not as a left-deep tree of binary UNIONs.
 func TestExplainUnionChain(t *testing.T) {
-	db, _ := explainFixture(t, sqldb.EngineColumn)
+	db, _ := explainFixture(t, sqldb.EngineRow)
 	checkPlan(t, explainLines(t, db, `SELECT id FROM a UNION SELECT id FROM b UNION SELECT id FROM c`), []string{
 		"UNION",
 		"  scan a (a): full scan [scan=row] → 1 rows",

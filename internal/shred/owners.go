@@ -4,16 +4,16 @@ import "sync"
 
 // Owner routing. Universal identifiers are unique across the whole shredded
 // database, so every id belongs to exactly one table — but the id alone does
-// not say which. The reference request path therefore probes every table of
-// the mapping with sign-check IN batches. The owner index removes that
+// not say which. A sign write for a set of ids would therefore scan every
+// table of the mapping for its share. The owner index removes that
 // cross-product: xmltree allocates identifiers densely from 1, so it keeps
 // one slot per id holding the owning table's position plus one (0 for an
 // unknown id), and each table name once.
 
 // ownerSlack bounds how far an id may grow the slot table: to at most
 // twice its length plus ownerSlack. An id further out (one set by hand on
-// a built document, say) stays unknown, and its probes take the
-// every-table fallback.
+// a built document, say) stays unknown, and a sign write that meets it
+// routes its ids by scanning every table.
 const ownerSlack = 1 << 12
 
 // ownerIndex maps universal identifiers to their owning table. The zero
@@ -157,9 +157,10 @@ func (m *Mapping) ForgetOwner(ids ...int64) {
 }
 
 // GroupByOwner splits ids by their owning table, tables in the mapping's
-// declaration order, each table's ids in the order given. Ids the index does not know (hand-loaded
-// databases, mappings built without shredding) are returned in unknown;
-// the caller falls back to probing every table for those.
+// declaration order, each table's ids in the order given. Ids the index
+// does not know (hand-loaded databases, mappings built without shredding)
+// are returned in unknown; the caller falls back to scanning every table
+// for those.
 func (m *Mapping) GroupByOwner(ids []int64) (owned []OwnedIDs, unknown []int64) {
 	if m.owners == nil {
 		return nil, ids

@@ -30,13 +30,12 @@ var refEngines = []struct {
 }{
 	{"postgres", sqldb.EngineRow},
 	{"monetsql", sqldb.EngineColumn},
-	{"monetcol", sqldb.EngineColumnVector},
 }
 
 // TestTranslateMatchesReference holds Translate to the frozen root-chain
 // translation and to tree evaluation on DTD-valid documents: XMark at
 // f = 0.01 (seeds 1 and 2) and generated hospital documents, each shredded
-// into the row, column and vectorized engines with random signs. Every
+// into the row and column engines with random signs. Every
 // path must select the ids xpath.Eval selects, through Translate and
 // through the reference, and TranslateAccessible must select the subset
 // signed '+'. The paths are the 55 benchmark queries and the c1–c5 rule

@@ -21,7 +21,7 @@ func TestSelectAllocsPerJoinStep(t *testing.T) {
 		{"join", `SELECT c.id, p.v FROM parent p, child c WHERE c.pid = p.id`},
 		{"scan", `SELECT id FROM child`},
 	}
-	for _, e := range []Engine{EngineRow, EngineColumn, EngineColumnVector} {
+	for _, e := range []Engine{EngineRow, EngineColumn} {
 		t.Run(e.String(), func(t *testing.T) {
 			small, large := allocDB(t, e, 100), allocDB(t, e, 10000)
 			for _, sh := range shapes {

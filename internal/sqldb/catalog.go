@@ -15,35 +15,22 @@ type Engine uint8
 
 const (
 	// EngineRow is the row-major layout ("pgsim", the PostgreSQL-like
-	// configuration of the evaluation).
+	// configuration of the evaluation), run by the row-at-a-time executor.
 	EngineRow Engine = iota
-	// EngineColumn is the column-major layout ("monetsim", the
-	// MonetDB/SQL-like configuration). It shares the row-at-a-time
-	// reference executor; only the physical layout differs.
+	// EngineColumn is the column-major layout ("monetsim", the MonetDB
+	// configuration): typed column vectors scanned, filtered and updated by
+	// the vectorized batch operators (see vector.go). Results are
+	// byte-identical to EngineRow; only the physical operators differ.
 	EngineColumn
-	// EngineColumnVector is the column-major layout with typed column
-	// vectors and the vectorized batch executor ("monetvec", the real
-	// MonetDB role — see vector.go). Results are byte-identical to the
-	// other engines; only the physical operators differ.
-	EngineColumnVector
 )
 
 // String names the engine as the benchmark harness prints it.
 func (e Engine) String() string {
-	switch e {
-	case EngineColumn:
+	if e == EngineColumn {
 		return "monetsim"
-	case EngineColumnVector:
-		return "monetvec"
-	default:
-		return "pgsim"
 	}
+	return "pgsim"
 }
-
-// Vectorized reports whether the engine opts into the vectorized executor
-// (the planner's per-table row-vs-vector decision also requires the
-// table's physical store to support typed vectors).
-func (e Engine) Vectorized() bool { return e == EngineColumnVector }
 
 // Column describes one column of a table.
 type Column struct {
@@ -180,12 +167,9 @@ func (db *Database) createTable(name string, cols []Column, fks []ForeignKey) er
 			return fmt.Errorf("sqldb: table %q: foreign key on unknown column %q", name, fk.Column)
 		}
 	}
-	switch db.engine {
-	case EngineColumn:
-		t.store = newColStore(len(cols))
-	case EngineColumnVector:
+	if db.engine == EngineColumn {
 		t.store = newVecStore(cols)
-	default:
+	} else {
 		t.store = newRowStore(len(cols))
 	}
 	if t.pkCol >= 0 {

@@ -434,9 +434,9 @@ func (db *Database) execQueryBody(q *Query, rec *planRec) (*Result, error) {
 	}
 	// Set semantics: keep each left row whose membership in the right side
 	// is what the operator asks for (absent for EXCEPT, present for
-	// INTERSECT), once. The vectorized executor keys single int-column
-	// operands by an int64 set instead of a formatted string per row.
-	ints := db.engine.Vectorized() && singleIntColumn(left.Rows) && singleIntColumn(right.Rows)
+	// INTERSECT), once. Single int-column operands are keyed by an int64
+	// set instead of a formatted string per row, on every engine.
+	ints := singleIntColumn(left.Rows) && singleIntColumn(right.Rows)
 	in, seen := newRowSet(ints, len(right.Rows)), newRowSet(ints, len(left.Rows))
 	for _, r := range right.Rows {
 		in.add(r)
@@ -502,7 +502,7 @@ func (db *Database) execUnion(q *Query, rec *planRec) (*Result, error) {
 			}
 		}
 	}
-	if ints && db.engine.Vectorized() {
+	if ints {
 		db.noteVector(total)
 	}
 	return out, nil
@@ -623,9 +623,9 @@ func (db *Database) execSelect(s *SelectStmt, rec *planRec) (*Result, error) {
 		return nil, err
 	}
 
-	// Projection. Every result row is carved from one arena. On the
-	// vectorized engine named columns read straight off the typed vectors
-	// (no interface call per cell); elsewhere, and for SELECT *, cells come
+	// Projection. Every result row is carved from one arena. On the column
+	// engine named columns read straight off the typed vectors (no
+	// interface call per cell); elsewhere, and for SELECT *, cells come
 	// through store.get.
 	n := len(b.items)
 	count := len(tuples) / n
@@ -640,7 +640,6 @@ func (db *Database) execSelect(s *SelectStmt, rec *planRec) (*Result, error) {
 		vc         *vcol // the typed vector, nil when read through store.get
 	}
 	var projs []proj
-	vectorized := !s.Star && db.engine.Vectorized()
 	if s.Star {
 		for i, t := range b.tables {
 			for j, c := range t.Columns {
@@ -655,7 +654,7 @@ func (db *Database) execSelect(s *SelectStmt, rec *planRec) (*Result, error) {
 			return nil, err
 		}
 		pj := proj{alias: ai, col: ci}
-		if vs := db.vectorTable(b.tables[ai]); vs != nil {
+		if vs := b.tables[ai].vectors(); vs != nil {
 			pj.vc = &vs.cols[ci]
 		}
 		projs = append(projs, pj)
@@ -677,7 +676,7 @@ func (db *Database) execSelect(s *SelectStmt, rec *planRec) (*Result, error) {
 			}
 			out.Rows[i] = row
 		}
-		if vectorized {
+		if !s.Star {
 			db.noteVector(count)
 		}
 	}
@@ -699,7 +698,7 @@ func (db *Database) execSelect(s *SelectStmt, rec *planRec) (*Result, error) {
 // that table. The scan applies every such filter but a primary-key literal
 // that does not coerce, which matches nothing and is applied unlisted.
 func (db *Database) scanPlan(s *SelectStmt, b *binding, preds []*planPred) bool {
-	if len(b.items) != 1 || s.Star || db.vectorTable(b.tables[0]) == nil {
+	if len(b.items) != 1 || s.Star || b.tables[0].vectors() == nil {
 		return false
 	}
 	for _, pp := range preds {
@@ -840,24 +839,18 @@ func (db *Database) baseScan(b *binding, alias int, preds []*planPred) ([]int, s
 }
 
 // scanTag is the EXPLAIN annotation naming which executor scans (and
-// refines index results for) a table: the vectorized batch executor or
-// the row-at-a-time reference executor. The decision is per table — the
-// engine must opt in and the table's physical store must expose typed
-// vectors — and is re-made on every execution, so plans cached by SQL
-// text stay valid across engine or storage changes.
-func (db *Database) scanTag(t *Table) string {
-	if db.vectorTable(t) != nil {
+// refines index results for) a table: the vectorized batch executor on
+// the column store's typed vectors, or the row-at-a-time executor on the
+// row store.
+func (t *Table) scanTag() string {
+	if t.vectors() != nil {
 		return " [scan=vector]"
 	}
 	return " [scan=row]"
 }
 
-// vectorTable returns the table's typed-vector store when the planner may
-// use the vectorized path for it, else nil.
-func (db *Database) vectorTable(t *Table) *vecStore {
-	if !db.engine.Vectorized() {
-		return nil
-	}
+// vectors returns the table's typed-vector store, or nil on the row store.
+func (t *Table) vectors() *vecStore {
 	vs, _ := t.store.(*vecStore)
 	return vs
 }
@@ -920,14 +913,14 @@ func (db *Database) baseScanPath(b *binding, alias int, preds []*planPred) (rids
 		if pp.src.In != nil && t.pkCol == pp.leftCol && t.pkIndex != nil {
 			rids = t.pkInLookup(pp.src.In)
 			pp.applied = true
-			desc = fmt.Sprintf("pk index IN-lookup (%d keys)%s", len(pp.src.In), db.scanTag(t))
+			desc = fmt.Sprintf("pk index IN-lookup (%d keys)%s", len(pp.src.In), t.scanTag())
 			return db.filterRids(t, rids, local, pp), desc, len(pp.src.In), nil
 		}
 	}
 	// Point lookup via primary key index.
 	for _, pp := range local {
 		if pp.src.In == nil && pp.src.Op == CmpEq && t.pkCol == pp.leftCol && t.pkIndex != nil {
-			desc = "pk index point lookup" + db.scanTag(t)
+			desc = "pk index point lookup" + t.scanTag()
 			lit, err := coerce(pp.src.Right.Lit, t.Columns[t.pkCol].Type)
 			if err != nil {
 				return nil, desc, 0, nil //nolint:nilerr // untypable key matches nothing
@@ -972,7 +965,7 @@ func (db *Database) baseScanPath(b *binding, alias int, preds []*planPred) (rids
 	}
 	if bestEq != nil {
 		bestEq.applied = true
-		desc = fmt.Sprintf("secondary index on %s%s", t.Columns[bestEq.leftCol].Name, db.scanTag(t))
+		desc = fmt.Sprintf("secondary index on %s%s", t.Columns[bestEq.leftCol].Name, t.scanTag())
 		return db.filterRids(t, bestRids, local, bestEq), desc, len(bestRids), nil
 	}
 	// IN-list lookup through a registered secondary index.
@@ -996,14 +989,14 @@ func (db *Database) baseScanPath(b *binding, alias int, preds []*planPred) (rids
 			}
 		}
 		pp.applied = true
-		desc = fmt.Sprintf("secondary index IN-lookup on %s (%d keys)%s", t.Columns[pp.leftCol].Name, len(pp.src.In), db.scanTag(t))
+		desc = fmt.Sprintf("secondary index IN-lookup on %s (%d keys)%s", t.Columns[pp.leftCol].Name, len(pp.src.In), t.scanTag())
 		return db.filterRids(t, firstOccurrences(rids), local, pp), desc, len(pp.src.In), nil
 	}
 	// Table scan. The vectorized path runs the first predicate as a
 	// full-column filter over the typed vector, producing a selection
 	// vector that the remaining predicates narrow batch-at-a-time; the
 	// row path walks the store row at a time through the interface.
-	if vs := db.vectorTable(t); vs != nil {
+	if vs := t.vectors(); vs != nil {
 		rids, desc = db.vectorScan(t, vs, local)
 		for _, pp := range local {
 			pp.applied = true
@@ -1093,7 +1086,7 @@ func (db *Database) filterRids(t *Table, rids []int, local []*planPred, skip *pl
 	if skip != nil {
 		residual--
 	}
-	if vs := db.vectorTable(t); vs != nil && residual > 0 && len(rids) > 0 {
+	if vs := t.vectors(); vs != nil && residual > 0 && len(rids) > 0 {
 		processed := 0
 		for _, pp := range local {
 			if pp == skip {
@@ -1231,7 +1224,7 @@ type intKeys struct {
 
 func (db *Database) intKeysOf(t *Table, col int) intKeys {
 	k := intKeys{st: t.store, col: col}
-	if vs := db.vectorTable(t); vs != nil {
+	if vs := t.vectors(); vs != nil {
 		k.vals, k.nulls, k.vec = vs.intColumn(col)
 	}
 	return k
@@ -1468,7 +1461,7 @@ func (db *Database) execUpdate(s *UpdateStmt) (*Result, error) {
 	// reset (WHERE-less UPDATE → fillColumn over the whole byte vector)
 	// and sign rewrite (id IN (…) batches → assignColumn over the
 	// selection) — instead of per-rid boxed set calls.
-	if vs := db.vectorTable(t); vs != nil && db.tx == nil {
+	if vs := t.vectors(); vs != nil && db.tx == nil {
 		touchesPK := false
 		for _, so := range sets {
 			if so.col == t.pkCol {
@@ -1564,7 +1557,7 @@ func (db *Database) filterSingle(t *Table, where []Predicate) (rids []int, desc 
 	// issues UPDATE … WHERE id IN (…) batches, which must not full-scan.
 	for _, pp := range preds {
 		if pp.src.In != nil && t.pkIndex != nil && pp.leftCol == t.pkCol {
-			desc = fmt.Sprintf("pk index IN-lookup (%d keys)%s", len(pp.src.In), db.scanTag(t))
+			desc = fmt.Sprintf("pk index IN-lookup (%d keys)%s", len(pp.src.In), t.scanTag())
 			rids = t.pkInLookup(pp.src.In)
 			kept := rids[:0]
 			for _, rid := range rids {
@@ -1585,7 +1578,7 @@ func (db *Database) filterSingle(t *Table, where []Predicate) (rids []int, desc 
 	// Point lookup.
 	for _, pp := range preds {
 		if pp.src.In == nil && pp.src.Op == CmpEq && t.pkIndex != nil && pp.leftCol == t.pkCol {
-			desc = "pk index point lookup" + db.scanTag(t)
+			desc = "pk index point lookup" + t.scanTag()
 			lit, cerr := coerce(pp.src.Right.Lit, t.Columns[t.pkCol].Type)
 			if cerr != nil {
 				return nil, desc, nil // untypable key matches nothing
@@ -1602,7 +1595,7 @@ func (db *Database) filterSingle(t *Table, where []Predicate) (rids []int, desc 
 			return []int{rid}, desc, nil
 		}
 	}
-	if vs := db.vectorTable(t); vs != nil {
+	if vs := t.vectors(); vs != nil {
 		rids, desc = db.vectorScan(t, vs, preds)
 		return rids, desc, nil
 	}

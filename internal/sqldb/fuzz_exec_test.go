@@ -21,7 +21,7 @@ const execFuzzInputCap = 4 << 10
 const execFuzzMaxTuples = 10000
 
 // FuzzExec executes arbitrary SQL against a shredded XMark f = 0.0001
-// document on the row, the column and the vectorized engine. Only queries
+// document on the row and the column engine. Only queries
 // and EXPLAIN of a query execute, so the databases stay as loaded; every
 // other statement is only parsed. It requires no panic, the same result
 // or error from every engine for a query, the rows, in order, or the error
@@ -35,7 +35,7 @@ func FuzzExec(f *testing.F) {
 	f.Add(`(SELECT id FROM item ORDER BY id DESC LIMIT 2) UNION SELECT id FROM person UNION SELECT pid FROM name EXCEPT SELECT id FROM item`)
 	f.Add(`SELECT id, v FROM name UNION SELECT id, v FROM city UNION SELECT id, s FROM person ORDER BY 2 LIMIT 5`)
 	f.Add(`EXPLAIN SELECT id FROM site UNION SELECT id FROM regions UNION SELECT id FROM people`)
-	engines := []sqldb.Engine{sqldb.EngineRow, sqldb.EngineColumn, sqldb.EngineColumnVector}
+	engines := []sqldb.Engine{sqldb.EngineRow, sqldb.EngineColumn}
 	doc := xmark.Generate(xmark.Options{Factor: 0.0001, Seed: 1})
 	dbs := make([]*sqldb.Database, len(engines))
 	for i, e := range engines {

@@ -33,7 +33,7 @@ rule R7 allow //regular[med = "celecoxib"]
 rule R8 allow //regular[bill > 1000]
 `
 
-var modeFuzzBackends = []core.Backend{core.BackendNative, core.BackendRow, core.BackendColumn, core.BackendVector}
+var modeFuzzBackends = []core.Backend{core.BackendNative, core.BackendRow, core.BackendColumn}
 
 // fuzzLabels are the hospital element vocabulary plus the wildcard; the
 // generator draws steps from it so queries hit real, empty and mixed

@@ -70,9 +70,9 @@ func TestQuickSQLParseNeverPanics(t *testing.T) {
 
 // --- differential engine fuzzing ---
 //
-// The vectorized executor (vector.go) re-implements filters, joins, index
-// rebuilds and bulk updates over typed vectors. Any semantic divergence
-// from the row reference executor must surface as a result difference, so
+// The column engine's vectorized operators (vector.go) re-implement
+// filters, joins, index rebuilds and bulk updates over typed vectors. Any
+// semantic divergence from the row executor must surface as a result difference, so
 // the differential fuzzer replays randomly generated statement scripts
 // against every engine and requires byte-identical outcomes — rows, column
 // headers, affected counts and error messages alike. (Statement results
@@ -227,9 +227,9 @@ func diffScript(r *rand.Rand) []string {
 	return stmts
 }
 
-// TestDifferentialEngines replays generated scripts against the row, the
-// column and the vectorized engine and requires identical results and
-// errors statement by statement. Divergence in any vectorized operator —
+// TestDifferentialEngines replays generated scripts against the row and
+// the column engine and requires identical results and errors statement
+// by statement. Divergence in any vectorized operator —
 // filter, selection refinement, join, index rebuild, bulk update — fails
 // here with the offending statement. Every SELECT block of a query, set
 // operands included, must also match the frozen reference executor
@@ -239,7 +239,7 @@ func TestDifferentialEngines(t *testing.T) {
 	if testing.Short() {
 		scripts = 6
 	}
-	engines := []Engine{EngineRow, EngineColumn, EngineColumnVector}
+	engines := []Engine{EngineRow, EngineColumn}
 	for seed := 0; seed < scripts; seed++ {
 		stmts := diffScript(rand.New(rand.NewSource(int64(seed))))
 		dbs := make([]*Database, len(engines))

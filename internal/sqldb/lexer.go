@@ -46,7 +46,7 @@ type sqlLexer struct {
 }
 
 func lexSQL(src string) ([]sqlToken, error) {
-	// Size the token slice up front: batched IN probes produce thousands of
+	// Size the token slice up front: batched IN lists produce thousands of
 	// short tokens and repeated growslice copies otherwise dominate lexing.
 	return lexSQLInto(src, make([]sqlToken, 0, len(src)/3+8))
 }

@@ -33,22 +33,17 @@ type dbMetrics struct {
 	execSeconds     *obs.Histogram
 
 	// Vectorized-executor series (vector.go): batches and rows processed
-	// by vectorized operators. Zero on the row reference executor.
+	// by the column engine's vectorized operators. Zero on the row engine.
 	vectorBatches *obs.Counter
 	vectorRows    *obs.Counter
 }
 
-// engineLabel is the store_* engine label value ("row", "column" or
-// "vector").
+// engineLabel is the store_* engine label value ("row" or "column").
 func (db *Database) engineLabel() string {
-	switch db.engine {
-	case EngineColumn:
+	if db.engine == EngineColumn {
 		return "column"
-	case EngineColumnVector:
-		return "vector"
-	default:
-		return "row"
 	}
+	return "row"
 }
 
 // SetMetrics attaches a metrics registry to the database. Statement

@@ -556,7 +556,7 @@ func (p *sqlParser) parsePredicate() (Predicate, error) {
 			return Predicate{Left: left, In: []Value{}}, nil
 		}
 		// Size the list by counting commas up to the closing paren: batched
-		// id probes carry hundreds of literals and growslice would otherwise
+		// id lists carry hundreds of literals and growslice would otherwise
 		// recopy the accumulated values log-many times.
 		count := 1
 		for i := p.pos; i < len(p.toks); i++ {

@@ -170,7 +170,7 @@ func TestConcurrentReaders(t *testing.T) {
 
 // EXPLAIN on DML is a dry run and must report the IN-lookup fast path.
 func TestExplainUpdateInLookup(t *testing.T) {
-	db := Open(EngineColumn)
+	db := Open(EngineRow)
 	setupPeople(t, db)
 	res := mustExec(t, db, `EXPLAIN UPDATE people SET age = 99 WHERE id IN (1, 3, 7)`)
 	if len(res.Rows) != 1 {

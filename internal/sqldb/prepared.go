@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// Prepared IN-list statements. The store layer issues batched id probes
-// and writes — "SELECT id FROM t WHERE s = '+' AND id IN (…256 ids…)" —
-// whose texts would be unique per batch, so a text-keyed plan cache would
+// Prepared IN-list statements. The store layer issues batched id writes
+// and deletes — "UPDATE t SET s = '+' WHERE id IN (…256 ids…)" — whose
+// texts would be unique per batch, so a text-keyed plan cache would
 // never hit and every batch would pay a full lex+parse over kilobytes of
 // SQL. Instead the store prepares one template per table, ending in the
 // placeholder "IN (?)", and binds each raw id batch into a shallow clone

@@ -9,9 +9,9 @@ import (
 
 // The reference SELECT executor: execSelect as it ran before the join's
 // intermediate relation became one flat rid array. Each tuple is its own
-// []int, int equi-joins build a map[int64][]int on the row engines and a
-// chained flat table on the vectorized one, projected rows are one make
-// each (an arena on the vectorized engine), and DISTINCT keeps a string
+// []int, int equi-joins build a map[int64][]int on the row engine and a
+// chained flat table on the column one, projected rows are one make each
+// (an arena on the column engine), and DISTINCT keeps a string
 // key per row. It is frozen here, without metrics or plan output, as the
 // reference FuzzExec and TestDifferentialEngines hold every SELECT block
 // to: same rows in the same order, or the same error. It calls only the
@@ -77,12 +77,8 @@ type refPred struct {
 	applied              bool
 }
 
-// refVectorTable is the table's typed-vector store when the engine is
-// vectorized, else nil.
+// refVectorTable is the table's typed-vector store, nil on the row store.
 func refVectorTable(db *Database, t *Table) *vecStore {
-	if !db.engine.Vectorized() {
-		return nil
-	}
 	vs, _ := t.store.(*vecStore)
 	return vs
 }
@@ -184,7 +180,7 @@ func refSelect(db *Database, s *SelectStmt) (*Result, error) {
 			break
 		}
 		vecs := make([]*vecStore, len(b.tables))
-		allVec := db.engine.Vectorized()
+		allVec := true
 		for i, t := range b.tables {
 			vs, isVec := t.store.(*vecStore)
 			allVec = allVec && isVec
@@ -851,7 +847,7 @@ func TestSelectMatchesReference(t *testing.T) {
 		`UPDATE t1 SET s = '-' WHERE pid = 1`,
 		`INSERT INTO t1 VALUES (8, 2, 'b', '+'), (9, 8, 'long', '+')`,
 	}
-	for _, e := range []Engine{EngineRow, EngineColumn, EngineColumnVector} {
+	for _, e := range []Engine{EngineRow, EngineColumn} {
 		db := Open(e)
 		for _, sql := range setup {
 			mustExec(t, db, sql)

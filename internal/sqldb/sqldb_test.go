@@ -12,11 +12,11 @@ import (
 )
 
 // both runs the subtest under each storage engine; the engines must be
-// semantically identical (the vectorized engine included — its batch
-// operators are a fast path, never a semantic fork).
+// semantically identical (the column engine's batch operators are a fast
+// path, never a semantic fork).
 func both(t *testing.T, fn func(t *testing.T, db *Database)) {
 	t.Helper()
-	for _, e := range []Engine{EngineRow, EngineColumn, EngineColumnVector} {
+	for _, e := range []Engine{EngineRow, EngineColumn} {
 		t.Run(e.String(), func(t *testing.T) {
 			fn(t, Open(e))
 		})
@@ -571,7 +571,7 @@ func colOf(db *Database, table, col string) int {
 func TestQuickJoinMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		for _, eng := range []Engine{EngineRow, EngineColumn, EngineColumnVector} {
+		for _, eng := range []Engine{EngineRow, EngineColumn} {
 			db := Open(eng)
 			mustQ := func(s string) *Result {
 				res, err := db.Exec(s)

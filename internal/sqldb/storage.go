@@ -21,9 +21,8 @@ type store interface {
 	// to stop.
 	scan(fn func(rid int) bool)
 	// scanColumn calls fn with (rid, value) for every live row's value of
-	// one column. Column stores implement this as a tight single-column
-	// loop; row stores fall back to a row walk — this asymmetry is the
-	// engines' deliberate performance difference.
+	// one column: a walk of one column vector on the column store, of
+	// whole tuples on the row store.
 	scanColumn(col int, fn func(rid int, v Value) bool)
 	// liveCount returns the number of live rows.
 	liveCount() int
@@ -93,79 +92,6 @@ func (s *rowStore) scanColumn(col int, fn func(rid int, v Value) bool) {
 }
 
 func (s *rowStore) liveCount() int { return s.nlive }
-
-// colStore is the column-major engine: one dense slice per column with a
-// shared deletion bitmap (the MonetDB-like BAT layout).
-type colStore struct {
-	cols  [][]Value
-	dead  []bool
-	nlive int
-}
-
-func newColStore(ncols int) *colStore {
-	return &colStore{cols: make([][]Value, ncols)}
-}
-
-func (s *colStore) append(row []Value) int {
-	rid := len(s.dead)
-	for i, v := range row {
-		s.cols[i] = append(s.cols[i], v)
-	}
-	s.dead = append(s.dead, false)
-	s.nlive++
-	return rid
-}
-
-func (s *colStore) get(rid, col int) Value    { return s.cols[col][rid] }
-func (s *colStore) set(rid, col int, v Value) { s.cols[col][rid] = v }
-
-func (s *colStore) delete(rid int) {
-	if !s.dead[rid] {
-		s.dead[rid] = true
-		for i := range s.cols {
-			s.cols[i][rid] = Null
-		}
-		s.nlive--
-	}
-}
-
-func (s *colStore) restore(rid int, row []Value) {
-	if s.dead[rid] {
-		for i, v := range row {
-			s.cols[i][rid] = v
-		}
-		s.dead[rid] = false
-		s.nlive++
-	}
-}
-
-func (s *colStore) live(rid int) bool { return rid >= 0 && rid < len(s.dead) && !s.dead[rid] }
-
-func (s *colStore) scan(fn func(rid int) bool) {
-	for rid := range s.dead {
-		if s.dead[rid] {
-			continue
-		}
-		if !fn(rid) {
-			return
-		}
-	}
-}
-
-func (s *colStore) scanColumn(col int, fn func(rid int, v Value) bool) {
-	// Column-major layout: this is the tight vectorizable loop.
-	c := s.cols[col]
-	for rid, v := range c {
-		if s.dead[rid] {
-			continue
-		}
-		if !fn(rid, v) {
-			return
-		}
-	}
-}
-
-func (s *colStore) liveCount() int { return s.nlive }
 
 // hashIndex is the primary-key index: a unique map from a coerced key to
 // its rid. Int keys, which every shredded table's id is, go through ints

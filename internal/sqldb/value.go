@@ -9,13 +9,14 @@
 //
 //   - EngineRow ("pgsim") stores tuples row-major with row-at-a-time
 //     processing, the PostgreSQL-like configuration;
-//   - EngineColumn ("monetsim") stores relations column-major with tight
-//     per-column scans, the MonetDB/SQL-like configuration.
+//   - EngineColumn ("monetsim") stores relations as typed column vectors
+//     scanned and updated by vectorized batch operators, the MonetDB-like
+//     configuration.
 //
 // The engines share parser, planner and executor; only the physical layout
-// and scan paths differ, which is what produces the paper's relative shapes
-// (row stores load faster statement-by-statement; column stores scan and
-// join faster on large data).
+// and scan operators differ, which is what produces the paper's relative
+// shapes (row stores load faster statement-by-statement; column stores
+// scan and join faster on large data).
 package sqldb
 
 import (

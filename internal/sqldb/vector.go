@@ -5,11 +5,9 @@ import (
 	"strings"
 )
 
-// The vectorized columnar layout (EngineColumnVector, the "real MonetDB"
-// role). colStore already stores relations column-major, but its columns
-// are []Value — every scan still pays a boxed Value per cell and an
-// interface call per row. vecStore instead keeps each column as a typed
-// vector chosen from the declared column type:
+// The column layout (EngineColumn, the MonetDB role). vecStore keeps each
+// column as a typed vector chosen from the declared column type, so a scan
+// pays neither a boxed Value per cell nor an interface call per row:
 //
 //   - INT  columns are []int64 with a parallel null mask;
 //   - TEXT columns start as a byte vector ([]byte, one byte per row) and
@@ -27,9 +25,9 @@ import (
 // store_vector_batches_total / store_vector_rows_total metrics.
 //
 // vecStore implements the row-at-a-time store interface too, so every
-// existing mutation path (transactions, restore, the row reference
-// executor) remains correct; the vectorized operators are a fast path the
-// planner opts into per table, never a second source of truth.
+// mutation path (transactions, restore, the row executor's operators)
+// stays correct; the vectorized operators are a fast path the planner
+// takes for every column-store table, never a second source of truth.
 
 // vectorBatch is the number of rows a vectorized operator processes per
 // batch. Batches only structure the loops (and the metrics accounting);
@@ -155,7 +153,8 @@ func (c *vcol) set(rid int, v Value) {
 	}
 }
 
-// vecStore is the vectorized column-major engine.
+// vecStore is the column-major store: one typed vector per column with a
+// shared deletion bitmap (the MonetDB-like BAT layout).
 type vecStore struct {
 	cols  []vcol
 	dead  []bool
@@ -190,7 +189,7 @@ func (s *vecStore) set(rid, col int, v Value) { s.cols[col].set(rid, v) }
 func (s *vecStore) delete(rid int) {
 	if !s.dead[rid] {
 		s.dead[rid] = true
-		// Mirror colStore: dead cells read as NULL.
+		// Dead cells read as NULL.
 		for i := range s.cols {
 			s.cols[i].set(rid, Null)
 		}
@@ -544,7 +543,7 @@ func (s *vecStore) assignColumn(selv []int, col int, val Value) {
 }
 
 // indexBuckets builds the secondary-index buckets for one column with a
-// typed loop (index.go falls back to scanColumn on the other stores). The
+// typed loop (index.go falls back to scanColumn on the row store). The
 // bucket keys and rid order match the reference build exactly.
 func (s *vecStore) indexBuckets(col int) map[string][]int {
 	c := &s.cols[col]
@@ -603,9 +602,10 @@ func vectorBatches(rows int) int64 {
 	return int64((rows + vectorBatch - 1) / vectorBatch)
 }
 
-// noteVector feeds the vector metrics; nil-safe like every metrics hook.
+// noteVector feeds the vector metrics on the column engine; nil-safe like
+// every metrics hook.
 func (db *Database) noteVector(rows int) {
-	if db.m == nil || rows <= 0 {
+	if db.m == nil || rows <= 0 || db.engine != EngineColumn {
 		return
 	}
 	db.m.vectorRows.Add(int64(rows))

@@ -10,7 +10,7 @@ import (
 	"xmlac/internal/obs"
 )
 
-// Tests for the vectorized columnar engine (vector.go): the typed-vector
+// Tests for the column engine's typed vectors and operators (vector.go): the typed-vector
 // store's own semantics, the byte/int predicate compilers against the
 // reference Value.Compare, the planner's EXPLAIN annotation, the bulk
 // UPDATE fast path (including its transaction fallback), and the
@@ -18,7 +18,7 @@ import (
 
 func openVec(t *testing.T) *Database {
 	t.Helper()
-	db := Open(EngineColumnVector)
+	db := Open(EngineColumn)
 	mustExec(t, db, `CREATE TABLE n (id INT PRIMARY KEY, pid INT, v TEXT, s TEXT)`)
 	mustExec(t, db, `CREATE INDEX n_pid ON n (pid)`)
 	mustExec(t, db, `CREATE INDEX n_s ON n (s)`)
@@ -103,9 +103,9 @@ func TestCmpIntLitAgreesWithCompare(t *testing.T) {
 	}
 }
 
-// TestVectorExplainAnnotation: the planner's per-table decision surfaces
-// in EXPLAIN as scan=vector on the vectorized engine and scan=row on the
-// reference engines, across access paths and statement kinds.
+// TestVectorExplainAnnotation: the table's store surfaces in EXPLAIN as
+// scan=vector on the column engine and scan=row on the row engine, across
+// access paths and statement kinds.
 func TestVectorExplainAnnotation(t *testing.T) {
 	explain := func(db *Database, sql string) string {
 		t.Helper()
@@ -130,23 +130,23 @@ func TestVectorExplainAnnotation(t *testing.T) {
 	} {
 		vecPlan := explain(openVec(t), sql)
 		if !strings.Contains(vecPlan, "[scan=vector]") || strings.Contains(vecPlan, "[scan=row]") {
-			t.Errorf("vector engine plan for %s lacks scan=vector:\n%s", sql, vecPlan)
+			t.Errorf("column engine plan for %s lacks scan=vector:\n%s", sql, vecPlan)
 		}
-		rowDB := Open(EngineColumn)
+		rowDB := Open(EngineRow)
 		mustExec(t, rowDB, `CREATE TABLE n (id INT PRIMARY KEY, pid INT, v TEXT, s TEXT)`)
 		mustExec(t, rowDB, `INSERT INTO n VALUES (1, 0, 'root', '+')`)
 		rowPlan := explain(rowDB, sql)
 		if !strings.Contains(rowPlan, "[scan=row]") || strings.Contains(rowPlan, "[scan=vector]") {
-			t.Errorf("row-executor plan for %s lacks scan=row:\n%s", sql, rowPlan)
+			t.Errorf("row engine plan for %s lacks scan=row:\n%s", sql, rowPlan)
 		}
 	}
 }
 
 // TestExplainUncoercibleKey pins the plan of a primary-key equality whose
 // literal does not coerce to the key's type, so the point lookup matches
-// nothing and leaves its filter to the plan. The row engines list that
-// filter; the vectorized engine lists a named-column SELECT over one table
-// as its scan alone and lists the filter only under SELECT *.
+// nothing and leaves its filter to the plan. The row engine lists that
+// filter; the column engine lists a named-column SELECT over one table as
+// its scan alone and lists the filter only under SELECT *.
 func TestExplainUncoercibleKey(t *testing.T) {
 	filtered := "scan n (n): pk index point lookup [scan=%s] → 0 rows\nfilter: id = 'x' → 0 tuples\noutput: 0 rows\n"
 	scanOnly := "scan n (n): pk index point lookup [scan=vector] → 0 rows\noutput: 0 rows\n"
@@ -155,11 +155,9 @@ func TestExplainUncoercibleKey(t *testing.T) {
 		sql, want string
 	}{
 		{EngineRow, `SELECT id FROM n WHERE id = 'x'`, fmt.Sprintf(filtered, "row")},
-		{EngineColumn, `SELECT id FROM n WHERE id = 'x'`, fmt.Sprintf(filtered, "row")},
-		{EngineColumnVector, `SELECT id FROM n WHERE id = 'x'`, scanOnly},
+		{EngineColumn, `SELECT id FROM n WHERE id = 'x'`, scanOnly},
 		{EngineRow, `SELECT * FROM n WHERE id = 'x'`, fmt.Sprintf(filtered, "row")},
-		{EngineColumn, `SELECT * FROM n WHERE id = 'x'`, fmt.Sprintf(filtered, "row")},
-		{EngineColumnVector, `SELECT * FROM n WHERE id = 'x'`, fmt.Sprintf(filtered, "vector")},
+		{EngineColumn, `SELECT * FROM n WHERE id = 'x'`, fmt.Sprintf(filtered, "vector")},
 	} {
 		db := Open(c.engine)
 		mustExec(t, db, `CREATE TABLE n (id INT PRIMARY KEY, pid INT, v TEXT, s TEXT)`)
@@ -203,13 +201,13 @@ func TestVectorBulkUpdateAndRollback(t *testing.T) {
 	}
 	mustExec(t, db, `ROLLBACK`)
 	if n := count(); n != 2 {
-		t.Fatalf("post-rollback count = %d, want 2 (rollback must undo signs on the vector engine)", n)
+		t.Fatalf("post-rollback count = %d, want 2 (rollback must undo signs on the column engine)", n)
 	}
 }
 
 // TestVectorMetrics: the vectorized operators feed the
 // store_vector_rows_total / store_vector_batches_total counters with the
-// engine label, and the row engines never touch theirs.
+// engine label, and the row engine never touches its own.
 func TestVectorMetrics(t *testing.T) {
 	db := openVec(t)
 	reg := obs.NewRegistry()
@@ -217,13 +215,13 @@ func TestVectorMetrics(t *testing.T) {
 	mustExec(t, db, `SELECT id FROM n WHERE s = '+'`)
 	mustExec(t, db, `UPDATE n SET s = '-'`)
 	snap := reg.Snapshot()
-	rows := snap.Counters[`store_vector_rows_total{engine="vector"}`]
-	batches := snap.Counters[`store_vector_batches_total{engine="vector"}`]
+	rows := snap.Counters[`store_vector_rows_total{engine="column"}`]
+	batches := snap.Counters[`store_vector_batches_total{engine="column"}`]
 	if rows == 0 || batches == 0 {
 		t.Fatalf("vector counters after vectorized statements: rows=%d batches=%d, want both > 0", rows, batches)
 	}
 
-	rowDB := Open(EngineColumn)
+	rowDB := Open(EngineRow)
 	mustExec(t, rowDB, `CREATE TABLE n (id INT PRIMARY KEY, s TEXT)`)
 	rowReg := obs.NewRegistry()
 	rowDB.SetMetrics(rowReg)
@@ -249,10 +247,10 @@ func TestVectorBatchesMath(t *testing.T) {
 }
 
 // TestVectorPlanCacheReuse: a cached parsed statement stays correct across
-// storage changes the plan cannot see — the row-vs-vector decision and the
-// byte→string promotion both happen at execution time.
+// storage changes the plan cannot see — the byte→string promotion happens
+// at execution time.
 func TestVectorPlanCacheReuse(t *testing.T) {
-	db := Open(EngineColumnVector)
+	db := Open(EngineColumn)
 	mustExec(t, db, `CREATE TABLE t (id INT PRIMARY KEY, v TEXT)`)
 	mustExec(t, db, `INSERT INTO t VALUES (1, 'a'), (2, 'b')`)
 	q := `SELECT id FROM t WHERE v = 'a'`
@@ -273,11 +271,11 @@ func TestVectorPlanCacheReuse(t *testing.T) {
 // TestConcurrentReadersDuringBulkSignUpdate is the -race hammer of the
 // annotation-vs-request interleaving the worker pool produces: cached
 // readers issue sign lookups and joins while a writer loops full sign
-// resets and IN-list rewrites on the vectorized store. The statement layer
+// resets and IN-list rewrites on the column store. The statement layer
 // must serialize them (readers share the RWMutex; the bulk path runs
 // under the write lock), so every read sees a consistent column.
 func TestConcurrentReadersDuringBulkSignUpdate(t *testing.T) {
-	db := Open(EngineColumnVector)
+	db := Open(EngineColumn)
 	mustExec(t, db, `CREATE TABLE n (id INT PRIMARY KEY, pid INT, s TEXT)`)
 	mustExec(t, db, `CREATE INDEX n_s ON n (s)`)
 	var ins strings.Builder

@@ -237,7 +237,7 @@ func TestGoldenRequestsAgree(t *testing.T) {
 // stack: for every backend, Why must name the same deciding rule for the
 // same node on both workloads.
 func TestGoldenWhyAgrees(t *testing.T) {
-	backends := []core.Backend{core.BackendNative, core.BackendRow, core.BackendColumn, core.BackendVector}
+	backends := []core.Backend{core.BackendNative, core.BackendRow, core.BackendColumn}
 	for _, wl := range workloads() {
 		type attribution struct {
 			Accessible bool

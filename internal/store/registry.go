@@ -41,7 +41,7 @@ func Register(name string, o Opener, aliases ...string) {
 }
 
 // Open builds the named engine. Both canonical names and aliases resolve
-// ("xquery" opens the native engine, "monetcol" the column engine).
+// ("xquery" opens the native engine).
 func Open(name string, o Options) (Engine, error) {
 	regMu.RLock()
 	op := openers[name]

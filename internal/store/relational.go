@@ -18,10 +18,6 @@ import (
 func init() {
 	Register("postgres", openerFor("postgres", sqldb.EngineRow))
 	Register("monetsql", openerFor("monetsql", sqldb.EngineColumn))
-	// monetcol was an alias of monetsql while the two differed only in
-	// physical layout; with the vectorized executor it is its own backend
-	// (the "real MonetDB" role — typed vectors plus batch operators).
-	Register("monetcol", openerFor("monetcol", sqldb.EngineColumnVector))
 }
 
 // relationalEngine shreds the document ShreX-style into one table per
@@ -29,13 +25,12 @@ func init() {
 // processing through translated SQL — the paper's MonetDB/SQL (column
 // layout) and PostgreSQL (row layout) configurations.
 type relationalEngine struct {
-	name     string // canonical registered name
-	db       *sqldb.Database
-	m        *shred.Mapping
-	def      xmltree.Sign
-	pl       *pool.Pool // nil runs leaves and tables in the caller
-	pushdown bool       // fold sign checks into translated queries
-	signs    *obs.Counter
+	name  string // canonical registered name
+	db    *sqldb.Database
+	m     *shred.Mapping
+	def   xmltree.Sign
+	pl    *pool.Pool // nil runs leaves and tables in the caller
+	signs *obs.Counter
 }
 
 // Compile-time interface compliance, checked by go vet and the CI gate.
@@ -55,13 +50,7 @@ func openerFor(name string, kind sqldb.Engine) Opener {
 		if err != nil {
 			return nil, err
 		}
-		e := &relationalEngine{
-			name: name, db: sqldb.Open(kind), m: m, def: o.Default, pl: o.Pool,
-			// Folding the sign check into the translated query pays off on
-			// the vectorized executor only; the others answer faster by
-			// probing each matched id's owning table.
-			pushdown: kind == sqldb.EngineColumnVector,
-		}
+		e := &relationalEngine{name: name, db: sqldb.Open(kind), m: m, def: o.Default, pl: o.Pool}
 		if o.Metrics != nil {
 			e.SetMetrics(o.Metrics)
 		}
@@ -302,10 +291,9 @@ func (e *relationalEngine) scanOwners(ids []int64) ([]shred.OwnedIDs, error) {
 }
 
 // Request evaluates a query against the annotated store: RawQuery's
-// translated SQL finds the matches, and every matched tuple's sign is
-// checked — probed in the tuple's owning table, or, on the vectorized
-// executor, by a second translation with the sign predicate folded in
-// (shred.TranslateAccessible). Both checks are result-identical.
+// translated SQL finds the matches, and a second translation with the sign
+// predicate folded into every branch (shred.TranslateAccessible) finds the
+// accessible ones among them.
 //
 // Note that the relational store materializes all signs at annotation
 // time (Figure 6 initializes every tuple to the default), so unlike the
@@ -317,23 +305,15 @@ func (e *relationalEngine) Request(ctx context.Context, q *xpath.Path) (*Request
 	}
 	sp := obs.Start(obs.FromContext(ctx), "check-access")
 	defer sp.Finish()
-	var granted []int64
-	if e.pushdown {
-		sp.SetAttr("mode", "pushdown")
-		var signedSQL string
-		if signedSQL, err = shred.TranslateAccessible(e.m, q); err == nil {
-			var signed *sqldb.Result
-			if signed, err = e.execIDQuery(signedSQL); err == nil {
-				granted = ascendingIDs(signed)
-			}
-		}
-	} else {
-		sp.SetAttr("mode", "routed")
-		granted, err = e.probeSigns(res.IDs)
-	}
+	signedSQL, err := shred.TranslateAccessible(e.m, q)
 	if err != nil {
 		return nil, err
 	}
+	signed, err := e.execIDQuery(signedSQL)
+	if err != nil {
+		return nil, err
+	}
+	granted := ascendingIDs(signed)
 	// One merge pass: CheckMatches walks the ascending matches in order,
 	// so a cursor over the ascending granted ids decides each in turn.
 	j := 0
@@ -381,42 +361,6 @@ func (e *relationalEngine) RawQuery(ctx context.Context, q *xpath.Path) (*Reques
 	return &RequestResult{IDs: ids, Checked: len(ids)}, nil
 }
 
-// probeSigns returns the accessible ones of ids, which ascend and are
-// distinct, ascending. It probes each id's owning table only, falling
-// back to probing every table for the ids the owner index does not know
-// (databases populated outside the shredder); a table's probes are
-// batched IN lists resolved through the primary-key index.
-func (e *relationalEngine) probeSigns(ids []int64) ([]int64, error) {
-	owned, unknown := e.m.GroupByOwner(ids)
-	granted := make([]int64, 0, len(ids))
-	for _, o := range owned {
-		if err := e.probeSignsTable(o.Table, o.IDs, &granted); err != nil {
-			return nil, err
-		}
-	}
-	if len(unknown) > 0 {
-		for _, ti := range e.m.Tables() {
-			if err := e.probeSignsTable(ti.Table, unknown, &granted); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Each table's answers ascend, and tables answer in turn.
-	slices.Sort(granted)
-	return granted, nil
-}
-
-// probeSignsTable issues the batched sign probes for one table, appending
-// the accessible ids to granted in IN-list order.
-func (e *relationalEngine) probeSignsTable(table string, ids []int64, granted *[]int64) error {
-	return e.execBatches("SELECT id FROM "+table+" WHERE "+shred.SignColumn+" = '+' AND id IN (?)", ids,
-		func(res *sqldb.Result) {
-			for _, row := range res.Rows {
-				*granted = append(*granted, row[0].I)
-			}
-		})
-}
-
 // AccessibleIDs lists the accessible tuple ids of the annotated store
 // (s = '+').
 func (e *relationalEngine) AccessibleIDs() (map[int64]bool, error) {
@@ -446,7 +390,8 @@ func (e *relationalEngine) DeleteRows(byLabel map[string][]int64) (int, error) {
 			return total, err
 		}
 		// Keep the id→table routing index in sync. Dropping an id is always
-		// safe: an unknown id simply falls back to probing every table.
+		// safe: a sign write that meets an unknown id routes its ids by
+		// scanning every table.
 		e.m.ForgetOwner(ids...)
 	}
 	return total, nil

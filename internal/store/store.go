@@ -148,18 +148,15 @@ type Options struct {
 }
 
 // EngineLabel is the storage-family value engines use for their `engine`
-// metric label: "native" for the tree store, "row"/"column"/"vector" for
-// the relational layouts (vector being the column layout driven by the
-// vectorized batch executor). Core uses it to label its per-engine
-// latency series consistently with the engines' own store_* series.
+// metric label: "native" for the tree store, "row"/"column" for the
+// relational layouts. Core uses it to label its per-engine latency series
+// consistently with the engines' own store_* series.
 func EngineLabel(e Engine) string {
 	switch {
 	case e == nil:
 		return ""
 	case !e.Relational():
 		return "native"
-	case e.Name() == "monetcol":
-		return "vector"
 	case e.Name() == "monetsql":
 		return "column"
 	default:

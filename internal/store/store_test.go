@@ -29,7 +29,7 @@ func TestApplySignsWithinWithoutOwnerIndex(t *testing.T) {
 			update[n.ID] = true
 		}
 	}
-	for _, name := range []string{"postgres", "monetsql", "monetcol"} {
+	for _, name := range []string{"postgres", "monetsql"} {
 		t.Run(name, func(t *testing.T) {
 			var dumps [2]string
 			var counts [2][2]int
@@ -95,7 +95,7 @@ func TestAnnotateWithoutOwnerIndex(t *testing.T) {
 		Sign:    xmltree.SignPlus,
 		Default: xmltree.SignMinus,
 	}
-	for _, name := range []string{"postgres", "monetsql", "monetcol"} {
+	for _, name := range []string{"postgres", "monetsql"} {
 		t.Run(name, func(t *testing.T) {
 			var dumps [2]string
 			var stats [2]AnnotateStats
@@ -140,7 +140,7 @@ func TestAnnotateWithoutOwnerIndex(t *testing.T) {
 }
 
 func TestRegistryNamesAndAliases(t *testing.T) {
-	want := []string{"monetcol", "monetsql", "native", "postgres"}
+	want := []string{"monetsql", "native", "postgres"}
 	got := Engines()
 	if len(got) != len(want) {
 		t.Fatalf("Engines() = %v, want %v", got, want)
@@ -153,7 +153,6 @@ func TestRegistryNamesAndAliases(t *testing.T) {
 	for alias, canonical := range map[string]string{
 		"xquery":   "native",
 		"native":   "native",
-		"monetcol": "monetcol",
 		"monetsql": "monetsql",
 		"postgres": "postgres",
 	} {
@@ -173,8 +172,8 @@ func TestOpenUnknownEngine(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// The error lists what is registered, so typos are self-diagnosing.
-	if !strings.Contains(err.Error(), "native") {
-		t.Fatalf("err does not list registered engines: %v", err)
+	if !strings.Contains(err.Error(), "(registered: monetsql, native, postgres)") {
+		t.Fatalf("err does not list the registered engines: %v", err)
 	}
 }
 
@@ -189,7 +188,7 @@ func TestOpenNativeByAlias(t *testing.T) {
 }
 
 func TestRelationalEnginesRequireSchema(t *testing.T) {
-	for _, name := range []string{"postgres", "monetsql", "monetcol"} {
+	for _, name := range []string{"postgres", "monetsql"} {
 		if _, err := Open(name, Options{}); err == nil {
 			t.Errorf("Open(%q) without schema succeeded", name)
 		}

@@ -2,18 +2,14 @@
 # bench.sh — run the Figure 11 annotation benchmarks and record ns/op to
 # BENCH_annotation.json, next to the pre-optimization baseline (measured on
 # the same container at the commit before the parallel annotation engine,
-# plan cache and bulk sign updates landed). MonetCol (the vectorized
-# columnar executor) is instead recorded against the same run's MonetSQL
-# row-executor figure, so its speedup column is the columnar execution win.
+# plan cache and bulk sign updates landed).
 #
 # Also runs the Figure 10 request path on each relational engine under
 # both enforcement modes (XMark f = 0.1) and records every case to
 # BENCH_request.json: signs is the engine's default read path, which
-# checks the signs in the store with id-routed probes, or with the sign
-# predicate folded into the query on monetcol; rewrite checks the matches
-# against the rewriting enforcer's decision set over the unannotated
-# store. The MonetColVsMonetSQL/signs case adds the row versus vectorized
-# executor comparison on the signs path, where database work dominates.
+# checks the signs in the store with the sign predicate folded into a
+# second translation of the query; rewrite checks the matches against the
+# rewriting enforcer's decision set over the unannotated store.
 #
 # The `diff` mode is the perf-regression observatory: it runs the same
 # benchmarks, compares each case against the recorded baselines via
@@ -41,9 +37,9 @@ cd "$(dirname "$0")/.."
 if [ "${1:-}" = "diff" ]; then
 	tmp=$(mktemp)
 	trap 'rm -f "$tmp"' EXIT
-	go test -bench 'BenchmarkFig11_Annotation(MonetSQL|Postgres|MonetCol)' \
+	go test -bench 'BenchmarkFig11_Annotation(MonetSQL|Postgres)' \
 		-benchtime 30x -run '^$' . | tee "$tmp"
-	go test -bench 'BenchmarkFig10_Request(MonetSQL|Postgres|MonetCol)' \
+	go test -bench 'BenchmarkFig10_Request(MonetSQL|Postgres)' \
 		-benchtime 110x -run '^$' . | tee -a "$tmp"
 	go test -bench 'BenchmarkMultiUser(Rebuild|Request)' \
 		-benchtime 3x -run '^$' . | tee -a "$tmp"
@@ -113,7 +109,7 @@ reqout="${2:-BENCH_request.json}"
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
-go test -bench 'BenchmarkFig11_Annotation(MonetSQL|Postgres|MonetCol)' \
+go test -bench 'BenchmarkFig11_Annotation(MonetSQL|Postgres)' \
 	-benchtime 30x -run '^$' . | tee "$tmp"
 
 awk '
@@ -133,22 +129,11 @@ BEGIN {
 	sub(/-[0-9]+$/, "", name)   # strip the GOMAXPROCS suffix if present
 	ns[n] = $3
 	key[n] = name
-	measured[name] = $3
 	n++
 }
 END {
 	if (n == 0) { print "bench.sh: no benchmark output parsed" > "/dev/stderr"; exit 1 }
-	# MonetCol (vectorized executor) is measured against the row executor on
-	# the same column store from the same run: its "before" is the MonetSQL
-	# figure, so the recorded speedup is the columnar execution win itself.
-	for (name in measured) {
-		if (name ~ /^MonetCol\//) {
-			rowname = name
-			sub(/^MonetCol/, "MonetSQL", rowname)
-			base[name] = measured[rowname]
-		}
-	}
-	printf "{\n  \"benchmark\": \"BenchmarkFig11_Annotation{MonetSQL,Postgres,MonetCol}\",\n"
+	printf "{\n  \"benchmark\": \"BenchmarkFig11_Annotation{MonetSQL,Postgres}\",\n"
 	printf "  \"benchtime\": \"30x\",\n  \"unit\": \"ns/op\",\n  \"cases\": [\n"
 	for (i = 0; i < n; i++) {
 		b = base[key[i]]
@@ -161,7 +146,7 @@ END {
 
 echo "bench.sh: wrote $out"
 
-go test -bench 'BenchmarkFig10_Request(MonetSQL|Postgres|MonetCol)' \
+go test -bench 'BenchmarkFig10_Request(MonetSQL|Postgres)' \
 	-benchtime 110x -run '^$' . | tee "$tmp"
 
 awk '
@@ -175,21 +160,10 @@ BEGIN { n = 0 }
 }
 END {
 	if (n == 0) { print "bench.sh: no request benchmark output parsed" > "/dev/stderr"; exit 1 }
-	printf "{\n  \"benchmark\": \"BenchmarkFig10_Request{MonetSQL,Postgres,MonetCol}/{signs,rewrite}\",\n"
+	printf "{\n  \"benchmark\": \"BenchmarkFig10_Request{MonetSQL,Postgres}/{signs,rewrite}\",\n"
 	printf "  \"benchtime\": \"110x\",\n  \"unit\": \"ns/op\",\n  \"cases\": [\n"
 	for (i = 0; i < n; i++)
-		printf "    {\"case\": \"%s\", \"after\": %d},\n", key[i], ns[key[i]]
-	# The columnar comparison the vectorized executor is accepted on: the
-	# row executor (MonetSQL) versus the vectorized one (MonetCol) on the
-	# signs path, where the database work dominates.
-	b = ns["MonetSQL/signs"]; a = ns["MonetCol/signs"]
-	if (b == "" || a == "") {
-		print "bench.sh: missing MonetSQL or MonetCol signs run" > "/dev/stderr"
-		exit 1
-	}
-	speedup = (a > 0) ? b / a : 0
-	printf "    {\"case\": \"MonetColVsMonetSQL/signs\", \"before\": %d, \"after\": %d, \"speedup\": %.2f}\n",
-		b, a, speedup
+		printf "    {\"case\": \"%s\", \"after\": %d}%s\n", key[i], ns[key[i]], (i < n-1) ? "," : ""
 	printf "  ]\n}\n"
 }' "$tmp" > "$reqout"
 

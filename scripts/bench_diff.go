@@ -41,8 +41,9 @@ type benchResult struct {
 
 // trajCase is one case's comparison in a trajectory entry. Engine and Path
 // identify which storage engine and executor produced the measurement, so
-// the observatory can tell the vectorized path's trajectory apart from the
-// row executor's on the same workload.
+// the history tells a backend's runs on the row executor apart from its
+// runs on the vectorized one (monetsql ran the row executor on boxed
+// columns until the column engine became the typed-vector store).
 type trajCase struct {
 	Case      string  `json:"case"`
 	Engine    string  `json:"engine,omitempty"`
@@ -112,14 +113,12 @@ func baselineKey(name string) (file, caseKey string, ok bool) {
 }
 
 // enginePath maps a benchmark name to the engine it measures and that
-// engine's executor path: monetcol runs the vectorized batch executor,
-// monetsql and postgres the row-at-a-time reference executor.
+// engine's executor path: monetsql runs the vectorized batch operators on
+// the column store, postgres the row-at-a-time executor.
 func enginePath(name string) (engine, path string) {
 	switch {
-	case strings.Contains(name, "MonetCol"):
-		return "monetcol", "vector"
 	case strings.Contains(name, "MonetSQL"):
-		return "monetsql", "row"
+		return "monetsql", "vector"
 	case strings.Contains(name, "Postgres"):
 		return "postgres", "row"
 	}

@@ -15,8 +15,6 @@ BenchmarkFig11_AnnotationMonetSQL/c1-8         	      10	   2811845 ns/op
 BenchmarkFig11_AnnotationPostgres/c5-8         	      10	  10656062 ns/op
 BenchmarkFig10_RequestMonetSQL/signs-8         	     110	   5829984 ns/op
 BenchmarkFig10_RequestMonetSQL/rewrite-8       	     110	   3829984 ns/op
-BenchmarkFig11_AnnotationMonetCol/c1-8         	      10	   1251664 ns/op
-BenchmarkFig10_RequestMonetCol/signs-8         	     110	   3111211 ns/op
 BenchmarkUnrelated/thing-8                     	    1000	      1234 ns/op
 PASS
 `
@@ -26,8 +24,8 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 7 {
-		t.Fatalf("parsed %d results, want 7: %+v", len(results), results)
+	if len(results) != 5 {
+		t.Fatalf("parsed %d results, want 5: %+v", len(results), results)
 	}
 	if results[0].Name != "BenchmarkFig11_AnnotationMonetSQL/c1" || results[0].NsOp != 2811845 {
 		t.Fatalf("first result = %+v", results[0])
@@ -52,8 +50,6 @@ func TestBaselineKey(t *testing.T) {
 		{"BenchmarkFig11_AnnotationMonetSQL/c1", "annotation", "MonetSQL/c1", true},
 		{"BenchmarkFig11_AnnotationPostgres/c5", "annotation", "Postgres/c5", true},
 		{"BenchmarkFig10_RequestMonetSQL/signs", "request", "MonetSQL/signs", true},
-		{"BenchmarkFig11_AnnotationMonetCol/c1", "annotation", "MonetCol/c1", true},
-		{"BenchmarkFig10_RequestMonetCol/rewrite", "request", "MonetCol/rewrite", true},
 		{"BenchmarkFig10_ResponseMonetSQL", "", "", false},
 		{"BenchmarkMultiUserRebuild/cohort", "multiuser", "Rebuild", true},
 		{"BenchmarkMultiUserRequest/cohort", "multiuser", "Request", true},
@@ -72,16 +68,16 @@ func TestBaselineKey(t *testing.T) {
 
 func testBaselines() map[string]map[string]int64 {
 	return map[string]map[string]int64{
-		"annotation": {"MonetSQL/c1": 2800000, "Postgres/c5": 10600000, "MonetCol/c1": 1250000},
-		"request":    {"MonetSQL/signs": 5800000, "MonetSQL/rewrite": 3800000, "MonetCol/signs": 3100000},
+		"annotation": {"MonetSQL/c1": 2800000, "Postgres/c5": 10600000},
+		"request":    {"MonetSQL/signs": 5800000, "MonetSQL/rewrite": 3800000},
 	}
 }
 
 func TestCompareWithinThreshold(t *testing.T) {
 	results, _ := parseBench(strings.NewReader(rawBench))
 	cases := compare(results, testBaselines(), 0.25, 1.0)
-	if len(cases) != 6 {
-		t.Fatalf("compared %d cases, want 6 (unrelated skipped): %+v", len(cases), cases)
+	if len(cases) != 4 {
+		t.Fatalf("compared %d cases, want 4 (unrelated skipped): %+v", len(cases), cases)
 	}
 	for _, c := range cases {
 		if c.Regressed {
@@ -93,8 +89,8 @@ func TestCompareWithinThreshold(t *testing.T) {
 func TestCompareInjectedRegression(t *testing.T) {
 	results, _ := parseBench(strings.NewReader(rawBench))
 	cases := compare(results, testBaselines(), 0.25, 1.5)
-	if len(cases) != 6 {
-		t.Fatalf("compared %d cases, want 6", len(cases))
+	if len(cases) != 4 {
+		t.Fatalf("compared %d cases, want 4", len(cases))
 	}
 	regressed := 0
 	for _, c := range cases {
@@ -105,8 +101,8 @@ func TestCompareInjectedRegression(t *testing.T) {
 			t.Errorf("case %s ratio %.2f after a 1.5x injection, want > 1.25", c.Case, c.Ratio)
 		}
 	}
-	if regressed != 6 {
-		t.Fatalf("%d of 6 cases regressed under a 1.5x injection", regressed)
+	if regressed != 4 {
+		t.Fatalf("%d of 4 cases regressed under a 1.5x injection", regressed)
 	}
 }
 
@@ -140,17 +136,15 @@ func TestCompareMultiUserBaseline(t *testing.T) {
 }
 
 // TestCompareEnginePathTags: every trajectory case carries the engine name
-// and executor path, and monetcol is the only vector-path engine.
+// and executor path: monetsql's is the vector path, postgres's the row one.
 func TestCompareEnginePathTags(t *testing.T) {
 	results, _ := parseBench(strings.NewReader(rawBench))
 	cases := compare(results, testBaselines(), 0.25, 1.0)
 	want := map[string][2]string{
-		"annotation:MonetSQL/c1":   {"monetsql", "row"},
+		"annotation:MonetSQL/c1":   {"monetsql", "vector"},
 		"annotation:Postgres/c5":   {"postgres", "row"},
-		"request:MonetSQL/signs":   {"monetsql", "row"},
-		"request:MonetSQL/rewrite": {"monetsql", "row"},
-		"annotation:MonetCol/c1":   {"monetcol", "vector"},
-		"request:MonetCol/signs":   {"monetcol", "vector"},
+		"request:MonetSQL/signs":   {"monetsql", "vector"},
+		"request:MonetSQL/rewrite": {"monetsql", "vector"},
 	}
 	seen := map[string]bool{}
 	for _, c := range cases {
@@ -173,8 +167,7 @@ func TestCompareEnginePathTags(t *testing.T) {
 
 func TestEnginePath(t *testing.T) {
 	for _, tc := range []struct{ name, engine, path string }{
-		{"BenchmarkFig11_AnnotationMonetCol/c3", "monetcol", "vector"},
-		{"BenchmarkFig10_RequestMonetSQL/signs", "monetsql", "row"},
+		{"BenchmarkFig10_RequestMonetSQL/signs", "monetsql", "vector"},
 		{"BenchmarkFig11_AnnotationPostgres/c1", "postgres", "row"},
 		{"BenchmarkUnrelated/thing", "", ""},
 	} {

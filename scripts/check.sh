@@ -81,23 +81,22 @@ go test -run 'TestCombine|TestEvalSetAlgebra|TestEvalScopeMatchesTreeFold|FuzzPa
 go test -run 'TestQuickContainmentSound|TestContainsMatchesReferenceOnPolicies|FuzzContains|TestTriggerAllMatchesReference|FuzzParse' ./internal/pattern ./internal/core ./internal/dtd
 
 # The relational read path: Translate against the frozen root-chain
-# translation and tree evaluation on XMark and hospital documents in all
-# three SQL engines (benchmark queries, Table 1 and c1–c5 rule paths,
-# random paths), the generated-hospital cross-check, the EXPLAIN goldens
-# (a UNION chain is one node), the engine differential with UNION chains,
+# translation and tree evaluation on XMark and hospital documents in both
+# SQL engines (benchmark queries, Table 1 and c1–c5 rule paths, random
+# paths), the generated-hospital cross-check, the EXPLAIN goldens (a UNION
+# chain is one node), the engine differential with UNION chains,
 # FuzzExec's seed corpus, which holds one-pass UNION chains to the
 # pairwise fold, the SELECT executor against its frozen reference on
 # every access path and engine, and the allocation bound (a SELECT's
 # allocations do not grow with its rows); the sign check against RawQuery
 # decided by a full s = '+' scan, on every relational engine and in three
-# owner-index states, its allocation bound (per 256-id probe batch, not
-# per matched id) and the dense owner index. `go test ./...` above runs
+# owner-index states, and the dense owner index. `go test ./...` above runs
 # them; this standalone form is what CI's columnar-equivalence job calls,
 # and the timed FuzzExec run stays in CI only.
-go test -run 'TestTranslateMatchesReference|TestTranslateOnGenerated|TestExplain|TestDifferentialEngines|FuzzExec|TestSelectMatchesReference|TestQuickJoinMatchesReference|TestSelectAllocsPerJoinStep|TestSignCheckMatchesAccessibleIDs|TestSignCheckAllocsPerBatch|TestOwnerIndex' . ./internal/core ./internal/shred ./internal/sqldb
+go test -run 'TestTranslateMatchesReference|TestTranslateOnGenerated|TestExplain|TestDifferentialEngines|FuzzExec|TestSelectMatchesReference|TestQuickJoinMatchesReference|TestSelectAllocsPerJoinStep|TestSignCheckMatchesAccessibleIDs|TestOwnerIndex' . ./internal/core ./internal/shred ./internal/sqldb
 
-# Differential fuzzing: replay generated statement scripts against the row,
-# column and vectorized engines and require identical results and errors;
+# Differential fuzzing: replay generated statement scripts against the row
+# and column engines and require identical results and errors;
 # the mode fuzzer does the same one layer up across enforcement modes.
 # `go test ./...` above runs the full versions; this keeps the -short form
 # exercised so CI can call it standalone.
@@ -105,7 +104,7 @@ go test -short -run 'TestDifferentialEngines|TestModeDifferentialFuzz' ./interna
 
 # Smoke the benchmark harness itself (tiny -short documents, one iteration):
 # a broken bench is otherwise only caught when scripts/bench.sh runs.
-go test -short -bench 'BenchmarkFig10_Request(MonetSQL|Postgres|MonetCol)' -benchtime 1x -run '^$' .
+go test -short -bench 'BenchmarkFig10_Request(MonetSQL|Postgres)' -benchtime 1x -run '^$' .
 go test -short -bench 'BenchmarkHotWrite_SignsVsRewrite' -benchtime 1x -run '^$' .
 go test -short -bench 'BenchmarkFig12_(Reannot|Fannot)MonetSQL' -benchtime 1x -run '^$' .
 go test -short -bench 'BenchmarkAblation_TriggerCost' -benchtime 1x -run '^$' .

@@ -11,9 +11,10 @@
 // answered all-or-nothing against the annotated store. It implements the
 // paper's four components — the policy optimizer (redundancy elimination by
 // XPath containment), the annotator (annotation queries per the policy
-// semantics), the reannotator (dependency graph + schema-aware rule
-// expansion + the Trigger algorithm, so document updates re-annotate only
-// the affected region), and the requester — over three interchangeable
+// semantics), the reannotator (a document update re-decides only its write
+// region, the elements whose signs it can change, against the whole
+// policy; the Trigger algorithm still names the rules it affects, for the
+// report and the audit trail), and the requester — over three interchangeable
 // backends: an in-memory native XML store and a relational store in row- or
 // column-oriented layout, fed by ShreX-style shredding with XPath-to-SQL
 // translation.
@@ -253,12 +254,9 @@ const (
 	// BackendRow shreds into a row-oriented relational store (the paper's
 	// PostgreSQL configuration).
 	BackendRow = core.BackendRow
-	// BackendColumn shreds into a column-oriented relational store (the
-	// paper's MonetDB/SQL configuration).
+	// BackendColumn shreds into a column-oriented relational store run by
+	// vectorized batch operators (the paper's MonetDB/SQL configuration).
 	BackendColumn = core.BackendColumn
-	// BackendVector shreds into the column-oriented store driven by the
-	// vectorized batch executor (the real-MonetDB role, "monetcol").
-	BackendVector = core.BackendVector
 )
 
 // Effects, actions and signs.
@@ -408,8 +406,9 @@ func RemoveRedundant(p *Policy) (*Policy, []Rule) { return core.RemoveRedundant(
 // NewMultiUser wraps one document for per-requester access control: add
 // users with their own policies via MultiUser.AddUser, then serve requests
 // per requester. Users with equivalent policies share one cohort (one
-// accessibility map and reannotator for the whole equivalence class), and
-// updates re-annotate only the cohorts whose rules trigger.
+// accessibility map and write region for the whole equivalence class), and
+// a delete rebuilds only the maps of the cohorts whose write region under
+// their own policy is non-empty.
 func NewMultiUser(schema *Schema, doc *Document) (*MultiUser, error) {
 	return core.NewMultiUser(schema, doc)
 }

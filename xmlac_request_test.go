@@ -1,15 +1,15 @@
 package xmlac_test
 
-// Golden equivalence tests for the query path: the default relational
-// request paths (id→table routed sign probes, or the sign predicate folded
-// into the query on monetcol) must be result-identical — grant-or-deny,
-// exact error text, returned ids and Checked — to the reference, a
-// default system whose owner index was emptied so that every sign probe
-// falls back to probing every table, on both documents and under all four
-// policy semantics. That reference runs the same probe code as the system
-// under test, so TestSignCheckMatchesAccessibleIDs also holds the check to
-// one that shares none of it: RawQuery's matches decided against a full
-// s = '+' scan of every table.
+// Golden equivalence tests for the query path: the relational request
+// path (RawQuery's matches, and the sign predicate folded into a second
+// translation) must be result-identical — grant-or-deny, exact error text,
+// returned ids and Checked — to the rewriting enforcer's decision set over
+// the same store, on both documents and under all four policy semantics.
+// TestSignCheckMatchesAccessibleIDs also holds the check to one that reads
+// the same tables differently: RawQuery's matches decided against a full
+// s = '+' scan of every table, after load, insert and delete, with the
+// owner index that routes the sign writes full, emptied and half
+// forgotten.
 
 import (
 	"context"
@@ -107,12 +107,12 @@ var semantics = []struct {
 	{"allow-allow", xmlac.Allow, xmlac.Allow},
 }
 
-func buildRequestSystem(t *testing.T, fx requestFixture, def, conflict xmlac.Effect, b xmlac.Backend) *xmlac.System {
+func buildRequestSystem(t *testing.T, fx requestFixture, def, conflict xmlac.Effect, b xmlac.Backend, mode xmlac.EnforceMode) *xmlac.System {
 	t.Helper()
 	pol := fx.base.Clone()
 	pol.Default = def
 	pol.Conflict = conflict
-	sys, err := xmlac.New(xmlac.Config{Schema: fx.schema, Policy: pol, Backend: b, Optimize: true})
+	sys, err := xmlac.New(xmlac.Config{Schema: fx.schema, Policy: pol, Backend: b, Optimize: true, Enforce: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,32 +125,15 @@ func buildRequestSystem(t *testing.T, fx requestFixture, def, conflict xmlac.Eff
 	return sys
 }
 
-// forgetOwners empties a relational system's owner index: every sign
-// probe then takes the probe-every-table fallback.
-func forgetOwners(t *testing.T, sys *xmlac.System) {
-	t.Helper()
-	var ids []int64
-	for _, n := range sys.Document().Elements() {
-		ids = append(ids, n.ID)
-	}
-	m := sys.Engine().(store.Relational).Mapping()
-	m.ForgetOwner(ids...)
-	if owned, _ := m.GroupByOwner(ids); len(owned) != 0 {
-		t.Fatalf("owner index still routes %d tables", len(owned))
-	}
-}
-
 // TestOptimizedRequestPathsMatchReference is the golden matrix: document ×
-// semantics × relational backend, every outcome of the default (routed or,
-// on monetcol, folded) request path byte-identical to the
-// emptied-owner-index reference.
+// semantics × relational backend, every outcome of the relational sign
+// check byte-identical to the rewriting enforcer's on the same backend.
 func TestOptimizedRequestPathsMatchReference(t *testing.T) {
 	for _, fx := range requestFixtures() {
 		for _, sem := range semantics {
-			for _, b := range []xmlac.Backend{xmlac.BackendColumn, xmlac.BackendVector, xmlac.BackendRow} {
+			for _, b := range []xmlac.Backend{xmlac.BackendColumn, xmlac.BackendRow} {
 				t.Run(fx.name+"/"+sem.name+"/"+b.String(), func(t *testing.T) {
-					ref := buildRequestSystem(t, fx, sem.def, sem.conflict, b)
-					forgetOwners(t, ref)
+					ref := buildRequestSystem(t, fx, sem.def, sem.conflict, b, xmlac.EnforceRewrite)
 					want := make([]requestOutcome, len(fx.queries))
 					granted := 0
 					for i, q := range fx.queries {
@@ -167,10 +150,10 @@ func TestOptimizedRequestPathsMatchReference(t *testing.T) {
 						t.Fatal("empty workload")
 					}
 					t.Logf("%d/%d queries granted by reference", granted, len(want))
-					sys := buildRequestSystem(t, fx, sem.def, sem.conflict, b)
+					sys := buildRequestSystem(t, fx, sem.def, sem.conflict, b, xmlac.EnforceSigns)
 					for i, q := range fx.queries {
 						if got := observe(t, sys, q); !got.equal(want[i]) {
-							t.Errorf("routed: query %s: got %+v, want %+v", q, got, want[i])
+							t.Errorf("query %s: got %+v, want %+v", q, got, want[i])
 						}
 					}
 				})
@@ -180,9 +163,9 @@ func TestOptimizedRequestPathsMatchReference(t *testing.T) {
 }
 
 // ownerStates are the owner-index states the sign check must be right in:
-// as the shredder left it, emptied (every probe takes the every-table
-// fallback), and with every other element id forgotten (both routes in
-// one request).
+// as the shredder left it, emptied (every sign write routes its ids by
+// scanning every table), and with every other element id forgotten (both
+// routes in one write).
 var ownerStates = []struct {
 	name   string
 	forget func(i int) bool // forget the i-th element in document order
@@ -243,10 +226,10 @@ func TestSignCheckMatchesAccessibleIDs(t *testing.T) {
 
 	granted, denied := 0, 0
 	for _, w := range workloads {
-		for _, b := range []xmlac.Backend{xmlac.BackendColumn, xmlac.BackendRow, xmlac.BackendVector} {
+		for _, b := range []xmlac.Backend{xmlac.BackendColumn, xmlac.BackendRow} {
 			for _, st := range ownerStates {
 				t.Run(w.name+"/"+b.String()+"/"+st.name, func(t *testing.T) {
-					sys := buildRequestSystem(t, w.fx, w.def, w.conflict, b)
+					sys := buildRequestSystem(t, w.fx, w.def, w.conflict, b, xmlac.EnforceSigns)
 					eng := sys.Engine()
 					check := func(stage string) {
 						t.Helper()

@@ -11,7 +11,7 @@ import (
 // TestPublicAPIEndToEnd drives the whole public surface the way the README
 // quick start does, on every backend.
 func TestPublicAPIEndToEnd(t *testing.T) {
-	for _, b := range []xmlac.Backend{xmlac.BackendNative, xmlac.BackendRow, xmlac.BackendColumn, xmlac.BackendVector} {
+	for _, b := range []xmlac.Backend{xmlac.BackendNative, xmlac.BackendRow, xmlac.BackendColumn} {
 		t.Run(b.String(), func(t *testing.T) {
 			schema, err := xmlac.ParseDTD(xmlac.HospitalDTD)
 			if err != nil {
