@@ -193,33 +193,38 @@ rule R1 allow //r
 	}
 
 	for _, b := range []Backend{BackendColumn, BackendRow} {
-		t.Run(b.String(), func(t *testing.T) {
-			sys := build(t, b)
-			// The raw translated SQL really does return duplicate rows
-			// (one per witness t); that is what Checked must not count.
-			rel := sys.Engine().(store.Relational)
-			sqlText, err := shred.Translate(rel.Mapping(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw, err := rel.DB().Exec(sqlText)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(raw.Rows) != 6 {
-				t.Fatalf("raw SQL rows = %d, want 6 (2 witnesses per p)", len(raw.Rows))
-			}
-			res, err := sys.Request(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Checked != 3 || len(res.IDs) != 3 {
-				t.Errorf("Checked = %d, len(IDs) = %d, want 3", res.Checked, len(res.IDs))
-			}
-			if res.Checked != nres.Checked {
-				t.Errorf("relational Checked %d != native Checked %d", res.Checked, nres.Checked)
-			}
-		})
+		for _, name := range []string{"reference", "routed"} {
+			t.Run(b.String()+"/"+name, func(t *testing.T) {
+				sys := build(t, b)
+				if name == "reference" {
+					forgetOwners(t, sys)
+				}
+				// The raw translated SQL really does return duplicate rows
+				// (one per witness t); that is what Checked must not count.
+				rel := sys.Engine().(store.Relational)
+				sqlText, err := shred.Translate(rel.Mapping(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := rel.DB().Exec(sqlText)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(raw.Rows) != 6 {
+					t.Fatalf("raw SQL rows = %d, want 6 (2 witnesses per p)", len(raw.Rows))
+				}
+				res, err := sys.Request(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Checked != 3 || len(res.IDs) != 3 {
+					t.Errorf("Checked = %d, len(IDs) = %d, want 3", res.Checked, len(res.IDs))
+				}
+				if res.Checked != nres.Checked {
+					t.Errorf("relational Checked %d != native Checked %d", res.Checked, nres.Checked)
+				}
+			})
+		}
 	}
 }
 
